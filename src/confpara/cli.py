@@ -9,8 +9,10 @@ set, and ``paradox verify``/``paradox construct`` handle decompositions.
 Exit codes: 0 when the requested object was computed or verified, 2 when the
 outcome is a refutation (families distinguished, decomposition refuted,
 recovery hypothesis failed), 3 when a resource cap stopped the search, and 4
-for malformed input.  Structured output goes to stdout as a report or
-verdict manifest; diagnostics to stderr.  CONFPARA_CAP overrides the default
+for malformed input, which includes mutually inconsistent oracles (such as
+overlapping pieces) and operations a countable object does not support.
+Structured output goes to stdout as a report or verdict manifest;
+diagnostics to stderr.  CONFPARA_CAP overrides the default
 search cap where --cap is not given.
 """
 
@@ -31,6 +33,7 @@ from .configurations import (
     windowed_configuration_set,
 )
 from .errors import (
+    ConfparaError,
     InputError,
     PreconditionError,
     ResourceCapExceeded,
@@ -514,7 +517,7 @@ def main(argv=None):
         )
         sys.stdout.write(schemas.dumps_canonical(manifest))
         return 2
-    except InputError as exc:
+    except ConfparaError as exc:  # input errors, inconsistent oracles, unsupported operations
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

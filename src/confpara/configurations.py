@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 from typing import Any, Callable, Optional
 
 from .errors import InputError, PreconditionError, ResourceCapExceeded
@@ -445,69 +446,132 @@ def set_partitions(n, max_blocks):
     yield from rec(0, 0)
 
 
-_PERM_CACHE = {}
+def commuting_maps(rows):
+    """Nontrivial orbit-preserving bijections of the points 0..N-1 that
+    commute with every row of a compiled finite action.
+
+    On the orbit of its least point r such a map is g.r -> g.y for a point y
+    of the same orbit with the same stabilizer as r.  The maps are every
+    combination of one choice per orbit, so they form a group (closed under
+    inverses); orbits are taken in order while the group's order stays at
+    most the table's size |G| * N, and later orbits are left fixed.  Each
+    map is a tuple phi with phi[x] the image of x."""
+    size = len(rows[0])
+    choices = []  # per orbit: candidate images of its points, one per y
+    placed = set()
+    for r in range(size):
+        if r in placed:
+            continue
+        reach = {}  # orbit point -> first row carrying r to it
+        for row in rows:
+            reach.setdefault(row[r], row)
+        placed.update(reach)
+        stab = [row for row in rows if row[r] == r]
+        choices.append([
+            {p: row[y] for p, row in reach.items()}
+            for y in reach
+            if all(row[y] == y for row in stab)
+        ])
+    used, order = [], 1
+    for c in choices:
+        if order * len(c) <= len(rows) * size:
+            used.append(c)
+            order *= len(c)
+    identity = tuple(range(size))
+    maps = []
+    for parts in itertools.product(*used):
+        phi = list(identity)
+        for part in parts:
+            for p, q in part.items():
+                phi[p] = q
+        if tuple(phi) != identity:
+            maps.append(tuple(phi))
+    return maps
 
 
-def _perms(b):
-    if b not in _PERM_CACHE:
-        # index 0 unused so configurations index directly
-        _PERM_CACHE[b] = [
-            (0,) + p for p in itertools.permutations(range(1, b + 1))
-        ]
-    return _PERM_CACHE[b]
+def _least_in_orbit(labels, maps):
+    """True when no map carries the partition to one whose restricted-growth
+    labels come earlier.  The image of ``labels`` under phi labels phi(x)
+    with labels[x], i.e. y with labels[phi^-1(y)]; the maps are closed under
+    inverses, so reading labels[phi[y]] covers the same images."""
+    for phi in maps:
+        relabel = {}
+        for y, x in enumerate(phi):
+            v = relabel.setdefault(labels[x], len(relabel) + 1)
+            if v != labels[y]:
+                if v < labels[y]:
+                    return False
+                break
+    return True
 
 
-def _canonical_form(configs, nblocks, memo):
-    key = (configs, nblocks)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    best = None
-    for sigma in _perms(nblocks):
-        relab = sorted(tuple(sigma[c] for c in cfg) for cfg in configs)
-        if best is None or relab < best:
-            best = relab
-    out = tuple(best)
-    memo[key] = out
+def _code_maps(b, m, n):
+    """For each relabeling of blocks 1..b, the induced map on configuration
+    codes: a configuration (c_0, ..., c_n) is coded as the base-m integer
+    with digits c_j - 1, position 0 most significant, so integer order is
+    tuple order."""
+    out = []
+    for sigma in itertools.permutations(range(b)):
+        sigma = sigma + tuple(range(b, m))
+        codes = [0]
+        for _ in range(n + 1):
+            codes = [c * m + s for c in codes for s in sigma]
+        out.append(codes)
     return out
+
+
+def _tuple_codes(base, cols):
+    """(t, code set) for every tuple t in product order.  ``base`` holds the
+    position-0 term of each point's code, cols[j][g] the position-(j+1) term
+    when the tuple's j-th entry is group element g."""
+    *inner, last = cols
+    for head in itertools.product(range(len(last)), repeat=len(inner)):
+        acc = base
+        for col, g in zip(inner, head):
+            acc = list(map(add, acc, col[g]))
+        for g, col in enumerate(last):
+            yield head + (g,), frozenset(map(add, acc, col))
 
 
 def _configuration_family(action, n, m, cap):
     """Canonical forms of every configuration set over tuples of length n and
-    partitions into at most m blocks, each mapped to its first witness."""
+    partitions into at most m blocks, each mapped to its first witness.
+
+    Every partition counts against ``cap``, but one that a commuting map
+    carries to an earlier partition is skipped: the two realize the same
+    configuration sets, and the earlier one has already recorded them.  A
+    configuration set is a set of integer codes (see _code_maps); its
+    canonical form is the least sorted code list over block relabelings."""
     pts = list(action.points())
-    np_ = len(pts)
     idx = {p: i for i, p in enumerate(pts)}
-    group = action.group
-    gels = group.elements()
-    rows = [
-        tuple(idx[action.act(g, p)] for p in pts) for g in gels
-    ]
-    memo = {}
+    gels = action.group.elements()
+    rows = [tuple(idx[action.act(g, p)] for p in pts) for g in gels]
+    symmetries = commuting_maps(rows)
+    code_maps = {}
+    seen = set()
     family = {}
-    rng = range(np_)
     count = 0
-    for labels, b in set_partitions(np_, m):
+    for labels, b in set_partitions(len(pts), m):
         count += 1
         if count > cap:
             raise ResourceCapExceeded(
                 f"partition enumeration exceeded the cap of {cap}", cap=cap
             )
-        for t in itertools.product(range(len(gels)), repeat=n):
-            if n == 1:
-                r1 = rows[t[0]]
-                configs = frozenset((labels[x], labels[r1[x]]) for x in rng)
-            elif n == 2:
-                r1, r2 = rows[t[0]], rows[t[1]]
-                configs = frozenset(
-                    (labels[x], labels[r1[x]], labels[r2[x]]) for x in rng
-                )
-            else:
-                trows = [rows[g] for g in t]
-                configs = frozenset(
-                    tuple([labels[x]] + [labels[r[x]] for r in trows]) for x in rng
-                )
-            canon = _canonical_form(configs, b, memo)
+        if not _least_in_orbit(labels, symmetries):
+            continue
+        if b not in code_maps:
+            code_maps[b] = _code_maps(b, m, n)
+        relabelings = code_maps[b]
+        base = [(v - 1) * m ** n for v in labels]
+        cols = [
+            [[(labels[x] - 1) * m ** (n - j) for x in row] for row in rows]
+            for j in range(1, n + 1)
+        ]
+        for t, codes in _tuple_codes(base, cols):
+            if codes in seen:
+                continue
+            seen.add(codes)
+            canon = min(tuple(sorted(map(cm.__getitem__, codes))) for cm in relabelings)
             if canon not in family:
                 family[canon] = (t, labels, b)
     return family, pts, gels

@@ -5,6 +5,7 @@ most direct encoding of the definitions: triple loops, recursion, closed
 formulas.  Slow is fine; these run on small instances only.
 """
 
+import itertools
 from fractions import Fraction
 
 
@@ -31,6 +32,31 @@ def naive_refinement_blocks(points, act, inv, elements, block_of, configs):
         ]
         cells[c] = [base] + [[act(g, x) for x in base] for g in elements]
     return cells
+
+
+def naive_configuration_family(points, act, elements, n, m):
+    """Every configuration set over tuples of length n (entries drawn from
+    ``elements``) and partitions into at most m blocks, up to block
+    relabeling.  Maps each canonical form (the least sorted list of relabeled
+    configurations) to its first witness (tuple, labels), visiting
+    partitions as restricted-growth label tuples in lexicographic order and
+    tuples in product order, and sorting every relabeling in full."""
+    points = list(points)
+    family = {}
+    for labels in itertools.product(range(1, m + 1), repeat=len(points)):
+        if any(labels[i] > max(labels[:i], default=0) + 1 for i in range(len(points))):
+            continue
+        block = dict(zip(points, labels))
+        b = max(labels)
+        for t in itertools.product(elements, repeat=n):
+            configs = naive_configurations(points, act, t, block.__getitem__)
+            canon = tuple(min(
+                sorted(tuple(sigma[c - 1] for c in cfg) for cfg in configs)
+                for sigma in itertools.permutations(range(1, b + 1))
+            ))
+            if canon not in family:
+                family[canon] = (t, labels)
+    return family
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@ exit codes, and the report/verdict envelopes on stdout."""
 
 import io
 import json
+import pathlib
 
 import pytest
 
 from confpara.cli import main
 from confpara.schemas import dumps_canonical, make_manifest
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def write_manifest(tmp_path, name, kind, payload):
@@ -400,6 +403,33 @@ def test_verify_missing_file(files, capsys):
     )
     assert code == 4
     assert "cannot read" in stderr
+
+
+def test_verify_overlapping_pieces_exits_4(files, capsys):
+    # MalformedOracleError: a-pieces 1 and 2 both claim the words starting with a
+    explicit = json.loads((FIXTURES / "decomposition_f2_explicit.json").read_text())
+    explicit["payload"]["a-pieces"][1] = {"family": "first-letter", "letter": "a"}
+    path = files["dir"] / "dec_overlap.json"
+    path.write_text(json.dumps(explicit))
+    code, stdout, stderr = run(
+        capsys,
+        ["paradox", "verify", str(path), "--window", "ball=2", "--index-bound", "2"],
+    )
+    assert code == 4
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "overlap" in stderr
+
+
+def test_recover_countable_target_group_exits_4(files, capsys):
+    # UnsupportedOperationError: a countable target group has no element list
+    code, stdout, stderr = run(
+        capsys,
+        ["recover", "--h", files["g_z4"], "--tuple", "0,1",
+         "--partition", files["part_z4"], "--g", files["g_z"]],
+    )
+    assert code == 4
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "not finite" in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from confpara.actions import LeftTranslation, TrivialAction
-from confpara.catalog import cyclic, fixture_groups
+from confpara.actions import LeftTranslation, ProductAction, TableAction, TrivialAction
+from confpara.catalog import cyclic, fixture_groups, reconstruction_groups
 from confpara.codec import zigzag_position, zigzag_value
 from confpara.configurations import (
     ConfigPair,
+    EquivVerdict,
+    PairWitness,
     Partition,
     check_partition_covers,
+    commuting_maps,
     config_equiv_bounded,
     configuration_cells,
     configurations_finite,
@@ -25,7 +28,7 @@ from confpara.configurations import (
     windowed_configuration_set,
 )
 from confpara.errors import InputError, PreconditionError, ResourceCapExceeded
-from confpara.groups import FreeAbelianGroup
+from confpara.groups import FreeAbelianGroup, subgroups
 
 FIXTURES = fixture_groups()
 
@@ -399,3 +402,157 @@ def test_default_cap_env(monkeypatch):
     monkeypatch.setenv("CONFPARA_CAP", "zero")
     with pytest.raises(InputError):
         default_partition_cap()
+
+
+def test_cap_counts_skipped_partitions():
+    # symmetric partitions are skipped but still count against the cap
+    z6 = LeftTranslation(cyclic(6))
+    total = oracles.partitions_up_to(6, 3)
+    assert config_equiv_bounded(z6, z6, 1, 3, cap=total).equivalent
+    with pytest.raises(ResourceCapExceeded):
+        config_equiv_bounded(z6, z6, 1, 3, cap=total - 1)
+
+
+# ---------------------------------------------------------------------------
+# maps commuting with the action
+
+
+def compiled_rows(action):
+    pts = list(action.points())
+    idx = {p: i for i, p in enumerate(pts)}
+    return [tuple(idx[action.act(g, p)] for p in pts) for g in action.group.elements()]
+
+
+def coset_action(group, subgroup):
+    """``group`` acting on its left cosets of ``subgroup``, points 0..k-1."""
+    cosets = []
+    for x in group.elements():
+        if not any(x in c for c in cosets):
+            cosets.append(frozenset(group.mul(x, s) for s in subgroup))
+    index = {y: k for k, c in enumerate(cosets) for y in c}
+    rows = [[index[group.mul(g, min(c))] for c in cosets] for g in group.elements()]
+    return TableAction(group, range(len(cosets)), rows)
+
+
+def relabeled(action, perm):
+    """The same action as a table, its points listed in the order ``perm``."""
+    pts = list(action.points())
+    order = [pts[i] for i in perm]
+    where = {p: k for k, p in enumerate(order)}
+    rows = [[where[action.act(g, p)] for p in order] for g in action.group.elements()]
+    return TableAction(action.group, order, rows)
+
+
+@pytest.mark.parametrize("name", names)
+def test_left_translation_maps_are_right_translations(name):
+    g = FIXTURES[name]
+    pts = g.elements()
+    idx = {p: i for i, p in enumerate(pts)}
+    right = {
+        tuple(idx[g.mul(x, h)] for x in pts) for h in pts if h != g.identity
+    }
+    maps = commuting_maps(compiled_rows(LeftTranslation(g)))
+    assert len(maps) == g.order() - 1
+    assert set(maps) == right
+
+
+@pytest.mark.parametrize("name,order", [("S3", 2), ("D4", 2), ("A4", 3)])
+def test_coset_action_maps_are_normalizer_quotient(name, order):
+    g = reconstruction_groups()[name]
+    for sub in (s for s in subgroups(g) if len(s) == order):
+        normalizer = [
+            x for x in g.elements()
+            if frozenset(g.mul(g.mul(x, h), g.inv(x)) for h in sub) == sub
+        ]
+        maps = commuting_maps(compiled_rows(coset_action(g, sub)))
+        assert len(maps) == len(normalizer) // order - 1
+
+
+def test_finite_trivial_action_has_no_maps():
+    assert commuting_maps(compiled_rows(TrivialAction(cyclic(3), points=[0, 1, 2]))) == []
+
+
+def test_maps_stay_within_the_table_size():
+    # six copies of Z2 admit 2^6 commuting maps; the table has 2 * 12 entries
+    maps = commuting_maps(compiled_rows(ProductAction(LeftTranslation(cyclic(2)), 6)))
+    assert len(maps) == 2 ** 4 - 1
+
+
+@pytest.mark.parametrize("action", [
+    LeftTranslation(FIXTURES["Q8"]),
+    coset_action(FIXTURES["D4"], next(s for s in subgroups(FIXTURES["D4"]) if len(s) == 2)),
+    ProductAction(LeftTranslation(FIXTURES["Z2xZ2"]), index_count=2),
+    ProductAction(TrivialAction(cyclic(2), points=["u", "v"]), index_count=2),
+    ProductAction(LeftTranslation(cyclic(2)), index_count=6),
+], ids=["Q8", "D4-coset", "Z2xZ2-x2", "trivial-x2", "Z2-x6"])
+def test_maps_commute_with_every_row(action):
+    rows = compiled_rows(action)
+    maps = commuting_maps(rows)
+    for phi in maps:
+        assert sorted(phi) == list(range(len(phi)))
+        for row in rows:
+            assert all(phi[row[x]] == row[phi[x]] for x in range(len(phi)))
+
+
+# ---------------------------------------------------------------------------
+# bounded equivalence against the naive enumerator
+
+SUBGROUPS = {name: subgroups(g) for name, g in FIXTURES.items()}
+
+
+@st.composite
+def small_action(draw):
+    """A left-coset action of a fixture group, or two copies of one, on at
+    most six points, sometimes presented as a table in a random point order."""
+    name = draw(st.sampled_from(names))
+    g = FIXTURES[name]
+    two_copies = draw(st.booleans())
+    most = 3 if two_copies else 6
+    subs = [s for s in SUBGROUPS[name] if g.order() // len(s) <= most]
+    action = coset_action(g, draw(st.sampled_from(subs)))
+    if two_copies:
+        action = ProductAction(action, index_count=2)
+    if draw(st.booleans()):
+        action = relabeled(action, draw(st.permutations(range(len(action.points())))))
+    return action
+
+
+def naive_witness(action, family, other, direction):
+    canon = next((c for c in family if c not in other), None)
+    if canon is None:
+        return None
+    t, labels = family[canon]
+    pts = list(action.points())
+    block = dict(zip(pts, labels))
+    return PairWitness(
+        direction,
+        tuple(action.group.format(g) for g in t),
+        tuple(
+            tuple(action.format_point(p) for p in pts if block[p] == i)
+            for i in range(1, max(labels) + 1)
+        ),
+        tuple(sorted(oracles.naive_configurations(pts, action.act, t, block.__getitem__))),
+    )
+
+
+@given(small_action(), small_action(), st.booleans(),
+       st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_equiv_matches_naive_enumerator(first, other, same, n, m, data):
+    if same:
+        perm = data.draw(st.permutations(range(len(first.points()))))
+        other = relabeled(first, perm)
+    fam1, fam2 = (
+        oracles.naive_configuration_family(a.points(), a.act, a.group.elements(), n, m)
+        for a in (first, other)
+    )
+    expected = EquivVerdict(
+        equivalent=fam1.keys() == fam2.keys(),
+        n=n,
+        m=m,
+        only_in_first=naive_witness(first, fam1, fam2, "first-not-second"),
+        only_in_second=naive_witness(other, fam2, fam1, "second-not-first"),
+        family_sizes=(len(fam1), len(fam2)),
+    )
+    assert config_equiv_bounded(first, other, n, m) == expected
