@@ -27,7 +27,6 @@ from .configurations import (
     check_generating_assertion,
     check_partition_covers,
     config_equiv_bounded,
-    configurations_finite,
     countable_config_prefixes,
     default_partition_cap,
     windowed_configuration_set,
@@ -137,6 +136,15 @@ def _window_for(action, flag, required=True):
     return action.window(schemas.parse_window_flag(flag))
 
 
+def _cap(args):
+    """The search cap: --cap, else CONFPARA_CAP, else the default."""
+    if args.cap is None:
+        return default_partition_cap()
+    if args.cap < 1:
+        raise InputError("--cap must be >= 1")
+    return args.cap
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -149,10 +157,9 @@ def _cmd_con(args):
         if not action.is_finite_points:
             raise InputError("countable point sets need --window")
         window = action.all_window()
-        configs = configurations_finite(action, pair)
     else:
         window = _window_for(action, args.window)
-        configs = windowed_configuration_set(action, pair, window)
+    configs = windowed_configuration_set(action, pair, window)
     exact = bool(action.is_finite_points) and set(action.points()) <= window.point_set
     data = {
         "configurations": [list(c) for c in configs],
@@ -187,7 +194,7 @@ def _cmd_equiv(args):
         raise InputError("equiv needs two manifests (positional or --a/--b)")
     action1 = _load_action(first)
     action2 = _load_action(second)
-    cap = args.cap if args.cap is not None else default_partition_cap()
+    cap = _cap(args)
     verdict = config_equiv_bounded(action1, action2, args.n, args.m, cap=cap)
     data = {
         "equivalent": verdict.equivalent,
@@ -240,6 +247,7 @@ def _format_block(group, block):
 
 
 def _cmd_recover(args):
+    cap = _cap(args)
     action, pair = _pair_from_args(args, "recover")
     group = action.group
     if not group.is_finite:
@@ -251,7 +259,6 @@ def _cmd_recover(args):
         table = table_from_configurations(action, pair)
     family = recover_cosets(group, pair, table)
     report = verify_normal_and_iso(group, family, table)
-    cap = args.cap if args.cap is not None else default_partition_cap()
     try:
         refinement = q_group_refinement_check(group, family, cap=cap)
         refinement_data = {

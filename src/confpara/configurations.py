@@ -151,63 +151,60 @@ def check_generating_assertion(action, pair):
             )
 
 
-def configurations_finite(action, pair):
-    """All realized configurations of a finite action, sorted lexicographically."""
+def _realizers(block, act, elements, points):
+    """Map each realized configuration to the points realizing it, in point
+    order.  This is the only place a configuration tuple is built."""
+    out = {}
+    for x in points:
+        out.setdefault((block(x), *[block(act(g, x)) for g in elements]), []).append(x)
+    return out
+
+
+def _checked_points(action, pair):
     if not action.is_finite_points:
         raise InputError("finite configuration sets need a finite point set; use a window")
     check_partition_covers(action, pair.partition)
     check_generating_assertion(action, pair)
-    block = pair.partition.block_of
-    out = {
-        (block(x), *[block(action.act(g, x)) for g in pair.elements])
-        for x in action.points()
-    }
-    return tuple(sorted(out))
+    return action.points()
+
+
+def configurations_finite(action, pair):
+    """All realized configurations of a finite action, sorted lexicographically."""
+    points = _checked_points(action, pair)
+    return tuple(sorted(_realizers(pair.partition.block_of, action.act, pair.elements, points)))
 
 
 def windowed_configuration_set(action, pair, window):
     """Configurations realized by window points: a sound under-approximation
     of the full configuration set (exact when the window covers a finite
     point set)."""
-    block = pair.partition.block_of
-    out = {
-        (block(x), *[block(action.act(g, x)) for g in pair.elements])
-        for x in window.points
-    }
-    return tuple(sorted(out))
+    return tuple(sorted(
+        _realizers(pair.partition.block_of, action.act, pair.elements, window.points)
+    ))
+
+
+def _cells(action, elements, base):
+    return (frozenset(base), *(frozenset(action.act(g, x) for x in base) for g in elements))
 
 
 def configuration_cells(action, pair, config, window=None):
     """Cells of one configuration: position 0 is the base cell (its realizer
     set), position j its translate under g_j.  Over a window the base cell is
-    computed from window points only."""
+    computed from window points only.  An unrealized configuration has empty
+    cells."""
     config = tuple(config)
     if len(config) != len(pair.elements) + 1:
         raise InputError("configuration length must be tuple length + 1")
-    if window is None:
-        pts = action.points()
-    else:
-        pts = window.points
-    block = pair.partition.block_of
-    base = [
-        x
-        for x in pts
-        if block(x) == config[0]
-        and all(block(action.act(g, x)) == c for g, c in zip(pair.elements, config[1:]))
-    ]
-    cells = [frozenset(base)]
-    for g in pair.elements:
-        cells.append(frozenset(action.act(g, x) for x in base))
-    return tuple(cells)
+    pts = action.points() if window is None else window.points
+    base = _realizers(pair.partition.block_of, action.act, pair.elements, pts).get(config, ())
+    return _cells(action, pair.elements, base)
 
 
 def configurations_with_cells(action, pair, window=None):
     """Mapping configuration -> cells, for every realized configuration."""
-    if window is None:
-        configs = configurations_finite(action, pair)
-    else:
-        configs = windowed_configuration_set(action, pair, window)
-    return {c: configuration_cells(action, pair, c, window) for c in configs}
+    pts = _checked_points(action, pair) if window is None else window.points
+    by_config = _realizers(pair.partition.block_of, action.act, pair.elements, pts)
+    return {c: _cells(action, pair.elements, by_config[c]) for c in sorted(by_config)}
 
 
 @dataclass(frozen=True)
@@ -307,13 +304,7 @@ def countable_config_prefixes(action, pair, depth, window):
         if depth > len(pair.elements):
             raise InputError("depth exceeds the tuple length of a finite pair")
         elems = list(pair.elements[:depth])
-    block = pair.partition.block_of
-    prefixes = sorted(
-        {
-            (block(x), *[block(action.act(g, x)) for g in elems])
-            for x in window.points
-        }
-    )
+    prefixes = sorted(_realizers(pair.partition.block_of, action.act, elems, window.points))
     exact = bool(action.is_finite_points) and set(action.points()) <= window.point_set
     note = "exact (finite point set fully windowed)" if exact else "window under-approximation"
     return PrefixResult(tuple(prefixes), exact, depth, window.label, note)
@@ -520,11 +511,26 @@ def _code_maps(b, m, n):
     return out
 
 
-def _tuple_codes(base, cols):
-    """(t, code set) for every tuple t in product order.  ``base`` holds the
-    position-0 term of each point's code, cols[j][g] the position-(j+1) term
-    when the tuple's j-th entry is group element g."""
-    *inner, last = cols
+def _compile(action):
+    """A finite action as (points, elements, rows): rows[g][x] is the index
+    of elements[g] . points[x]."""
+    pts = list(action.points())
+    idx = {p: i for i, p in enumerate(pts)}
+    gels = action.group.elements()
+    return pts, gels, [tuple(idx[action.act(g, p)] for p in pts) for g in gels]
+
+
+def _tuple_codes(labels, rows, n, m):
+    """(t, code set) for every tuple t of length n in product order, under
+    the partition with block labels ``labels`` of a compiled action's points;
+    codes are base m (see _code_maps).  ``base`` holds the position-0 term of
+    each point's code, and the term at position j when the tuple's j-th
+    entry is group element g is precomputed from row g."""
+    base = [(v - 1) * m ** n for v in labels]
+    *inner, last = [
+        [[(labels[x] - 1) * m ** (n - j) for x in row] for row in rows]
+        for j in range(1, n + 1)
+    ]
     for head in itertools.product(range(len(last)), repeat=len(inner)):
         acc = base
         for col, g in zip(inner, head):
@@ -542,10 +548,7 @@ def _configuration_family(action, n, m, cap):
     configuration sets, and the earlier one has already recorded them.  A
     configuration set is a set of integer codes (see _code_maps); its
     canonical form is the least sorted code list over block relabelings."""
-    pts = list(action.points())
-    idx = {p: i for i, p in enumerate(pts)}
-    gels = action.group.elements()
-    rows = [tuple(idx[action.act(g, p)] for p in pts) for g in gels]
+    pts, gels, rows = _compile(action)
     symmetries = commuting_maps(rows)
     code_maps = {}
     seen = set()
@@ -562,12 +565,7 @@ def _configuration_family(action, n, m, cap):
         if b not in code_maps:
             code_maps[b] = _code_maps(b, m, n)
         relabelings = code_maps[b]
-        base = [(v - 1) * m ** n for v in labels]
-        cols = [
-            [[(labels[x] - 1) * m ** (n - j) for x in row] for row in rows]
-            for j in range(1, n + 1)
-        ]
-        for t, codes in _tuple_codes(base, cols):
+        for t, codes in _tuple_codes(labels, rows, n, m):
             if codes in seen:
                 continue
             seen.add(codes)
@@ -575,6 +573,28 @@ def _configuration_family(action, n, m, cap):
             if canon not in family:
                 family[canon] = (t, labels, b)
     return family, pts, gels
+
+
+def search_configuration_set(action, n, max_blocks, target, cap):
+    """Search every partition of a finite action's points into at most
+    ``max_blocks`` blocks, and under each every tuple of length n in product
+    order, for a pair whose configuration set is ``target`` (configuration
+    tuples of length n + 1).  Every pair searched counts against ``cap``.
+    Returns (pairs_searched, matched); the search stops at the first match."""
+    pts, _gels, rows = _compile(action)
+    m = max(max_blocks, *(max(c) for c in target))
+    goal = frozenset(sum((v - 1) * m ** (n - j) for j, v in enumerate(c)) for c in target)
+    searched = 0
+    for labels, _b in set_partitions(len(pts), max_blocks):
+        for _t, codes in _tuple_codes(labels, rows, n, m):
+            searched += 1
+            if searched > cap:
+                raise ResourceCapExceeded(
+                    f"refinement search exceeded the cap of {cap}", cap=cap
+                )
+            if codes == goal:
+                return searched, True
+    return searched, False
 
 
 @dataclass(frozen=True)
@@ -604,13 +624,8 @@ def _witness_from(action, pts, gels, record, direction):
         for i in range(1, b + 1)
     )
     block = dict(zip(pts, labels))
-    configs = tuple(sorted(
-        {
-            (block[x], *[block[action.act(gels[g], x)] for g in t])
-            for x in pts
-        }
-    ))
-    return PairWitness(direction, tuple_tokens, blocks, configs)
+    configs = _realizers(block.__getitem__, action.act, [gels[g] for g in t], pts)
+    return PairWitness(direction, tuple_tokens, blocks, tuple(sorted(configs)))
 
 
 def config_equiv_bounded(action1, action2, n, m, cap=None):

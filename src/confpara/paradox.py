@@ -100,13 +100,25 @@ def _refuted(window, bound, checked, point, equation, **detail):
     )
 
 
-def _check_cover_index(i, size, side):
+def _cover_failure(action, side, fam, translator, cover, x, index_bound):
+    """Check that the cover names a piece whose translate holds x and that no
+    other piece index up to ``index_bound`` (and the family size) does.
+    Returns the first failure as (equation, detail), or None."""
+    act, inv = action.act, action.group.inv
+    i = cover(x)
     if not isinstance(i, int) or i < 1:
         raise MalformedOracleError(f"{side}-cover returned bad index {i!r}")
-    if size is not None and i > size:
+    if fam.size is not None and i > fam.size:
         raise MalformedOracleError(
-            f"{side}-cover returned index {i} beyond the family size {size}"
+            f"{side}-cover returned index {i} beyond the family size {fam.size}"
         )
+    if fam.classify_checked(act(inv(translator(i)), x)) != i:
+        return f"{side}-cover-membership", {"index": i}
+    limit = index_bound if fam.size is None else min(index_bound, fam.size)
+    for j in range(1, limit + 1):
+        if j != i and fam.classify_checked(act(inv(translator(j)), x)) == j:
+            return f"{side}-cover-uniqueness", {"index": i, "other": j}
+    return None
 
 
 def verify_paradoxical(dec, window, index_bound):
@@ -116,9 +128,6 @@ def verify_paradoxical(dec, window, index_bound):
     ``index_bound``).  First failure in canonical window order wins."""
     if index_bound < 1:
         raise InputError("index bound must be >= 1")
-    group = dec.action.group
-    act = dec.action.act
-    inv = group.inv
     checked = 0
     for x in window.points:
         checked += 1
@@ -133,23 +142,10 @@ def verify_paradoxical(dec, window, index_bound):
             ("a", dec.a_pieces, dec.a_translator, dec.a_cover),
             ("b", dec.b_pieces, dec.b_translator, dec.b_cover),
         ):
-            i = cover(x)
-            _check_cover_index(i, fam.size, side)
-            y = act(inv(translator(i)), x)
-            if fam.classify_checked(y) != i:
-                return _refuted(
-                    window, index_bound, checked, x,
-                    f"{side}-cover-membership", index=i,
-                )
-            limit = index_bound if fam.size is None else min(index_bound, fam.size)
-            for j in range(1, limit + 1):
-                if j == i:
-                    continue
-                if fam.classify_checked(act(inv(translator(j)), x)) == j:
-                    return _refuted(
-                        window, index_bound, checked, x,
-                        f"{side}-cover-uniqueness", index=i, other=j,
-                    )
+            failure = _cover_failure(dec.action, side, fam, translator, cover, x, index_bound)
+            if failure is not None:
+                equation, detail = failure
+                return _refuted(window, index_bound, checked, x, equation, **detail)
     return Verdict("verified-up-to", window.label, index_bound, checked, None)
 
 
@@ -168,9 +164,7 @@ def verify_equidecomposable(source, target, witness, action, window, index_bound
     translates tile ``target`` (membership predicates, not point lists)."""
     if index_bound < 1:
         raise InputError("index bound must be >= 1")
-    group = action.group
     act = action.act
-    inv = group.inv
     fam = witness.pieces
     checked = 0
     for x in window.points:
@@ -189,22 +183,12 @@ def verify_equidecomposable(source, target, witness, action, window, index_bound
                     window, index_bound, checked, x, "translated-inside-target", index=i
                 )
         if target(x):
-            i = witness.cover(x)
-            _check_cover_index(i, fam.size, "target")
-            y = act(inv(witness.translator(i)), x)
-            if fam.classify_checked(y) != i:
-                return _refuted(
-                    window, index_bound, checked, x, "target-cover-membership", index=i
-                )
-            limit = index_bound if fam.size is None else min(index_bound, fam.size)
-            for j in range(1, limit + 1):
-                if j == i:
-                    continue
-                if fam.classify_checked(act(inv(witness.translator(j)), x)) == j:
-                    return _refuted(
-                        window, index_bound, checked, x,
-                        "target-cover-uniqueness", index=i, other=j,
-                    )
+            failure = _cover_failure(
+                action, "target", fam, witness.translator, witness.cover, x, index_bound
+            )
+            if failure is not None:
+                equation, detail = failure
+                return _refuted(window, index_bound, checked, x, equation, **detail)
     return Verdict("verified-up-to", window.label, index_bound, checked, None)
 
 
@@ -574,7 +558,7 @@ class _PieceRanks:
         self.group = group
         self.classifier = classifier
         self.known = {}
-        self.members = {}
+        self.counts = {}
         self.upto = 0
 
     def _advance(self):
@@ -582,24 +566,14 @@ class _PieceRanks:
         y = self.group.element_at(self.upto)
         p = self.classifier(y)
         if p is not None:
-            lst = self.members.setdefault(p, [])
-            lst.append(y)
-            self.known[y] = (p, len(lst))
+            self.counts[p] = self.counts.get(p, 0) + 1
+            self.known[y] = (p, self.counts[p])
 
     def get(self, x):
         pos = self.group.position_of(x)
         while self.upto < pos:
             self._advance()
         return self.known.get(x)
-
-    def unrank(self, piece, k, scan_limit=100_000):
-        while len(self.members.get(piece, ())) < k:
-            if self.upto >= scan_limit:
-                raise InputError(
-                    f"piece {piece} has fewer than {k} members within the scan limit"
-                )
-            self._advance()
-        return self.members[piece][k - 1]
 
 
 def refine_to_singletons(dec):

@@ -21,8 +21,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .actions import LeftTranslation
-from .configurations import ConfigPair, Partition, windowed_configuration_set
-from .errors import InputError, PreconditionError, ResourceCapExceeded
+from .configurations import (
+    ConfigPair,
+    Partition,
+    search_configuration_set,
+    windowed_configuration_set,
+)
+from .errors import InputError, PreconditionError
 from .groups import Window, quotient_group
 
 
@@ -340,9 +345,15 @@ def refined_partition_of(group, family):
 
 def q_group_refinement_check(group, family, cap=200_000):
     """Splitting the identity off F_1 yields a configuration set that no pair
-    over the recovered quotient can reproduce; confirmed by exhaustive search
-    (the refined partition needs more nonempty blocks than the quotient has
-    elements, and the search over all admissible pairs finds no match)."""
+    over the recovered quotient can reproduce.
+
+    The refined partition has qn + 1 nonempty blocks, where qn = |G/F_1|,
+    while a pair over the quotient uses at most qn block labels on its qn
+    points, so counting already rules a match out.  The exhaustive search
+    over every partition of the quotient times every tuple of length qn
+    confirms what counting shows: it reports ``pairs_searched`` =
+    S(qn, <=qn) * qn**qn, with S(qn, <=qn) the number of partitions of qn
+    points.  Every pair counts against ``cap``."""
     f1 = family.subgroup
     if len(f1) == 1:
         return RefinementSearchReport(
@@ -356,39 +367,17 @@ def q_group_refinement_check(group, family, cap=200_000):
     refined = refined_partition_of(group, family)
     action = LeftTranslation(group)
     window = Window("all", "all", group.elements())
-    target = frozenset(windowed_configuration_set(
+    target = windowed_configuration_set(
         action, ConfigPair(family.representatives, refined), window
-    ))
+    )
     needed = max(max(cfg) for cfg in target)
 
     quotient, _, _ = quotient_group(group, f1)
     qn = quotient.order()
-    qaction = LeftTranslation(quotient)
-    qwindow = Window("all", "all", quotient.elements())
-    searched = 0
-    matched = False
-    from itertools import product
-
-    from .configurations import set_partitions
-
-    for labels, _b in set_partitions(qn, min(needed, qn)):
-        partition = Partition.classifier(
-            lambda x, _l=labels: _l[x], block_count=max(labels)
-        )
-        for t in product(quotient.elements(), repeat=len(family.representatives)):
-            searched += 1
-            if searched > cap:
-                raise ResourceCapExceeded(
-                    f"refinement search exceeded the cap of {cap}", cap=cap
-                )
-            got = frozenset(windowed_configuration_set(
-                qaction, ConfigPair(t, partition), qwindow
-            ))
-            if got == target:
-                matched = True
-                break
-        if matched:
-            break
+    searched, matched = search_configuration_set(
+        LeftTranslation(quotient), len(family.representatives), min(needed, qn),
+        target, cap,
+    )
     conclusion = (
         "matched: refinement is reproducible over the quotient"
         if matched

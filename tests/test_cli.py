@@ -237,6 +237,17 @@ def test_equiv_cap_from_environment(files, capsys, monkeypatch):
     assert "resource cap exceeded" in stderr
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_equiv_non_positive_cap_is_input_error(files, capsys, cap):
+    code, stdout, stderr = run(
+        capsys,
+        ["equiv", files["g_z4"], files["g_z22"], "-n", "2", "-m", "4", "--cap", cap],
+    )
+    assert code == 4
+    assert stdout == ""
+    assert "error: --cap must be >= 1" in stderr
+
+
 # ---------------------------------------------------------------------------
 # prefixes
 
@@ -316,6 +327,16 @@ def test_recover_refinement_skips_under_cap(files, capsys):
     )
     assert code == 0
     assert "skipped" in doc["payload"]["refinement"]
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_recover_non_positive_cap_is_input_error(files, capsys, cap):
+    # rejected before any recovery work, so a non-matching pair is no refutation
+    for pair in ("pair_z4", "pair_z4_const"):
+        code, stdout, stderr = run(capsys, ["recover", files[pair], "--cap", cap])
+        assert code == 4
+        assert stdout == ""
+        assert "error: --cap must be >= 1" in stderr
 
 
 def test_recover_non_matching_pair_is_refuted(files, capsys):
