@@ -128,11 +128,9 @@ def _emit(args, kind, payload, text_lines, bounds=None):
             print(line)
 
 
-def _window_for(action, flag, required=True):
+def _window_for(action, flag):
     if flag is None:
-        if required:
-            raise InputError("this command needs --window")
-        return None
+        raise InputError("this command needs --window")
     return action.window(schemas.parse_window_flag(flag))
 
 

@@ -34,11 +34,18 @@ class PieceFamily:
     """Indexed family of disjoint sets, given by a classifier (point ->
     index, or None for points outside the family).  ``size`` is None for
     countably indexed families.  An optional independent membership oracle
-    is cross-checked against the classifier wherever both are consulted."""
+    is cross-checked against the classifier wherever both are consulted.
+
+    ``members(i)``, when given, is the exact finite tuple of the points the
+    classifier sends to i, no more and no fewer; the verifier then looks
+    translates up in a table instead of probing every index.  The list is
+    tied to the classifier: a family built with another classifier must drop
+    it (``members=None``) or supply a new one."""
 
     classifier: Callable[[Any], Optional[int]]
     size: Optional[int] = None
     membership: Optional[Callable[[int, Any], bool]] = None
+    members: Optional[Callable[[int], tuple]] = None
 
     def classify_checked(self, x):
         i = self.classifier(x)
@@ -100,34 +107,86 @@ def _refuted(window, bound, checked, point, equation, **detail):
     )
 
 
-def _cover_failure(action, side, fam, translator, cover, x, index_bound):
-    """Check that the cover names a piece whose translate holds x and that no
-    other piece index up to ``index_bound`` (and the family size) does.
-    Returns the first failure as (equation, detail), or None."""
-    act, inv = action.act, action.group.inv
-    i = cover(x)
-    if not isinstance(i, int) or i < 1:
-        raise MalformedOracleError(f"{side}-cover returned bad index {i!r}")
-    if fam.size is not None and i > fam.size:
-        raise MalformedOracleError(
-            f"{side}-cover returned index {i} beyond the family size {fam.size}"
-        )
-    if fam.classify_checked(act(inv(translator(i)), x)) != i:
-        return f"{side}-cover-membership", {"index": i}
-    limit = index_bound if fam.size is None else min(index_bound, fam.size)
-    for j in range(1, limit + 1):
-        if j != i and fam.classify_checked(act(inv(translator(j)), x)) == j:
-            return f"{side}-cover-uniqueness", {"index": i, "other": j}
-    return None
+class _CoverCheck:
+    """Cover check of one side for one verifier call: the cover must name a
+    piece whose translate holds x, and no other piece index up to the index
+    bound (and the family size) may.
+
+    A family that lists its members gets an image -> [piece indices] table,
+    built on first use from every index up to the limit in ascending order,
+    so the smallest conflicting index is the first entry other than the
+    cover's.  Other families are probed index by index."""
+
+    def __init__(self, action, side, fam, translator, cover, index_bound):
+        self.act, self.inv = action.act, action.group.inv
+        self.side, self.fam, self.translator, self.cover = side, fam, translator, cover
+        self.limit = index_bound if fam.size is None else min(index_bound, fam.size)
+        self._inverses = {}
+        self._images = None
+
+    def _inverse(self, j):
+        if j not in self._inverses:
+            self._inverses[j] = self.inv(self.translator(j))
+        return self._inverses[j]
+
+    def _table(self):
+        if self._images is None:
+            fam, act, images = self.fam, self.act, {}
+            for j in range(1, self.limit + 1):
+                t = self.translator(j)
+                for m in fam.members(j):
+                    k = fam.classify_checked(m)
+                    if k != j:
+                        raise MalformedOracleError(
+                            f"{self.side}-piece {j} lists {m!r}, which the "
+                            f"classifier places in piece {k}"
+                        )
+                    images.setdefault(act(t, m), []).append(j)
+            self._images = images
+        return self._images
+
+    def failure(self, x):
+        """The first failure at x as (equation, detail), or None."""
+        side, fam, act = self.side, self.fam, self.act
+        i = self.cover(x)
+        if not isinstance(i, int) or i < 1:
+            raise MalformedOracleError(f"{side}-cover returned bad index {i!r}")
+        if fam.size is not None and i > fam.size:
+            raise MalformedOracleError(
+                f"{side}-cover returned index {i} beyond the family size {fam.size}"
+            )
+        if fam.classify_checked(act(self._inverse(i), x)) != i:
+            return f"{side}-cover-membership", {"index": i}
+        if fam.members is not None:
+            others = (j for j in self._table().get(x, ()) if j != i)
+        else:
+            others = (
+                j for j in range(1, self.limit + 1)
+                if j != i and fam.classify_checked(act(self._inverse(j), x)) == j
+            )
+        other = next(others, None)
+        if other is not None:
+            return f"{side}-cover-uniqueness", {"index": i, "other": other}
+        return None
 
 
 def verify_paradoxical(dec, window, index_bound):
     """Check, on every window point, that the two families partition the
     point set and that each point lies in exactly one translated a-piece and
     exactly one translated b-piece (uniqueness among indices up to
-    ``index_bound``).  First failure in canonical window order wins."""
+    ``index_bound``).  First failure in canonical window order wins.
+
+    Cost: O(window + index_bound) classifier calls when both families list
+    their members, else O(window x index_bound)."""
     if index_bound < 1:
         raise InputError("index bound must be >= 1")
+    sides = [
+        _CoverCheck(dec.action, side, fam, translator, cover, index_bound)
+        for side, fam, translator, cover in (
+            ("a", dec.a_pieces, dec.a_translator, dec.a_cover),
+            ("b", dec.b_pieces, dec.b_translator, dec.b_cover),
+        )
+    ]
     checked = 0
     for x in window.points:
         checked += 1
@@ -138,11 +197,8 @@ def verify_paradoxical(dec, window, index_bound):
                 window, index_bound, checked, x, "combined-partition",
                 a_piece=ia, b_piece=ib,
             )
-        for side, fam, translator, cover in (
-            ("a", dec.a_pieces, dec.a_translator, dec.a_cover),
-            ("b", dec.b_pieces, dec.b_translator, dec.b_cover),
-        ):
-            failure = _cover_failure(dec.action, side, fam, translator, cover, x, index_bound)
+        for side in sides:
+            failure = side.failure(x)
             if failure is not None:
                 equation, detail = failure
                 return _refuted(window, index_bound, checked, x, equation, **detail)
@@ -166,6 +222,9 @@ def verify_equidecomposable(source, target, witness, action, window, index_bound
         raise InputError("index bound must be >= 1")
     act = action.act
     fam = witness.pieces
+    target_cover = _CoverCheck(
+        action, "target", fam, witness.translator, witness.cover, index_bound
+    )
     checked = 0
     for x in window.points:
         checked += 1
@@ -183,9 +242,7 @@ def verify_equidecomposable(source, target, witness, action, window, index_bound
                     window, index_bound, checked, x, "translated-inside-target", index=i
                 )
         if target(x):
-            failure = _cover_failure(
-                action, "target", fam, witness.translator, witness.cover, x, index_bound
-            )
+            failure = target_cover.failure(x)
             if failure is not None:
                 equation, detail = failure
                 return _refuted(window, index_bound, checked, x, equation, **detail)
@@ -236,8 +293,8 @@ def singleton_decomposition(group):
 
     return Decomposition(
         action=LeftTranslation(group),
-        a_pieces=PieceFamily(a_classifier),
-        b_pieces=PieceFamily(b_classifier),
+        a_pieces=PieceFamily(a_classifier, members=lambda i: (at(2 * i),)),
+        b_pieces=PieceFamily(b_classifier, members=lambda i: (at(2 * i - 1),)),
         a_translator=a_translator,
         b_translator=b_translator,
         a_cover=pos,
@@ -309,7 +366,10 @@ def f2_standard_decomposition(group):
 class SubgroupWitness:
     """A countable subgroup H of G with a right transversal: every x in G
     factors uniquely as x = h t, delivered by ``decompose``.  H keeps its own
-    element representation, bridged by to/from_subgroup."""
+    element representation, bridged by to/from_subgroup.  ``transversal``
+    lists the transversal's elements (as elements of G) when it is finite,
+    so lifted pieces can list their members; None when it is infinite or
+    not enumerated."""
 
     subgroup: Group
     contains: Callable[[Any], bool]
@@ -317,6 +377,7 @@ class SubgroupWitness:
     from_subgroup: Callable[[Any], Any]
     decompose: Callable[[Any], tuple]
     label: str = "subgroup"
+    transversal: Optional[tuple] = None
 
 
 def even_integers_witness(group):
@@ -341,6 +402,7 @@ def even_integers_witness(group):
         from_subgroup=from_subgroup,
         decompose=lambda v: (to_subgroup(v - v % 2), v % 2),
         label="even-integers",
+        transversal=(0, 1),
     )
 
 
@@ -388,6 +450,7 @@ def identity_witness(group):
         from_subgroup=lambda x: x,
         decompose=lambda x: (x, group.identity),
         label="whole-group",
+        transversal=(group.identity,),
     )
 
 
@@ -413,10 +476,21 @@ def lift_via_transversal(group, witness, dec_of_h):
 
         return lifted
 
+    def lifted_members(fam):
+        transversal = witness.transversal
+        if fam.members is None or transversal is None:
+            return None
+        return lambda i: tuple(
+            group.mul(witness.from_subgroup(h), t)
+            for h in fam.members(i) for t in transversal
+        )
+
     return Decomposition(
         action=LeftTranslation(group),
-        a_pieces=PieceFamily(a_classifier, size=hdec.a_pieces.size),
-        b_pieces=PieceFamily(b_classifier, size=hdec.b_pieces.size),
+        a_pieces=PieceFamily(a_classifier, size=hdec.a_pieces.size,
+                             members=lifted_members(hdec.a_pieces)),
+        b_pieces=PieceFamily(b_classifier, size=hdec.b_pieces.size,
+                             members=lifted_members(hdec.b_pieces)),
         a_translator=lambda i: witness.from_subgroup(hdec.a_translator(i)),
         b_translator=lambda i: witness.from_subgroup(hdec.b_translator(i)),
         a_cover=make_cover(hdec.a_cover),

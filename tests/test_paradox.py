@@ -4,7 +4,7 @@ transformations between presentations (lift, compress, refine, glue)."""
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from confpara.actions import LeftTranslation, ProductAction, TrivialAction
 from confpara.catalog import cyclic
@@ -35,6 +35,7 @@ from confpara.paradox import (
 )
 
 Z = FreeAbelianGroup(1)
+Z2 = FreeAbelianGroup(2)
 F2 = FreeGroup(2)
 
 
@@ -556,3 +557,244 @@ def test_transitive_orbit_structure_is_the_group_itself():
     assert s.point_of(0, -3) == -3
     assert s.rep_index(0) == 1
     assert s.rep_at(1) == 0
+
+
+# ---------------------------------------------------------------------------
+# member tables against the index scan
+
+
+def scanned(dec):
+    """The same decomposition without member lists: the verifier probes
+    every index instead of looking translates up."""
+    return dataclasses.replace(
+        dec,
+        a_pieces=dataclasses.replace(dec.a_pieces, members=None),
+        b_pieces=dataclasses.replace(dec.b_pieces, members=None),
+    )
+
+
+def listed_decomposition(kind):
+    if kind == "singleton-z":
+        return singleton_decomposition(Z), Z.box
+    if kind == "singleton-z2":
+        return singleton_decomposition(Z2), Z2.box
+    return countable_paradox_of_infinite(Z, witness=even_integers_witness(Z)), Z.box
+
+
+def claim_twice(dec, side, target, index):
+    """``side`` also claims ``target`` (a point of the other side) as a member
+    of piece ``index``; the member list grows with it, so it stays exact."""
+    fam = getattr(dec, f"{side}_pieces")
+    base_classifier, base_members = fam.classifier, fam.members
+
+    def classifier(x):
+        return index if x == target else base_classifier(x)
+
+    def members(i):
+        return base_members(i) + ((target,) if i == index else ())
+
+    mutated = dataclasses.replace(fam, classifier=classifier, members=members)
+    return dataclasses.replace(dec, **{f"{side}_pieces": mutated})
+
+
+def reroute(dec, side, positions, last):
+    """Move the translate of piece j <= len(positions) onto the element at
+    enumeration position positions[j - 1], so that several translates can
+    meet; the cover names the first (or last) rerouted piece whose translate
+    holds x, else what it named before."""
+    group = dec.action.group
+    fam = getattr(dec, f"{side}_pieces")
+    translator = getattr(dec, f"{side}_translator")
+    cover = getattr(dec, f"{side}_cover")
+    n = len(positions)
+
+    def rerouted_translator(j):
+        if j > n:
+            return translator(j)
+        return group.mul(group.element_at(positions[j - 1]), group.inv(fam.members(j)[0]))
+
+    def rerouted_cover(x):
+        hits = [
+            j for j in range(1, n + 1)
+            if fam.classifier(group.mul(group.inv(rerouted_translator(j)), x)) == j
+        ]
+        if hits:
+            return hits[-1] if last else hits[0]
+        return cover(x)
+
+    return dataclasses.replace(dec, **{
+        f"{side}_translator": rerouted_translator, f"{side}_cover": rerouted_cover,
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["singleton-z", "singleton-z2", "even-lift"]),
+    radius=st.integers(0, 30),
+    bound=st.one_of(st.integers(1, 14), st.integers(15, 120)),
+    mutation=st.sampled_from(
+        ["none", "constant-cover", "shifted-cover", "claimed-twice", "rerouted"]
+    ),
+    side=st.sampled_from(["a", "b"]),
+    data=st.data(),
+)
+def test_member_table_verdicts_match_the_scan(kind, radius, bound, mutation, side, data):
+    dec, box = listed_decomposition(kind)
+    if kind == "singleton-z2":
+        radius %= 5
+    window = box(radius)
+    if mutation == "constant-cover":
+        dec = dataclasses.replace(dec, **{f"{side}_cover": lambda x: 1})
+    elif mutation == "shifted-cover":
+        cover = getattr(dec, f"{side}_cover")
+        dec = dataclasses.replace(dec, **{f"{side}_cover": lambda x: cover(x) + 1})
+    elif mutation == "claimed-twice":
+        fam = getattr(dec, f"{side}_pieces")
+        outside = [x for x in box(radius + 2).points if fam.classifier(x) is None]
+        if outside:
+            target = data.draw(st.sampled_from(outside))
+            dec = claim_twice(dec, side, target, data.draw(st.integers(1, bound + 5)))
+    elif mutation == "rerouted":
+        positions = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+        dec = reroute(dec, side, positions, data.draw(st.booleans()))
+    assert dec.a_pieces.members is not None and dec.b_pieces.members is not None
+    assert verify_paradoxical(dec, window, bound) == verify_paradoxical(
+        scanned(dec), window, bound
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    radius=st.integers(0, 30),
+    bound=st.integers(1, 90),
+    mutation=st.sampled_from(
+        ["none", "constant-cover", "shifted-cover", "swapped", "rerouted"]
+    ),
+    data=st.data(),
+)
+def test_member_table_equidecomposition_matches_the_scan(radius, bound, mutation, data):
+    w = galileo_witness()
+    at = Z.element_at
+    listed = dataclasses.replace(w.pieces, members=lambda i: (at(i),))
+    translator, cover = w.translator, w.cover
+    if mutation == "constant-cover":
+        cover = lambda v: 1
+    elif mutation == "shifted-cover":
+        cover = lambda v: w.cover(v) + 1
+    elif mutation == "swapped":
+        translator = lambda i: at({1: 2, 2: 1}.get(i, i))
+    elif mutation == "rerouted":
+        # piece j <= n lands on the even number 2 * at(positions[j - 1])
+        positions = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+        last = data.draw(st.booleans())
+        n = len(positions)
+
+        def translator(i):
+            return 2 * at(positions[i - 1]) - at(i) if i <= n else w.translator(i)
+
+        def cover(v):
+            hits = [j for j in range(1, n + 1) if at(j) + translator(j) == v]
+            if hits:
+                return hits[-1] if last else hits[0]
+            return w.cover(v)
+    verdicts = [
+        verify_equidecomposable(
+            lambda v: True, lambda v: v % 2 == 0,
+            EquidecompositionWitness(pieces, translator, cover),
+            LeftTranslation(Z), zwin(radius), bound,
+        )
+        for pieces in (listed, dataclasses.replace(listed, members=None))
+    ]
+    assert verdicts[0] == verdicts[1]
+
+
+def test_claimed_point_is_refuted_by_the_table_as_by_the_scan():
+    # a-piece 1 also claims the b-point (1, 1); its translate lands on (1, 0),
+    # the only member of a-translate 4, before (1, 1) is reached
+    dec = claim_twice(singleton_decomposition(Z2), "a", (1, 1), 1)
+    verdict = verify_paradoxical(dec, Z2.box(3), 30)
+    assert verdict.witness.point == (1, 0)
+    assert verdict.witness.equation == "a-cover-uniqueness"
+    assert dict(verdict.witness.detail) == {"index": 4, "other": 1}
+    assert verdict.points_checked == 4
+    assert verdict == verify_paradoxical(scanned(dec), Z2.box(3), 30)
+
+
+def test_conflict_at_the_index_bound_is_seen():
+    # a-pieces 1 and 2 both land on 0 = at(1); the cover names piece 1
+    dec = reroute(singleton_decomposition(Z), "a", [1, 1], last=False)
+    at_bound = verify_paradoxical(dec, zwin(3), 2)
+    assert at_bound.witness.point == 0
+    assert at_bound.witness.equation == "a-cover-uniqueness"
+    assert dict(at_bound.witness.detail) == {"index": 1, "other": 2}
+    below = verify_paradoxical(dec, zwin(3), 1)
+    # index 2 is past the bound, so 0 passes and 1 = at(2) is left uncovered
+    assert below.witness.point == 1
+    assert below.witness.equation == "a-cover-membership"
+    for bound, verdict in ((2, at_bound), (1, below)):
+        assert verdict == verify_paradoxical(scanned(dec), zwin(3), bound)
+
+
+def counted(dec):
+    """The decomposition with both classifiers counting their calls."""
+    calls = [0]
+
+    def counting(fam):
+        classifier = fam.classifier
+
+        def cl(x):
+            calls[0] += 1
+            return classifier(x)
+
+        return dataclasses.replace(fam, classifier=cl)  # same function: list stays
+
+    dec = dataclasses.replace(
+        dec, a_pieces=counting(dec.a_pieces), b_pieces=counting(dec.b_pieces)
+    )
+    return dec, calls
+
+
+@pytest.mark.parametrize("r", [50, 500])
+def test_member_table_cost_is_linear_in_window_and_bound(r):
+    # two partition calls and two cover-preimage probes per point, one
+    # member check per index and side
+    dec, calls = counted(singleton_decomposition(Z))
+    verdict = verify_paradoxical(dec, zwin(r), 2 * r)
+    assert verdict.verified and verdict.points_checked == 2 * r + 1
+    assert calls[0] <= 12 * r + 4
+
+
+def test_scan_cost_without_member_lists():
+    r = 50
+    dec, calls = counted(singleton_decomposition(Z))
+    assert verify_paradoxical(scanned(dec), zwin(r), 2 * r).verified
+    assert calls[0] == 8 * r * r + 8 * r + 4
+
+
+def test_member_placed_elsewhere_is_malformed():
+    dec = singleton_decomposition(Z)
+    at = Z.element_at
+    for members in (lambda i: (at(2 * i + 2),), lambda i: (at(2 * i - 1),)):
+        broken = dataclasses.replace(
+            dec, a_pieces=dataclasses.replace(dec.a_pieces, members=members)
+        )
+        with pytest.raises(MalformedOracleError, match="a-piece 1 lists"):
+            verify_paradoxical(broken, zwin(3), 6)
+
+
+def test_lift_lists_members_only_through_a_finite_transversal():
+    even = countable_paradox_of_infinite(Z, witness=even_integers_witness(Z))
+    whole = lift_via_transversal(Z, identity_witness(Z), singleton_decomposition(Z))
+    for dec in (even, whole):
+        for fam in (dec.a_pieces, dec.b_pieces):
+            for i in range(1, 30):
+                assert all(fam.classifier(m) == i for m in fam.members(i))
+    window = zwin(40)
+    for fam in (even.a_pieces, even.b_pieces):
+        for i in range(1, 10):
+            assert len(fam.members(i)) == 2
+            assert set(fam.members(i)) >= {
+                x for x in window.points if fam.classifier(x) == i
+            }
+    powers = countable_paradox_of_infinite(F2, witness=generator_power_witness(F2))
+    assert powers.a_pieces.members is None and powers.b_pieces.members is None
