@@ -349,11 +349,13 @@ def q_group_refinement_check(group, family, cap=200_000):
 
     The refined partition has qn + 1 nonempty blocks, where qn = |G/F_1|,
     while a pair over the quotient uses at most qn block labels on its qn
-    points, so counting already rules a match out.  The exhaustive search
-    over every partition of the quotient times every tuple of length qn
-    confirms what counting shows: it reports ``pairs_searched`` =
-    S(qn, <=qn) * qn**qn, with S(qn, <=qn) the number of partitions of qn
-    points.  Every pair counts against ``cap``."""
+    points, so counting already rules a match out.  The search over every
+    partition of the quotient times every tuple of length qn runs that
+    counting argument per partition: the target's first coordinates are
+    {1, ..., qn + 1}, which no partition's pairs have, so no pair is
+    computed.  It still reports ``pairs_searched`` = S(qn, <=qn) * qn**qn,
+    with S(qn, <=qn) the number of partitions of qn points, and every pair,
+    skipped or not, counts against ``cap``."""
     f1 = family.subgroup
     if len(f1) == 1:
         return RefinementSearchReport(

@@ -59,6 +59,29 @@ def naive_configuration_family(points, act, elements, n, m):
     return family
 
 
+def naive_search_configuration_set(points, act, elements, n, max_blocks, target, cap):
+    """Search every partition into at most ``max_blocks`` blocks (restricted-
+    growth label tuples in lexicographic order) and under each every tuple of
+    length n (entries drawn from ``elements``, product order) for a pair
+    whose configuration set is ``target``, computing every pair in full.
+    Returns (pairs_searched, matched), stopping at the first match, or None
+    once more than ``cap`` pairs have been searched."""
+    points = list(points)
+    target = set(target)
+    searched = 0
+    for labels in itertools.product(range(1, max_blocks + 1), repeat=len(points)):
+        if any(labels[i] > max(labels[:i], default=0) + 1 for i in range(len(points))):
+            continue
+        block = dict(zip(points, labels))
+        for t in itertools.product(elements, repeat=n):
+            searched += 1
+            if searched > cap:
+                return None
+            if naive_configurations(points, act, t, block.__getitem__) == target:
+                return searched, True
+    return searched, False
+
+
 # ---------------------------------------------------------------------------
 # set partitions
 

@@ -3,6 +3,7 @@
 import pytest
 
 import oracles
+from confpara import configurations
 from confpara.actions import LeftTranslation
 from confpara.catalog import cyclic, reconstruction_groups
 from confpara.configurations import ConfigPair, Partition
@@ -294,6 +295,37 @@ def test_refinement_search_is_exhaustive_on_small_quotients():
                 q_group_refinement_check(g, family, cap=expected - 1)
             cases += 1
     assert cases > 0
+
+
+def test_refinement_search_computes_no_pair_on_any_quotient(monkeypatch):
+    # every nontrivial normal subgroup, quotients of order 5 and 6 included:
+    # the first-coordinate test skips every partition, yet every pair counts
+    calls = []
+    tuple_codes = configurations._tuple_codes
+
+    def counted(*args):
+        calls.append(args)
+        return tuple_codes(*args)
+
+    monkeypatch.setattr(configurations, "_tuple_codes", counted)
+    orders = []
+    for name, g in reconstruction_groups().items():
+        for normal in normal_subgroups(g):
+            if len(normal) == 1:
+                continue
+            family, _report, quotient = quotient_recovery_roundtrip(g, normal)
+            qn = quotient.order()
+            expected = oracles.partitions_up_to(qn, qn) * qn ** qn
+            report = q_group_refinement_check(g, family, cap=expected)
+            assert report.pairs_searched == expected, (name, sorted(normal))
+            assert report.refined_block_count == report.available_points + 1 == qn + 1
+            assert report.matched is False
+            with pytest.raises(ResourceCapExceeded):
+                q_group_refinement_check(g, family, cap=expected - 1)
+            orders.append(qn)
+    assert len(orders) == 84
+    assert orders.count(5) == 1 and orders.count(6) == 5
+    assert calls == []
 
 
 def test_refinement_search_cap():
