@@ -186,8 +186,10 @@ def _witness_data(w):
 
 
 def _cmd_equiv(args):
-    first = args.first if args.first is not None else args.a
-    second = args.second if args.second is not None else args.b
+    positional = args.first is not None or args.second is not None
+    if positional and (args.a is not None or args.b is not None):
+        raise InputError("equiv takes two positional manifests or --a/--b, not both")
+    first, second = (args.first, args.second) if positional else (args.a, args.b)
     if first is None or second is None:
         raise InputError("equiv needs two manifests (positional or --a/--b)")
     action1 = _load_action(first)

@@ -539,18 +539,26 @@ def _tuple_codes(labels, rows, n, m):
             yield head + (g,), frozenset(map(add, acc, col))
 
 
-def _configuration_family(action, n, m, cap):
-    """Canonical forms of every configuration set over tuples of length n and
-    partitions into at most m blocks, each mapped to its first witness.
+def _relabeled(codes, relabelings):
+    """The images of a code set under each of the given code maps."""
+    return (frozenset(map(cm.__getitem__, codes)) for cm in relabelings)
+
+
+def _configuration_family(action, n, m, cap, code_maps):
+    """One configuration set per class under block relabeling, over tuples
+    of length n and partitions into at most m blocks, each mapped to its
+    first witness.
 
     Every partition counts against ``cap``, but one that a commuting map
     carries to an earlier partition is skipped: the two realize the same
     configuration sets, and the earlier one has already recorded them.  A
-    configuration set is a set of integer codes (see _code_maps); its
-    canonical form is the least sorted code list over block relabelings."""
+    configuration set is a set of integer codes (see _code_maps), and
+    ``seen`` holds every one met.  A new one opens a class unless an image
+    of it under another relabeling of its blocks is in ``seen``.  It joins
+    ``seen`` only after that probe, since a relabeling may fix it.
+    ``code_maps`` caches _code_maps by block count."""
     pts, gels, rows = _compile(action)
     symmetries = commuting_maps(rows)
-    code_maps = {}
     seen = set()
     family = {}
     count = 0
@@ -564,15 +572,23 @@ def _configuration_family(action, n, m, cap):
             continue
         if b not in code_maps:
             code_maps[b] = _code_maps(b, m, n)
-        relabelings = code_maps[b]
+        others = code_maps[b][1:]  # the first map is the identity
         for t, codes in _tuple_codes(labels, rows, n, m):
             if codes in seen:
                 continue
+            if seen.isdisjoint(_relabeled(codes, others)):
+                family[codes] = (t, labels, b)
             seen.add(codes)
-            canon = min(tuple(sorted(map(cm.__getitem__, codes))) for cm in relabelings)
-            if canon not in family:
-                family[canon] = (t, labels, b)
     return family, pts, gels
+
+
+def _first_unmatched(family, other, code_maps):
+    """The first class of ``family`` that ``other`` lacks: neither its
+    configuration set nor any relabeling of it is a key of ``other``."""
+    return next((
+        codes for codes, (_t, _labels, b) in family.items()
+        if other.keys().isdisjoint(_relabeled(codes, code_maps[b]))
+    ), None)
 
 
 def search_configuration_set(action, n, max_blocks, target, cap):
@@ -650,7 +666,13 @@ def config_equiv_bounded(action1, action2, n, m, cap=None):
     """Compare the families of configuration sets of two finite actions over
     all tuples of length n and partitions into at most m blocks, up to block
     relabeling.  Returns the verdict with first witnesses in enumeration
-    order for both directions when the families differ."""
+    order for both directions when the families differ.
+
+    Each family keeps the first configuration set met of each class.  A
+    class of one family is in the other when one of its relabeled images is
+    among the other's kept sets, so no canonical form is computed.  An
+    action compared with itself (the same object) is equivalent without a
+    comparison."""
     if n < 1 or m < 1:
         raise InputError("bounds must be >= 1")
     for a in (action1, action2):
@@ -658,13 +680,15 @@ def config_equiv_bounded(action1, action2, n, m, cap=None):
             raise InputError("bounded equivalence compares finite actions")
     if cap is None:
         cap = default_partition_cap()
-    fam1, pts1, gels1 = _configuration_family(action1, n, m, cap)
+    code_maps = {}
+    fam1, pts1, gels1 = _configuration_family(action1, n, m, cap, code_maps)
     if action2 is action1:
         fam2, pts2, gels2 = fam1, pts1, gels1
+        only1 = only2 = None
     else:
-        fam2, pts2, gels2 = _configuration_family(action2, n, m, cap)
-    only1 = next((c for c in fam1 if c not in fam2), None)
-    only2 = next((c for c in fam2 if c not in fam1), None)
+        fam2, pts2, gels2 = _configuration_family(action2, n, m, cap, code_maps)
+        only1 = _first_unmatched(fam1, fam2, code_maps)
+        only2 = _first_unmatched(fam2, fam1, code_maps)
     w1 = _witness_from(action1, pts1, gels1, fam1[only1], "first-not-second") if only1 else None
     w2 = _witness_from(action2, pts2, gels2, fam2[only2], "second-not-first") if only2 else None
     return EquivVerdict(

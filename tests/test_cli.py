@@ -201,6 +201,21 @@ def test_equiv_flag_style_and_self_equivalence(files, capsys):
     assert doc["payload"]["only-in-first"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ["{g_z4}", "--a", "{g_z22}", "--b", "{g_z4}"],
+    ["{g_z4}", "--b", "{g_z22}"],
+    ["--a", "{g_z22}", "{g_z4}", "{g_z4}"],
+], ids=["one-positional-both-flags", "one-positional-one-flag", "flag-and-two-positional"])
+def test_equiv_mixed_argument_styles_is_input_error(files, capsys, argv):
+    # a flag next to a positional manifest would be ignored, comparing the wrong pair
+    code, stdout, stderr = run(
+        capsys, ["equiv", *(a.format(**files) for a in argv), "-n", "1", "-m", "2"]
+    )
+    assert code == 4
+    assert stdout == ""
+    assert "error: equiv takes two positional manifests or --a/--b, not both" in stderr
+
+
 def test_equiv_text_format(files, capsys):
     code, stdout, _ = run(
         capsys,

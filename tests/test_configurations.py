@@ -571,6 +571,21 @@ def naive_witness(action, family, other, direction):
     )
 
 
+def naive_verdict(first, other, n, m):
+    fam1, fam2 = (
+        oracles.naive_configuration_family(a.points(), a.act, a.group.elements(), n, m)
+        for a in (first, other)
+    )
+    return EquivVerdict(
+        equivalent=fam1.keys() == fam2.keys(),
+        n=n,
+        m=m,
+        only_in_first=naive_witness(first, fam1, fam2, "first-not-second"),
+        only_in_second=naive_witness(other, fam2, fam1, "second-not-first"),
+        family_sizes=(len(fam1), len(fam2)),
+    )
+
+
 @given(small_action(), small_action(), st.booleans(),
        st.integers(min_value=1, max_value=2), st.integers(min_value=1, max_value=3),
        st.data())
@@ -579,19 +594,19 @@ def test_equiv_matches_naive_enumerator(first, other, same, n, m, data):
     if same:
         perm = data.draw(st.permutations(range(len(first.points()))))
         other = relabeled(first, perm)
-    fam1, fam2 = (
-        oracles.naive_configuration_family(a.points(), a.act, a.group.elements(), n, m)
-        for a in (first, other)
-    )
-    expected = EquivVerdict(
-        equivalent=fam1.keys() == fam2.keys(),
-        n=n,
-        m=m,
-        only_in_first=naive_witness(first, fam1, fam2, "first-not-second"),
-        only_in_second=naive_witness(other, fam2, fam1, "second-not-first"),
-        family_sizes=(len(fam1), len(fam2)),
-    )
-    assert config_equiv_bounded(first, other, n, m) == expected
+    assert config_equiv_bounded(first, other, n, m) == naive_verdict(first, other, n, m)
+
+
+@pytest.mark.parametrize("first, other, n, m", [
+    ("Z4", "Z2xZ2", 2, 4),
+    ("Z6", "S3", 1, 4),
+    ("Z5", "Z5", 2, 4),
+], ids=["Z4-Z2xZ2-n2", "Z6-S3-n1", "Z5-Z5-n2"])
+def test_equiv_matches_naive_enumerator_at_four_blocks(first, other, n, m):
+    # all 24 relabelings of four blocks; the property above stops at m = 3
+    first = LeftTranslation(FIXTURES[first])
+    other = LeftTranslation(FIXTURES[other])  # distinct instance: no shortcut
+    assert config_equiv_bounded(first, other, n, m) == naive_verdict(first, other, n, m)
 
 
 # ---------------------------------------------------------------------------

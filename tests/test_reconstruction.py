@@ -275,28 +275,6 @@ def test_refinement_search_trivial_subgroup():
     assert not report.matched
 
 
-def test_refinement_search_is_exhaustive_on_small_quotients():
-    # every nontrivial normal subgroup whose quotient has order <= 4
-    cases = 0
-    for name, g in reconstruction_groups().items():
-        for normal in normal_subgroups(g):
-            if len(normal) == 1 or g.order() // len(normal) > 4:
-                continue
-            family, _report, quotient = quotient_recovery_roundtrip(g, normal)
-            qn = quotient.order()
-            expected = oracles.partitions_up_to(qn, qn) * qn ** qn
-            report = q_group_refinement_check(g, family)
-            assert report.pairs_searched == expected, (name, sorted(normal))
-            assert report.available_points == qn
-            assert report.refined_block_count == report.available_points + 1
-            assert report.matched is False
-            assert q_group_refinement_check(g, family, cap=expected) == report
-            with pytest.raises(ResourceCapExceeded):
-                q_group_refinement_check(g, family, cap=expected - 1)
-            cases += 1
-    assert cases > 0
-
-
 def test_refinement_search_computes_no_pair_on_any_quotient(monkeypatch):
     # every nontrivial normal subgroup, quotients of order 5 and 6 included:
     # the first-coordinate test skips every partition, yet every pair counts
@@ -320,6 +298,8 @@ def test_refinement_search_computes_no_pair_on_any_quotient(monkeypatch):
             assert report.pairs_searched == expected, (name, sorted(normal))
             assert report.refined_block_count == report.available_points + 1 == qn + 1
             assert report.matched is False
+            if expected <= 200_000:  # within the default cap: the same report
+                assert q_group_refinement_check(g, family) == report
             with pytest.raises(ResourceCapExceeded):
                 q_group_refinement_check(g, family, cap=expected - 1)
             orders.append(qn)
