@@ -53,12 +53,12 @@ _CODEC_NAMES = {
 
 
 def _read_text(path_arg):
-    if path_arg == "-":
-        return sys.stdin.read()
     try:
+        if path_arg == "-":
+            return sys.stdin.read()
         with open(path_arg, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path_arg}: {exc}") from None
 
 
@@ -363,10 +363,9 @@ def _construction_payload(args):
         payload["witness"] = args.witness
     if args.mode is not None:
         payload["mode"] = args.mode
-    if args.copies is not None:
-        payload["copies"] = (
-            "countable" if args.copies == "countable" else int(args.copies)
-        )
+    if args.copies is not None:  # the schema rejects what is not a count
+        c = args.copies
+        payload["copies"] = int(c) if c.removeprefix("-").isdecimal() else c
     if args.bound is not None:
         payload["bound"] = args.bound
     if args.inner is not None:
@@ -392,8 +391,11 @@ def _cmd_paradox_construct(args):
     manifest = schemas.make_manifest("decomposition", payload, metadata)
     out_text = schemas.dumps_canonical(manifest)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out_text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out_text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from None
         print(f"wrote {args.out}", file=sys.stderr)
     if args.format == "json":
         sys.stdout.write(out_text)

@@ -36,16 +36,17 @@ class PieceFamily:
     countably indexed families.  An optional independent membership oracle
     is cross-checked against the classifier wherever both are consulted.
 
-    ``members(i)``, when given, is the exact finite tuple of the points the
-    classifier sends to i, no more and no fewer; the verifier then looks
-    translates up in a table instead of probing every index.  The list is
-    tied to the classifier: a family built with another classifier must drop
-    it (``members=None``) or supply a new one."""
+    ``claimants(x)``, when given, names every piece index j whose translate
+    t_j·(piece j) holds x, under the translators the family is paired with,
+    no more and no fewer; the verifier then reads cover uniqueness off it
+    instead of probing every index.  It is tied to the classifier and the
+    translators: a family built with either changed must drop it
+    (``claimants=None``) or supply a new one."""
 
     classifier: Callable[[Any], Optional[int]]
     size: Optional[int] = None
     membership: Optional[Callable[[int, Any], bool]] = None
-    members: Optional[Callable[[int], tuple]] = None
+    claimants: Optional[Callable[[Any], tuple]] = None
 
     def classify_checked(self, x):
         i = self.classifier(x)
@@ -112,42 +113,28 @@ class _CoverCheck:
     piece whose translate holds x, and no other piece index up to the index
     bound (and the family size) may.
 
-    A family that lists its members gets an image -> [piece indices] table,
-    built on first use from every index up to the limit in ascending order,
-    so the smallest conflicting index is the first entry other than the
-    cover's.  Other families are probed index by index."""
+    A family that names its claimants is checked at the smallest claimant
+    other than the cover's index, rechecked against the classifier; other
+    families are probed index by index."""
 
     def __init__(self, action, side, fam, translator, cover, index_bound):
         self.act, self.inv = action.act, action.group.inv
         self.side, self.fam, self.translator, self.cover = side, fam, translator, cover
         self.limit = index_bound if fam.size is None else min(index_bound, fam.size)
         self._inverses = {}
-        self._images = None
 
     def _inverse(self, j):
         if j not in self._inverses:
             self._inverses[j] = self.inv(self.translator(j))
         return self._inverses[j]
 
-    def _table(self):
-        if self._images is None:
-            fam, act, images = self.fam, self.act, {}
-            for j in range(1, self.limit + 1):
-                t = self.translator(j)
-                for m in fam.members(j):
-                    k = fam.classify_checked(m)
-                    if k != j:
-                        raise MalformedOracleError(
-                            f"{self.side}-piece {j} lists {m!r}, which the "
-                            f"classifier places in piece {k}"
-                        )
-                    images.setdefault(act(t, m), []).append(j)
-            self._images = images
-        return self._images
+    def _holds(self, j, x):
+        """Whether the translate of piece j holds x."""
+        return self.fam.classify_checked(self.act(self._inverse(j), x)) == j
 
     def failure(self, x):
         """The first failure at x as (equation, detail), or None."""
-        side, fam, act = self.side, self.fam, self.act
+        side, fam = self.side, self.fam
         i = self.cover(x)
         if not isinstance(i, int) or i < 1:
             raise MalformedOracleError(f"{side}-cover returned bad index {i!r}")
@@ -155,16 +142,21 @@ class _CoverCheck:
             raise MalformedOracleError(
                 f"{side}-cover returned index {i} beyond the family size {fam.size}"
             )
-        if fam.classify_checked(act(self._inverse(i), x)) != i:
+        if not self._holds(i, x):
             return f"{side}-cover-membership", {"index": i}
-        if fam.members is not None:
-            others = (j for j in self._table().get(x, ()) if j != i)
-        else:
-            others = (
-                j for j in range(1, self.limit + 1)
-                if j != i and fam.classify_checked(act(self._inverse(j), x)) == j
+        if fam.claimants is None:
+            other = next(
+                (j for j in range(1, self.limit + 1) if j != i and self._holds(j, x)),
+                None,
             )
-        other = next(others, None)
+        else:
+            named = fam.claimants(x)
+            other = min((j for j in named if j != i and j <= self.limit), default=None)
+            if i not in named or not (other is None or self._holds(other, x)):
+                raise MalformedOracleError(
+                    f"{side}-claimants {tuple(named)!r} of {x!r} disagree with "
+                    f"the classifier (cover piece {i})"
+                )
         if other is not None:
             return f"{side}-cover-uniqueness", {"index": i, "other": other}
         return None
@@ -176,8 +168,9 @@ def verify_paradoxical(dec, window, index_bound):
     exactly one translated b-piece (uniqueness among indices up to
     ``index_bound``).  First failure in canonical window order wins.
 
-    Cost: O(window + index_bound) classifier calls when both families list
-    their members, else O(window x index_bound)."""
+    Cost: O(window) classifier calls when both families name their
+    claimants (singletons and their lifts: four per point until a failure),
+    else O(window x index_bound)."""
     if index_bound < 1:
         raise InputError("index bound must be >= 1")
     sides = [
@@ -293,8 +286,9 @@ def singleton_decomposition(group):
 
     return Decomposition(
         action=LeftTranslation(group),
-        a_pieces=PieceFamily(a_classifier, members=lambda i: (at(2 * i),)),
-        b_pieces=PieceFamily(b_classifier, members=lambda i: (at(2 * i - 1),)),
+        # every translate is the singleton {at(i)}
+        a_pieces=PieceFamily(a_classifier, claimants=lambda x: (pos(x),)),
+        b_pieces=PieceFamily(b_classifier, claimants=lambda x: (pos(x),)),
         a_translator=a_translator,
         b_translator=b_translator,
         a_cover=pos,
@@ -366,10 +360,7 @@ def f2_standard_decomposition(group):
 class SubgroupWitness:
     """A countable subgroup H of G with a right transversal: every x in G
     factors uniquely as x = h t, delivered by ``decompose``.  H keeps its own
-    element representation, bridged by to/from_subgroup.  ``transversal``
-    lists the transversal's elements (as elements of G) when it is finite,
-    so lifted pieces can list their members; None when it is infinite or
-    not enumerated."""
+    element representation, bridged by to/from_subgroup."""
 
     subgroup: Group
     contains: Callable[[Any], bool]
@@ -377,7 +368,6 @@ class SubgroupWitness:
     from_subgroup: Callable[[Any], Any]
     decompose: Callable[[Any], tuple]
     label: str = "subgroup"
-    transversal: Optional[tuple] = None
 
 
 def even_integers_witness(group):
@@ -402,7 +392,6 @@ def even_integers_witness(group):
         from_subgroup=from_subgroup,
         decompose=lambda v: (to_subgroup(v - v % 2), v % 2),
         label="even-integers",
-        transversal=(0, 1),
     )
 
 
@@ -450,14 +439,14 @@ def identity_witness(group):
         from_subgroup=lambda x: x,
         decompose=lambda x: (x, group.identity),
         label="whole-group",
-        transversal=(group.identity,),
     )
 
 
 def lift_via_transversal(group, witness, dec_of_h):
     """Carry a paradoxical decomposition of a subgroup H to all of G: each
     piece A becomes {a t : a in A, t in the transversal}, decoded through the
-    unique factorization, with the same translators pushed into G."""
+    unique factorization, with the same translators pushed into G.  The
+    translators lie in H, so the claimants of h t are those of h."""
     hdec = dec_of_h
     decomp = witness.decompose
 
@@ -476,21 +465,17 @@ def lift_via_transversal(group, witness, dec_of_h):
 
         return lifted
 
-    def lifted_members(fam):
-        transversal = witness.transversal
-        if fam.members is None or transversal is None:
+    def lifted_claimants(fam):
+        if fam.claimants is None:
             return None
-        return lambda i: tuple(
-            group.mul(witness.from_subgroup(h), t)
-            for h in fam.members(i) for t in transversal
-        )
+        return lambda x: fam.claimants(decomp(x)[0])
 
     return Decomposition(
         action=LeftTranslation(group),
         a_pieces=PieceFamily(a_classifier, size=hdec.a_pieces.size,
-                             members=lifted_members(hdec.a_pieces)),
+                             claimants=lifted_claimants(hdec.a_pieces)),
         b_pieces=PieceFamily(b_classifier, size=hdec.b_pieces.size,
-                             members=lifted_members(hdec.b_pieces)),
+                             claimants=lifted_claimants(hdec.b_pieces)),
         a_translator=lambda i: witness.from_subgroup(hdec.a_translator(i)),
         b_translator=lambda i: witness.from_subgroup(hdec.b_translator(i)),
         a_cover=make_cover(hdec.a_cover),

@@ -581,6 +581,22 @@ def test_construct_bad_inline_group_json(files, capsys):
     assert "bad group JSON" in stderr
 
 
+@pytest.mark.parametrize("case", ["unwritable-out", "non-utf8-manifest", "non-integer-copies"])
+def test_unusable_files_and_flags_are_input_errors(case, files, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    argv = {
+        "unwritable-out": ["paradox", "construct", "--kind", "singleton", "--group",
+                           files["g_z"], "--out", str(tmp_path / "missing" / "x.json")],
+        "non-utf8-manifest": ["paradox", "verify", str(bad), "--window", "ball=1"],
+        "non-integer-copies": ["paradox", "construct", "--kind", "glue", "--copies", "x",
+                               "--inner", files["dec_singleton_z"]],
+    }[case]
+    code, _, stderr = run(capsys, argv)
+    assert code == 4
+    assert stderr.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # output determinism
 

@@ -560,48 +560,65 @@ def test_transitive_orbit_structure_is_the_group_itself():
 
 
 # ---------------------------------------------------------------------------
-# member tables against the index scan
+# claimants against the index scan
 
 
 def scanned(dec):
-    """The same decomposition without member lists: the verifier probes
-    every index instead of looking translates up."""
+    """The same decomposition without claimants: the verifier probes every
+    index instead of reading uniqueness off the claimants."""
     return dataclasses.replace(
         dec,
-        a_pieces=dataclasses.replace(dec.a_pieces, members=None),
-        b_pieces=dataclasses.replace(dec.b_pieces, members=None),
+        a_pieces=dataclasses.replace(dec.a_pieces, claimants=None),
+        b_pieces=dataclasses.replace(dec.b_pieces, claimants=None),
     )
 
 
-def listed_decomposition(kind):
-    if kind == "singleton-z":
-        return singleton_decomposition(Z), Z.box
-    if kind == "singleton-z2":
-        return singleton_decomposition(Z2), Z2.box
-    return countable_paradox_of_infinite(Z, witness=even_integers_witness(Z)), Z.box
+def singleton_member(group, side, j):
+    """The one member of piece j of ``singleton_decomposition(group)``."""
+    return group.element_at(2 * j if side == "a" else 2 * j - 1)
+
+
+def claimed_decomposition(kind):
+    """(decomposition, window by radius, member(side, j) of piece j)."""
+    if kind in ("singleton-z", "singleton-z2"):
+        group = Z if kind == "singleton-z" else Z2
+        return (singleton_decomposition(group), group.box,
+                lambda side, j: singleton_member(group, side, j))
+    if kind == "even-lift":
+        group, witness, window = Z, even_integers_witness(Z), Z.box
+    else:
+        group, witness, window = F2, generator_power_witness(F2), F2.ball
+    return (
+        countable_paradox_of_infinite(group, witness=witness), window,
+        lambda side, j: witness.from_subgroup(singleton_member(witness.subgroup, side, j)),
+    )
 
 
 def claim_twice(dec, side, target, index):
     """``side`` also claims ``target`` (a point of the other side) as a member
-    of piece ``index``; the member list grows with it, so it stays exact."""
+    of piece ``index``; its claimants grow with the new translate, so they
+    stay exact."""
     fam = getattr(dec, f"{side}_pieces")
-    base_classifier, base_members = fam.classifier, fam.members
+    base_classifier, base_claimants = fam.classifier, fam.claimants
+    image = dec.action.act(getattr(dec, f"{side}_translator")(index), target)
 
     def classifier(x):
         return index if x == target else base_classifier(x)
 
-    def members(i):
-        return base_members(i) + ((target,) if i == index else ())
+    def claimants(x):
+        named = base_claimants(x)
+        return named + ((index,) if x == image and index not in named else ())
 
-    mutated = dataclasses.replace(fam, classifier=classifier, members=members)
+    mutated = dataclasses.replace(fam, classifier=classifier, claimants=claimants)
     return dataclasses.replace(dec, **{f"{side}_pieces": mutated})
 
 
-def reroute(dec, side, positions, last):
-    """Move the translate of piece j <= len(positions) onto the element at
-    enumeration position positions[j - 1], so that several translates can
-    meet; the cover names the first (or last) rerouted piece whose translate
-    holds x, else what it named before."""
+def reroute(dec, side, member, positions, last):
+    """Move the translate of piece j <= len(positions) so that it sends
+    member(side, j) onto the element at enumeration position
+    positions[j - 1], so that several translates can meet; the cover names
+    the first (or last) rerouted piece whose translate holds x, else what it
+    named before.  The claimants probe the rerouted pieces directly."""
     group = dec.action.group
     fam = getattr(dec, f"{side}_pieces")
     translator = getattr(dec, f"{side}_translator")
@@ -611,25 +628,32 @@ def reroute(dec, side, positions, last):
     def rerouted_translator(j):
         if j > n:
             return translator(j)
-        return group.mul(group.element_at(positions[j - 1]), group.inv(fam.members(j)[0]))
+        return group.mul(group.element_at(positions[j - 1]), group.inv(member(side, j)))
 
-    def rerouted_cover(x):
-        hits = [
+    def hits(x):
+        return [
             j for j in range(1, n + 1)
             if fam.classifier(group.mul(group.inv(rerouted_translator(j)), x)) == j
         ]
-        if hits:
-            return hits[-1] if last else hits[0]
+
+    def rerouted_cover(x):
+        rerouted = hits(x)
+        if rerouted:
+            return rerouted[-1] if last else rerouted[0]
         return cover(x)
 
+    def claimants(x):
+        return tuple(j for j in fam.claimants(x) if j > n) + tuple(hits(x))
+
     return dataclasses.replace(dec, **{
+        f"{side}_pieces": dataclasses.replace(fam, claimants=claimants),
         f"{side}_translator": rerouted_translator, f"{side}_cover": rerouted_cover,
     })
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    kind=st.sampled_from(["singleton-z", "singleton-z2", "even-lift"]),
+    kind=st.sampled_from(["singleton-z", "singleton-z2", "even-lift", "powers-lift"]),
     radius=st.integers(0, 30),
     bound=st.one_of(st.integers(1, 14), st.integers(15, 120)),
     mutation=st.sampled_from(
@@ -639,9 +663,11 @@ def reroute(dec, side, positions, last):
     data=st.data(),
 )
 def test_member_table_verdicts_match_the_scan(kind, radius, bound, mutation, side, data):
-    dec, box = listed_decomposition(kind)
+    dec, box, member = claimed_decomposition(kind)
     if kind == "singleton-z2":
         radius %= 5
+    elif kind == "powers-lift":
+        radius %= 4
     window = box(radius)
     if mutation == "constant-cover":
         dec = dataclasses.replace(dec, **{f"{side}_cover": lambda x: 1})
@@ -653,11 +679,11 @@ def test_member_table_verdicts_match_the_scan(kind, radius, bound, mutation, sid
         outside = [x for x in box(radius + 2).points if fam.classifier(x) is None]
         if outside:
             target = data.draw(st.sampled_from(outside))
-            dec = claim_twice(dec, side, target, data.draw(st.integers(1, bound + 5)))
+            dec = claim_twice(dec, side, target, data.draw(st.integers(1, bound)))
     elif mutation == "rerouted":
         positions = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
-        dec = reroute(dec, side, positions, data.draw(st.booleans()))
-    assert dec.a_pieces.members is not None and dec.b_pieces.members is not None
+        dec = reroute(dec, side, member, positions, data.draw(st.booleans()))
+    assert dec.a_pieces.claimants is not None and dec.b_pieces.claimants is not None
     assert verify_paradoxical(dec, window, bound) == verify_paradoxical(
         scanned(dec), window, bound
     )
@@ -674,20 +700,20 @@ def test_member_table_verdicts_match_the_scan(kind, radius, bound, mutation, sid
 )
 def test_member_table_equidecomposition_matches_the_scan(radius, bound, mutation, data):
     w = galileo_witness()
-    at = Z.element_at
-    listed = dataclasses.replace(w.pieces, members=lambda i: (at(i),))
-    translator, cover = w.translator, w.cover
+    at, pos = Z.element_at, Z.position_of
+    translator, cover, moved = w.translator, w.cover, ()
     if mutation == "constant-cover":
         cover = lambda v: 1
     elif mutation == "shifted-cover":
         cover = lambda v: w.cover(v) + 1
     elif mutation == "swapped":
-        translator = lambda i: at({1: 2, 2: 1}.get(i, i))
+        translator, moved = (lambda i: at({1: 2, 2: 1}.get(i, i))), (1, 2)
     elif mutation == "rerouted":
         # piece j <= n lands on the even number 2 * at(positions[j - 1])
         positions = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
         last = data.draw(st.booleans())
         n = len(positions)
+        moved = tuple(range(1, n + 1))
 
         def translator(i):
             return 2 * at(positions[i - 1]) - at(i) if i <= n else w.translator(i)
@@ -697,20 +723,29 @@ def test_member_table_equidecomposition_matches_the_scan(radius, bound, mutation
             if hits:
                 return hits[-1] if last else hits[0]
             return w.cover(v)
+
+    def claimants(v):
+        # piece i = {at(i)}: an unmoved translate is {2 at(i)}
+        named = (pos(v // 2),) if v % 2 == 0 else ()
+        return tuple(j for j in named if j not in moved) + tuple(
+            j for j in moved if at(j) + translator(j) == v
+        )
+
+    claimed = dataclasses.replace(w.pieces, claimants=claimants)
     verdicts = [
         verify_equidecomposable(
             lambda v: True, lambda v: v % 2 == 0,
             EquidecompositionWitness(pieces, translator, cover),
             LeftTranslation(Z), zwin(radius), bound,
         )
-        for pieces in (listed, dataclasses.replace(listed, members=None))
+        for pieces in (claimed, dataclasses.replace(claimed, claimants=None))
     ]
     assert verdicts[0] == verdicts[1]
 
 
 def test_claimed_point_is_refuted_by_the_table_as_by_the_scan():
     # a-piece 1 also claims the b-point (1, 1); its translate lands on (1, 0),
-    # the only member of a-translate 4, before (1, 1) is reached
+    # which a-translate 4 already holds, before (1, 1) is reached
     dec = claim_twice(singleton_decomposition(Z2), "a", (1, 1), 1)
     verdict = verify_paradoxical(dec, Z2.box(3), 30)
     assert verdict.witness.point == (1, 0)
@@ -722,7 +757,8 @@ def test_claimed_point_is_refuted_by_the_table_as_by_the_scan():
 
 def test_conflict_at_the_index_bound_is_seen():
     # a-pieces 1 and 2 both land on 0 = at(1); the cover names piece 1
-    dec = reroute(singleton_decomposition(Z), "a", [1, 1], last=False)
+    dec, _box, member = claimed_decomposition("singleton-z")
+    dec = reroute(dec, "a", member, [1, 1], last=False)
     at_bound = verify_paradoxical(dec, zwin(3), 2)
     assert at_bound.witness.point == 0
     assert at_bound.witness.equation == "a-cover-uniqueness"
@@ -746,7 +782,7 @@ def counted(dec):
             calls[0] += 1
             return classifier(x)
 
-        return dataclasses.replace(fam, classifier=cl)  # same function: list stays
+        return dataclasses.replace(fam, classifier=cl)  # same pieces: claimants stay
 
     dec = dataclasses.replace(
         dec, a_pieces=counting(dec.a_pieces), b_pieces=counting(dec.b_pieces)
@@ -754,14 +790,17 @@ def counted(dec):
     return dec, calls
 
 
-@pytest.mark.parametrize("r", [50, 500])
-def test_member_table_cost_is_linear_in_window_and_bound(r):
-    # two partition calls and two cover-preimage probes per point, one
-    # member check per index and side
-    dec, calls = counted(singleton_decomposition(Z))
-    verdict = verify_paradoxical(dec, zwin(r), 2 * r)
-    assert verdict.verified and verdict.points_checked == 2 * r + 1
-    assert calls[0] <= 12 * r + 4
+@pytest.mark.parametrize("bound", [50, 500])
+@pytest.mark.parametrize("kind", ["singleton-z", "even-lift", "powers-lift"])
+def test_claimants_cost_four_classifier_calls_per_point(kind, bound):
+    # two partition calls and one cover-preimage probe per side, whatever
+    # the index bound
+    dec, box, _member = claimed_decomposition(kind)
+    dec, calls = counted(dec)
+    window = box(4 if kind == "powers-lift" else 50)
+    verdict = verify_paradoxical(dec, window, bound)
+    assert verdict.verified and verdict.points_checked == len(window.points)
+    assert calls[0] == 4 * verdict.points_checked
 
 
 def test_scan_cost_without_member_lists():
@@ -771,30 +810,37 @@ def test_scan_cost_without_member_lists():
     assert calls[0] == 8 * r * r + 8 * r + 4
 
 
-def test_member_placed_elsewhere_is_malformed():
+@pytest.mark.parametrize("claimants, named", [
+    (lambda x: (), r"\(\)"),
+    (lambda x: (Z.position_of(x), Z.position_of(x) + 1), r"\(1, 2\)"),
+], ids=["cover-omitted", "other-misses"])
+def test_wrong_claimants_are_malformed(claimants, named):
+    # at 0 = at(1) the cover names a-piece 1, whose translate is {0} alone
     dec = singleton_decomposition(Z)
-    at = Z.element_at
-    for members in (lambda i: (at(2 * i + 2),), lambda i: (at(2 * i - 1),)):
-        broken = dataclasses.replace(
-            dec, a_pieces=dataclasses.replace(dec.a_pieces, members=members)
-        )
-        with pytest.raises(MalformedOracleError, match="a-piece 1 lists"):
-            verify_paradoxical(broken, zwin(3), 6)
+    broken = dataclasses.replace(
+        dec, a_pieces=dataclasses.replace(dec.a_pieces, claimants=claimants)
+    )
+    with pytest.raises(MalformedOracleError,
+                       match=f"a-claimants {named} of 0 disagree .*cover piece 1"):
+        verify_paradoxical(broken, zwin(3), 6)
 
 
-def test_lift_lists_members_only_through_a_finite_transversal():
-    even = countable_paradox_of_infinite(Z, witness=even_integers_witness(Z))
-    whole = lift_via_transversal(Z, identity_witness(Z), singleton_decomposition(Z))
-    for dec in (even, whole):
-        for fam in (dec.a_pieces, dec.b_pieces):
-            for i in range(1, 30):
-                assert all(fam.classifier(m) == i for m in fam.members(i))
-    window = zwin(40)
-    for fam in (even.a_pieces, even.b_pieces):
-        for i in range(1, 10):
-            assert len(fam.members(i)) == 2
-            assert set(fam.members(i)) >= {
-                x for x in window.points if fam.classifier(x) == i
-            }
-    powers = countable_paradox_of_infinite(F2, witness=generator_power_witness(F2))
-    assert powers.a_pieces.members is None and powers.b_pieces.members is None
+def test_lift_claimants_hold_through_any_transversal():
+    # exact on finite transversals ({0, 1}, {0}) and an infinite one (the
+    # words not starting with the first generator or its inverse)
+    lifts = [
+        (countable_paradox_of_infinite(Z, witness=even_integers_witness(Z)), zwin(12)),
+        (lift_via_transversal(Z, identity_witness(Z), singleton_decomposition(Z)),
+         zwin(12)),
+        (countable_paradox_of_infinite(F2, witness=generator_power_witness(F2)),
+         F2.ball(2)),
+    ]
+    for dec, window in lifts:
+        group = dec.action.group
+        for fam, translator in ((dec.a_pieces, dec.a_translator),
+                                (dec.b_pieces, dec.b_translator)):
+            for x in window.points:
+                assert sorted(fam.claimants(x)) == [
+                    j for j in range(1, 60)
+                    if fam.classifier(group.mul(group.inv(translator(j)), x)) == j
+                ]
