@@ -417,83 +417,223 @@ def merge_blocks(pair, cutoff, tuple_len=None):
 # bounded equivalence of actions
 
 
-def set_partitions(n, max_blocks):
+def set_partitions(n, max_blocks, maps=()):
     """Labeled set partitions of range(n) in restricted-growth order: yields
     (labels, block_count) with labels a tuple of 1-based block indices whose
-    first occurrences are increasing."""
+    first occurrences are increasing.  The enumeration is iterative, so n is
+    not limited by the recursion depth.
+
+    ``maps`` are permutations phi of range(n), as tuples.  A partition is
+    skipped when some phi reads it earlier: the labels[phi[0]],
+    labels[phi[1]], ... renumbered in order of first occurrence come before
+    ``labels`` in lexicographic order.  The test is made on prefixes.  Each
+    pending map waits on the first index whose label its next comparison
+    needs.  A map that reads earlier there cuts the subtree, one that reads
+    later is dropped for the subtree, and one that reads the same moves on
+    to its next index."""
     if n == 0 or max_blocks < 1:
         return
     labels = [0] * n
-
-    def rec(i, mx):
-        if i == n:
-            yield tuple(labels), mx
-            return
-        top = min(mx + 1, max_blocks)
-        for v in range(1, top + 1):
-            labels[i] = v
-            yield from rec(i + 1, mx if v <= mx else v)
-
-    yield from rec(0, 0)
-
-
-def commuting_maps(rows):
-    """Nontrivial orbit-preserving bijections of the points 0..N-1 that
-    commute with every row of a compiled finite action.
-
-    On the orbit of its least point r such a map is g.r -> g.y for a point y
-    of the same orbit with the same stabilizer as r.  The maps are every
-    combination of one choice per orbit, so they form a group (closed under
-    inverses); orbits are taken in order while the group's order stays at
-    most the table's size |G| * N, and later orbits are left fixed.  Each
-    map is a tuple phi with phi[x] the image of x."""
-    size = len(rows[0])
-    choices = []  # per orbit: candidate images of its points, one per y
-    placed = set()
-    for r in range(size):
-        if r in placed:
-            continue
-        reach = {}  # orbit point -> first row carrying r to it
-        for row in rows:
-            reach.setdefault(row[r], row)
-        placed.update(reach)
-        stab = [row for row in rows if row[r] == r]
-        choices.append([
-            {p: row[y] for p, row in reach.items()}
-            for y in reach
-            if all(row[y] == y for row in stab)
-        ])
-    used, order = [], 1
-    for c in choices:
-        if order * len(c) <= len(rows) * size:
-            used.append(c)
-            order *= len(c)
-    identity = tuple(range(size))
-    maps = []
-    for parts in itertools.product(*used):
-        phi = list(identity)
-        for part in parts:
-            for p, q in part.items():
-                phi[p] = q
-        if tuple(phi) != identity:
-            maps.append(tuple(phi))
-    return maps
-
-
-def _least_in_orbit(labels, maps):
-    """True when no map carries the partition to one whose restricted-growth
-    labels come earlier.  The image of ``labels`` under phi labels phi(x)
-    with labels[x], i.e. y with labels[phi^-1(y)]; the maps are closed under
-    inverses, so reading labels[phi[y]] covers the same images."""
+    tops = [0] * n  # tops[i]: the largest label among labels[:i]
+    # waiting[w]: (phi, y, renumbering) of the maps whose comparison at y
+    # waits on labels[w]; moved[i]: the lists the label at i appended to
+    waiting = [[] for _ in range(n)]
+    moved = [[] for _ in range(n)]
     for phi in maps:
-        relabel = {}
-        for y, x in enumerate(phi):
-            v = relabel.setdefault(labels[x], len(relabel) + 1)
-            if v != labels[y]:
-                if v < labels[y]:
-                    return False
+        waiting[phi[0]].append((phi, 0, {}))
+    i = 0
+    while i >= 0:
+        if moved[i]:
+            for w in moved[i]:
+                waiting[w].pop()
+            moved[i].clear()
+        v = labels[i] + 1
+        if v > tops[i] + 1 or v > max_blocks:
+            labels[i] = 0
+            i -= 1
+            continue
+        labels[i] = v
+        cut = False
+        for phi, y, renumber in waiting[i]:
+            while True:
+                u = labels[phi[y]]
+                r = renumber.get(u)
+                if r is None:
+                    r = len(renumber) + 1
+                    renumber = {**renumber, u: r}
+                if r != labels[y]:
+                    cut = r < labels[y]
+                    break
+                y += 1
+                if y == n:
+                    break
+                w = phi[y] if phi[y] > y else y
+                if w > i:
+                    waiting[w].append((phi, y, renumber))
+                    moved[i].append(w)
+                    break
+            if cut:
                 break
-    return True
+        if cut:
+            continue
+        top = v if v > tops[i] else tops[i]
+        if i + 1 == n:
+            yield tuple(labels), top
+        else:
+            i += 1
+            tops[i] = top
+
+
+def _partition_count(n, m, cap):
+    """S(n, 1) + ... + S(n, m), the partitions of an n-set into at most m
+    blocks, or cap + 1 once that is exceeded.  The count never decreases
+    with n, so the Stirling rows stop as soon as one exceeds ``cap``."""
+    row = [1]  # S(i, k) for k = 0..min(i, m)
+    for i in range(1, n + 1):
+        row = [0] + [
+            k * (row[k] if k < len(row) else 0) + row[k - 1]
+            for k in range(1, min(i, m) + 1)
+        ]
+        if sum(row) > cap:
+            return cap + 1
+    return sum(row) if n else 0
+
+
+def _cycle_type(perm):
+    lengths, placed = [], set()
+    for x in perm:
+        k = 0
+        while x not in placed:
+            placed.add(x)
+            x = perm[x]
+            k += 1
+        if k:
+            lengths.append(k)
+    return sorted(lengths)
+
+
+def _generating_rows(rows):
+    """Rows that generate the permutation group of ``rows``: each row not
+    generated by the ones before it is kept."""
+    gens = []
+    group = {tuple(range(len(rows[0])))}
+    for r in rows:
+        if r in group:
+            continue
+        gens.append(r)
+        queue = list(group)
+        for e in queue:
+            for s in gens:
+                h = tuple(s[x] for x in e)
+                if h not in group:
+                    group.add(h)
+                    queue.append(h)
+    return gens
+
+
+def normalizer_maps(rows, limit=None):
+    """Permutations phi of the points 0..N-1 of a compiled finite action
+    that conjugate every row to a row (phi r phi^-1 is a row for each row
+    r): the normalizer of the action's image in the symmetric group.  For a
+    group acting on itself by left translation that is the holomorph, with
+    |G| |Aut(G)| maps.  Each map is a tuple with phi[x] the image of x; the
+    identity comes first, and at most ``limit`` maps are returned.
+
+    Backtracking: the image of the least point of the first orbit, then an
+    image row of the same cycle type for each generating row, then the
+    image of the least point of each further orbit.  Each choice is
+    propagated along the generators, phi(s x) = alpha(s) phi(x), and a
+    clash or a repeated image rejects it.  Conjugating the generators to
+    rows carries the whole group to a group of the same order inside the
+    rows, that is onto them."""
+    size = len(rows[0])
+    identity = tuple(range(size))
+    if limit is not None and limit < 1:
+        return []
+    distinct = list(dict.fromkeys(rows))
+    gens = _generating_rows(distinct)
+    shapes = {r: _cycle_type(r) for r in distinct}
+    images = [[s, *(r for r in distinct if r != s and shapes[r] == shapes[s])] for s in gens]
+    reps, placed = [], set()
+    for o in range(size):
+        if o not in placed:
+            reps.append(o)
+            placed.add(o)
+            orbit = [o]
+            for x in orbit:
+                for s in gens:
+                    if s[x] not in placed:
+                        placed.add(s[x])
+                        orbit.append(s[x])
+    # a slot is a point whose image is chosen, or a generator whose image row is
+    slots = [(True, o) for o in reps[:1]] + [(False, j) for j in range(len(gens))] \
+        + [(True, o) for o in reps[1:]]
+    if not slots:
+        return [identity]
+    phi = [-1] * size
+    taken = [False] * size
+    alpha = [None] * len(gens)
+    trail = []  # assigned points, in assignment order
+
+    def settle(start, chosen, new=None):
+        """Close phi under the first ``chosen`` generators: trail[:start]
+        is closed already under all of them but ``new``."""
+        k = 0 if new is not None else start
+        while k < len(trail):
+            x = trail[k]
+            for j in (new,) if k < start else range(chosen):
+                y, want = gens[j][x], alpha[j][phi[x]]
+                if phi[y] < 0:
+                    if taken[want]:
+                        return False
+                    phi[y] = want
+                    taken[want] = True
+                    trail.append(y)
+                elif phi[y] != want:
+                    return False
+            k += 1
+        return True
+
+    def options(point, which):
+        if not point:
+            return iter(images[which])
+        # the free points, the orbit's own point first
+        return iter(sorted((p for p in range(size) if not taken[p]), key=lambda p: p != which))
+
+    maps = []
+    pending = [options(*slots[0])] + [None] * (len(slots) - 1)
+    marks = [0] * len(slots)
+    depth = 0
+    while depth >= 0:
+        while len(trail) > marks[depth]:
+            y = trail.pop()
+            taken[phi[y]] = False
+            phi[y] = -1
+        choice = next(pending[depth], None)
+        if choice is None:
+            depth -= 1
+            continue
+        point, which = slots[depth]
+        chosen = min(depth, len(gens))
+        if point:
+            phi[which] = choice
+            taken[choice] = True
+            trail.append(which)
+            ok = settle(marks[depth], chosen)
+        else:
+            alpha[which] = choice
+            ok = settle(marks[depth], chosen, which)
+        if not ok:
+            continue
+        if depth + 1 == len(slots):
+            maps.append(tuple(phi))
+            if limit is not None and len(maps) >= limit:
+                break
+            continue
+        depth += 1
+        marks[depth] = len(trail)
+        pending[depth] = options(*slots[depth])
+    return maps
 
 
 def _code_maps(b, m, n):
@@ -549,27 +689,33 @@ def _configuration_family(action, n, m, cap, code_maps):
     of length n and partitions into at most m blocks, each mapped to its
     first witness.
 
-    Every partition counts against ``cap``, but one that a commuting map
-    carries to an earlier partition is skipped: the two realize the same
-    configuration sets, and the earlier one has already recorded them.  A
-    configuration set is a set of integer codes (see _code_maps), and
+    Every partition counts against ``cap``, and the count, S(N, 1) + ... +
+    S(N, m) for N points, is checked before any is enumerated.  A partition
+    is skipped when a map of the points that conjugates every row to a row
+    (see normalizer_maps) carries it to an earlier partition.  The two
+    realize the same configuration sets up to block relabeling, the tuple
+    carried along by the induced automorphism, so the earlier one has
+    already opened every class the skipped one would.  Any such maps are
+    sound; at most |G|^n are used (the tuples under one partition), and
+    fewer than the partitions, so the symmetry work per partition stays
+    within the tuple work.
+
+    A configuration set is a set of integer codes (see _code_maps), and
     ``seen`` holds every one met.  A new one opens a class unless an image
     of it under another relabeling of its blocks is in ``seen``.  It joins
     ``seen`` only after that probe, since a relabeling may fix it.
     ``code_maps`` caches _code_maps by block count."""
     pts, gels, rows = _compile(action)
-    symmetries = commuting_maps(rows)
+    total = _partition_count(len(pts), m, cap)
+    if total > cap:
+        raise ResourceCapExceeded(
+            f"partition enumeration exceeded the cap of {cap}", cap=cap
+        )
+    limit = min(len(rows) ** n, total - 1)
+    symmetries = normalizer_maps(rows, limit + 1)[1:] if limit > 0 else ()
     seen = set()
     family = {}
-    count = 0
-    for labels, b in set_partitions(len(pts), m):
-        count += 1
-        if count > cap:
-            raise ResourceCapExceeded(
-                f"partition enumeration exceeded the cap of {cap}", cap=cap
-            )
-        if not _least_in_orbit(labels, symmetries):
-            continue
+    for labels, b in set_partitions(len(pts), m, symmetries):
         if b not in code_maps:
             code_maps[b] = _code_maps(b, m, n)
         others = code_maps[b][1:]  # the first map is the identity

@@ -100,6 +100,18 @@ def partitions_of(items, max_blocks):
             yield ((first,),) + sub
 
 
+def least_in_orbit(labels, maps):
+    """True when no map phi reads the partition earlier: the labels
+    labels[phi[0]], labels[phi[1]], ... renumbered in order of first
+    occurrence never form a tuple that comes before ``labels``."""
+    for phi in maps:
+        first = {}
+        image = tuple(first.setdefault(labels[x], len(first) + 1) for x in phi)
+        if image < tuple(labels):
+            return False
+    return True
+
+
 def stirling2(n, k):
     if n == 0:
         return 1 if k == 0 else 0

@@ -1,10 +1,13 @@
 """Configuration sets, refinement cells, splits and bounded equivalence."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from confpara import configurations as cf
 from confpara.actions import LeftTranslation, ProductAction, TableAction, TrivialAction
 from confpara.catalog import cyclic, fixture_groups, reconstruction_groups
 from confpara.codec import zigzag_position, zigzag_value
@@ -14,7 +17,6 @@ from confpara.configurations import (
     PairWitness,
     Partition,
     check_partition_covers,
-    commuting_maps,
     config_equiv_bounded,
     configuration_cells,
     configurations_finite,
@@ -22,6 +24,7 @@ from confpara.configurations import (
     countable_config_prefixes,
     default_partition_cap,
     merge_blocks,
+    normalizer_maps,
     search_configuration_set,
     set_partitions,
     singleton_split,
@@ -387,6 +390,15 @@ def test_bell_numbers():
         assert len(list(set_partitions(n, n))) == oracles.bell(n)
 
 
+def test_large_point_sets_stay_within_the_recursion_limit():
+    # the enumeration is iterative: a single-block partition of 1200 points
+    assert next(set_partitions(1200, 2)) == ((1,) * 1200, 1)
+    trivial = TrivialAction(cyclic(2), points=range(1200))
+    verdict = config_equiv_bounded(trivial, TrivialAction(cyclic(2), points=range(1200)), 1, 1)
+    assert verdict.equivalent and verdict.family_sizes == (1, 1)
+    assert search_configuration_set(trivial, 1, 1, {(1, 1)}, cap=10) == (1, True)
+
+
 # ---------------------------------------------------------------------------
 # bounded equivalence
 
@@ -440,6 +452,19 @@ def test_default_cap_env(monkeypatch):
         default_partition_cap()
 
 
+def test_cap_is_checked_before_any_tuple(monkeypatch):
+    # 3^30 tuples under the first partition, 2^31 codes per relabeling; the
+    # 4 partitions exceed cap 3 before either is built
+    def no_work(*args):
+        raise AssertionError("partition work done before the cap check")
+
+    monkeypatch.setattr(cf, "_tuple_codes", no_work)
+    monkeypatch.setattr(cf, "_code_maps", no_work)
+    z3 = LeftTranslation(cyclic(3))
+    with pytest.raises(ResourceCapExceeded, match="partition enumeration exceeded the cap of 3$"):
+        config_equiv_bounded(z3, LeftTranslation(cyclic(3)), 30, 2, cap=3)
+
+
 def test_cap_counts_skipped_partitions():
     # symmetric partitions are skipped but still count against the cap
     z6 = LeftTranslation(cyclic(6))
@@ -450,7 +475,7 @@ def test_cap_counts_skipped_partitions():
 
 
 # ---------------------------------------------------------------------------
-# maps commuting with the action
+# maps conjugating the action's rows to rows
 
 
 def compiled_rows(action):
@@ -479,39 +504,93 @@ def relabeled(action, perm):
     return TableAction(action.group, order, rows)
 
 
+def commuting(maps, rows):
+    """The maps that commute with every row."""
+    return [phi for phi in maps
+            if all(phi[r[x]] == r[phi[x]] for r in rows for x in range(len(phi)))]
+
+
+def automorphism_count(g):
+    """Bijections of the elements fixing the identity that preserve the
+    product, counted by trying every one."""
+    rest = [x for x in g.elements() if x != g.identity]
+    count = 0
+    for image in itertools.permutations(rest):
+        f = {g.identity: g.identity, **dict(zip(rest, image))}
+        if all(f[g.mul(x, y)] == g.mul(f[x], f[y]) for x in rest for y in rest):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("name", names)
+def test_left_translation_maps_are_the_holomorph(name):
+    # the normalizer of the left regular action is G x| Aut(G)
+    g = FIXTURES[name]
+    maps = normalizer_maps(compiled_rows(LeftTranslation(g)))
+    assert len(set(maps)) == len(maps) == g.order() * automorphism_count(g)
+    assert maps[0] == tuple(range(g.order()))
+
+
 @pytest.mark.parametrize("name", names)
 def test_left_translation_maps_are_right_translations(name):
+    # the maps among them that commute with every row
     g = FIXTURES[name]
     pts = g.elements()
     idx = {p: i for i, p in enumerate(pts)}
-    right = {
-        tuple(idx[g.mul(x, h)] for x in pts) for h in pts if h != g.identity
-    }
-    maps = commuting_maps(compiled_rows(LeftTranslation(g)))
-    assert len(maps) == g.order() - 1
-    assert set(maps) == right
+    right = {tuple(idx[g.mul(x, h)] for x in pts) for h in pts}
+    rows = compiled_rows(LeftTranslation(g))
+    assert set(commuting(normalizer_maps(rows), rows)) == right
 
 
 @pytest.mark.parametrize("name,order", [("S3", 2), ("D4", 2), ("A4", 3)])
 def test_coset_action_maps_are_normalizer_quotient(name, order):
+    # the maps commuting with a coset action are N(H)/H
     g = reconstruction_groups()[name]
     for sub in (s for s in subgroups(g) if len(s) == order):
         normalizer = [
             x for x in g.elements()
             if frozenset(g.mul(g.mul(x, h), g.inv(x)) for h in sub) == sub
         ]
-        maps = commuting_maps(compiled_rows(coset_action(g, sub)))
-        assert len(maps) == len(normalizer) // order - 1
+        rows = compiled_rows(coset_action(g, sub))
+        assert len(commuting(normalizer_maps(rows), rows)) == len(normalizer) // order
 
 
-def test_finite_trivial_action_has_no_maps():
-    assert commuting_maps(compiled_rows(TrivialAction(cyclic(3), points=[0, 1, 2]))) == []
+def test_finite_trivial_action_maps_are_every_permutation():
+    maps = normalizer_maps(compiled_rows(TrivialAction(cyclic(3), points=[0, 1, 2])))
+    assert maps[0] == (0, 1, 2)
+    assert sorted(maps) == list(itertools.permutations(range(3)))
 
 
-def test_maps_stay_within_the_table_size():
-    # six copies of Z2 admit 2^6 commuting maps; the table has 2 * 12 entries
-    maps = commuting_maps(compiled_rows(ProductAction(LeftTranslation(cyclic(2)), 6)))
-    assert len(maps) == 2 ** 4 - 1
+def test_maps_stay_within_the_bound(monkeypatch):
+    # twelve points whose normalizer has 2^6 * 6! maps; a bounded search
+    # returns a prefix of the full list
+    rows = compiled_rows(ProductAction(LeftTranslation(cyclic(2)), 6))
+    maps = normalizer_maps(rows)
+    assert len(maps) == 2 ** 6 * 720
+    assert normalizer_maps(rows, 100) == maps[:100]
+    assert normalizer_maps(rows, 0) == []
+    # bounded equivalence uses fewer nontrivial maps than |G|^n and than the
+    # partitions
+    used = []
+
+    def spy(rows, limit=None):
+        out = normalizer_maps(rows, limit)
+        used.append((len(rows), len(out) - 1))
+        return out
+
+    monkeypatch.setattr(cf, "normalizer_maps", spy)
+    for action, n, m in [
+        (ProductAction(LeftTranslation(cyclic(2)), 6), 1, 2),
+        (ProductAction(LeftTranslation(cyclic(2)), 6), 3, 2),
+        (LeftTranslation(FIXTURES["Z2xZ2"]), 1, 2),
+        (LeftTranslation(FIXTURES["Z2xZ2"]), 2, 2),
+        (LeftTranslation(FIXTURES["Q8"]), 2, 3),
+    ]:
+        used.clear()
+        config_equiv_bounded(action, action, n, m)
+        points = len(action.points())
+        bound = min(len(action.group.elements()) ** n, oracles.partitions_up_to(points, m) - 1)
+        assert used == [(len(action.group.elements()), bound)]
 
 
 @pytest.mark.parametrize("action", [
@@ -521,13 +600,15 @@ def test_maps_stay_within_the_table_size():
     ProductAction(TrivialAction(cyclic(2), points=["u", "v"]), index_count=2),
     ProductAction(LeftTranslation(cyclic(2)), index_count=6),
 ], ids=["Q8", "D4-coset", "Z2xZ2-x2", "trivial-x2", "Z2-x6"])
-def test_maps_commute_with_every_row(action):
+def test_maps_conjugate_every_row_to_a_row(action):
     rows = compiled_rows(action)
-    maps = commuting_maps(rows)
+    row_set = set(rows)
+    maps = normalizer_maps(rows)
+    assert len(set(maps)) == len(maps)
     for phi in maps:
         assert sorted(phi) == list(range(len(phi)))
-        for row in rows:
-            assert all(phi[row[x]] == row[phi[x]] for x in range(len(phi)))
+        inverse = sorted(range(len(phi)), key=phi.__getitem__)
+        assert all(tuple(phi[r[x]] for x in inverse) in row_set for r in row_set)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +688,19 @@ def test_equiv_matches_naive_enumerator_at_four_blocks(first, other, n, m):
     first = LeftTranslation(FIXTURES[first])
     other = LeftTranslation(FIXTURES[other])  # distinct instance: no shortcut
     assert config_equiv_bounded(first, other, n, m) == naive_verdict(first, other, n, m)
+
+
+@given(small_action(), st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pruned_partitions_match_the_orbit_filter(action, m, data):
+    # any subset of the maps: the pruning must not rely on a group
+    maps = normalizer_maps(compiled_rows(action))
+    chosen = data.draw(st.lists(st.sampled_from(maps), max_size=12))
+    n = len(action.points())
+    assert list(set_partitions(n, m, chosen)) == [
+        (labels, b) for labels, b in set_partitions(n, m)
+        if oracles.least_in_orbit(labels, chosen)
+    ]
 
 
 # ---------------------------------------------------------------------------
