@@ -151,7 +151,9 @@ class _CoverCheck:
             )
         else:
             named = fam.claimants(x)
-            other = min((j for j in named if j != i and j <= self.limit), default=None)
+            other = None if named == (i,) else min(
+                (j for j in named if j != i and j <= self.limit), default=None
+            )
             if i not in named or not (other is None or self._holds(other, x)):
                 raise MalformedOracleError(
                     f"{side}-claimants {tuple(named)!r} of {x!r} disagree with "
@@ -169,8 +171,10 @@ def verify_paradoxical(dec, window, index_bound):
     ``index_bound``).  First failure in canonical window order wins.
 
     Cost: O(window) classifier calls when both families name their
-    claimants (singletons and their lifts: four per point until a failure),
-    else O(window x index_bound)."""
+    claimants (singletons and their lifts, the free group's four pieces and
+    singleton refinements: four per point until a failure; a refinement's
+    claimants add one rank lookup per parent piece), else
+    O(window x index_bound)."""
     if index_bound < 1:
         raise InputError("index bound must be >= 1")
     sides = [
@@ -302,7 +306,7 @@ def _first_letter_family(group, letter, include_neg_powers=False, exclude_neg_po
     the non-positive powers e, a^-1, a^-2, ... of the first generator."""
 
     def is_neg_power(w):
-        return all(v == -1 for v in w)  # includes the empty word
+        return w.count(-1) == len(w)  # includes the empty word
 
     def member(w):
         if include_neg_powers and is_neg_power(w):
@@ -318,7 +322,13 @@ def _first_letter_family(group, letter, include_neg_powers=False, exclude_neg_po
 
 def f2_standard_decomposition(group):
     """The four-piece paradox of the free group on two generators, with the
-    non-positive powers of the first generator absorbed into its piece."""
+    non-positive powers of the first generator absorbed into its piece.
+
+    Each side's claimants are exact: a·A2 (a times the words starting with
+    a^-1 other than its powers) is every word not starting with a other than
+    the non-positive powers of a, the complement of A1; and b·B2 is every
+    word not starting with b, the complement of B1.  So x lies in the
+    translate of piece 1 if it is in A1 (B1), else in that of piece 2 alone."""
     if not isinstance(group, FreeGroup) or group.rank != 2:
         raise PreconditionError("the standard four-piece paradox lives on free(2)")
     a = group.generator(1)
@@ -344,8 +354,10 @@ def f2_standard_decomposition(group):
 
     return Decomposition(
         action=LeftTranslation(group),
-        a_pieces=PieceFamily(a_classifier, size=2),
-        b_pieces=PieceFamily(b_classifier, size=2),
+        a_pieces=PieceFamily(a_classifier, size=2,
+                             claimants=lambda w: (1,) if in_a1(w) else (2,)),
+        b_pieces=PieceFamily(b_classifier, size=2,
+                             claimants=lambda w: (1,) if in_b1(w) else (2,)),
         a_translator=lambda i: (group.identity, a)[i - 1],
         b_translator=lambda i: (group.identity, b)[i - 1],
         a_cover=lambda w: 1 if in_a1(w) else 2,
@@ -611,7 +623,8 @@ def compress_translators(dec, index_bound=200):
 
 class _PieceRanks:
     """Progressive scan of a group enumeration assigning each point its
-    1-based rank inside its piece."""
+    1-based rank inside its piece; ``classifier`` is the checked one, so a
+    malformed parent index raises here rather than mislabel a point."""
 
     def __init__(self, group, classifier):
         self.group = group
@@ -638,7 +651,12 @@ class _PieceRanks:
 def refine_to_singletons(dec):
     """Split every piece of a finite-piece decomposition into the singletons
     of its members in enumeration order; piece (p, k) flattens to the index
-    cantor_pair(p-1, k-1) + 1 and keeps piece p's translator."""
+    cantor_pair(p-1, k-1) + 1 and keeps piece p's translator.
+
+    The translate of piece (p, k) is {t_p·y} for y the k-th member of p, so
+    the claimants of x are exact for any parent: the pairs (p, k) with
+    t_p^-1·x ranked k-th in p, one lookup in the rank scan per parent piece.
+    The empty pieces (p > size) never claim."""
     group = dec.action.group
     _require_countable_enumeration(group)
     if not isinstance(dec.action, LeftTranslation):
@@ -649,8 +667,11 @@ def refine_to_singletons(dec):
     if dec.a_pieces.size is None or dec.b_pieces.size is None:
         raise PreconditionError("singleton refinement expects finite piece families")
 
+    act, inv = dec.action.act, group.inv
+
     def side(fam, translator, cover, size):
-        ranks = _PieceRanks(group, fam.classifier)
+        ranks = _PieceRanks(group, fam.classify_checked)
+        inverses = [inv(translator(p)) for p in range(1, size + 1)]
 
         def classifier(x):
             got = ranks.get(x)
@@ -667,17 +688,26 @@ def refine_to_singletons(dec):
 
         def refined_cover(x):
             p = cover(x)
-            y = dec.action.act(group.inv(translator(p)), x)
+            y = act(inv(translator(p)), x)
             got = ranks.get(y)
             k = got[1] if got is not None and got[0] == p else 1
             return cantor_pair(p - 1, k - 1) + 1
 
-        return classifier, refined_translator, refined_cover
+        def claimants(x):
+            named = []
+            for p, t_inv in enumerate(inverses, start=1):
+                got = ranks.get(act(t_inv, x))
+                if got is not None and got[0] == p:
+                    named.append(cantor_pair(p - 1, got[1] - 1) + 1)
+            return tuple(named)
 
-    a_cl, a_tr, a_cv = side(dec.a_pieces, dec.a_translator, dec.a_cover,
-                            dec.a_pieces.size)
-    b_cl, b_tr, b_cv = side(dec.b_pieces, dec.b_translator, dec.b_cover,
-                            dec.b_pieces.size)
+        family = PieceFamily(classifier, claimants=claimants)
+        return family, refined_translator, refined_cover
+
+    a_fam, a_tr, a_cv = side(dec.a_pieces, dec.a_translator, dec.a_cover,
+                             dec.a_pieces.size)
+    b_fam, b_tr, b_cv = side(dec.b_pieces, dec.b_translator, dec.b_cover,
+                             dec.b_pieces.size)
     a_vals = tuple(dec.a_translator(i) for i in range(1, dec.a_pieces.size + 1))
     b_vals = tuple(dec.b_translator(i) for i in range(1, dec.b_pieces.size + 1))
 
@@ -693,8 +723,8 @@ def refine_to_singletons(dec):
 
     return Decomposition(
         action=dec.action,
-        a_pieces=PieceFamily(a_cl),
-        b_pieces=PieceFamily(b_cl),
+        a_pieces=a_fam,
+        b_pieces=b_fam,
         a_translator=a_tr,
         b_translator=b_tr,
         a_cover=a_cv,

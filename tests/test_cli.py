@@ -401,6 +401,22 @@ def test_verify_f2_with_json_window(files, capsys):
     assert doc["payload"]["points-checked"] == 161
 
 
+def test_verify_refined_f2_whatever_the_index_bound(files, capsys):
+    # the refined pieces name their claimants, so the bound costs nothing
+    path = write_manifest(
+        files["dir"], "dec_refined.json", "decomposition",
+        {"construction": "refine-singletons", "inner": {"construction": "free2-standard"}},
+    )
+    code, doc, _ = run_json(
+        capsys,
+        ["paradox", "verify", path, "--window", "ball=3", "--index-bound", "1000000"],
+        "verdict",
+    )
+    assert code == 0
+    assert doc["payload"]["status"] == "verified-up-to"
+    assert doc["payload"]["points-checked"] == 53
+
+
 def test_verify_refuted_decomposition(files, capsys):
     code, doc, _ = run_json(
         capsys,

@@ -2,13 +2,15 @@
 transformations between presentations (lift, compress, refine, glue)."""
 
 import dataclasses
+import itertools
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from confpara.actions import LeftTranslation, ProductAction, TrivialAction
 from confpara.catalog import cyclic
-from confpara.codec import cantor_pair
+from confpara.codec import cantor_pair, cantor_unpair
 from confpara.errors import InputError, MalformedOracleError, PreconditionError
 from confpara.groups import FreeAbelianGroup, FreeGroup
 from confpara.paradox import (
@@ -33,10 +35,12 @@ from confpara.paradox import (
     verify_equidecomposable,
     verify_paradoxical,
 )
+from confpara.schemas import build_decomposition, loads_manifest
 
 Z = FreeAbelianGroup(1)
 Z2 = FreeAbelianGroup(2)
 F2 = FreeGroup(2)
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def zwin(r):
@@ -462,6 +466,19 @@ def test_refinement_needs_finite_pieces_and_translation_action():
         refine_to_singletons(product)
 
 
+def test_refinement_keeps_the_parent_classifier_contract():
+    # an a-piece 3 that the size-2 family does not have is malformed in the
+    # parent, and its refinement must not read it as piece (3, 1) instead
+    dec = f2_standard_decomposition(F2)
+    base = dec.a_pieces.classifier
+    bad = dataclasses.replace(dec, a_pieces=dataclasses.replace(
+        dec.a_pieces, classifier=lambda w: 3 if w == (1,) else base(w)
+    ))
+    for d in (bad, refine_to_singletons(bad)):
+        with pytest.raises(MalformedOracleError, match="beyond the family size 2"):
+            verify_paradoxical(d, fwin(2), 2)
+
+
 # ---------------------------------------------------------------------------
 # gluing along orbits
 
@@ -578,8 +595,26 @@ def singleton_member(group, side, j):
     return group.element_at(2 * j if side == "a" else 2 * j - 1)
 
 
+F2_KINDS = ("powers-lift", "f2-standard", "refined-f2")
+F2_FIRST_MEMBERS = {"a": ((), (-1, 2)), "b": ((2,), (-2,))}
+
+
 def claimed_decomposition(kind):
-    """(decomposition, window by radius, member(side, j) of piece j)."""
+    """(decomposition, window by radius, member(side, j) of piece j); for
+    infinite pieces, one of their members, and for empty pieces the identity."""
+    if kind == "f2-standard":
+        return (f2_standard_decomposition(F2), F2.ball,
+                lambda side, j: F2_FIRST_MEMBERS[side][j - 1] if j <= 2 else F2.identity)
+    if kind == "refined-f2":
+        dec = refine_to_singletons(f2_standard_decomposition(F2))
+
+        def member(side, j):
+            if cantor_unpair(j - 1)[0] >= 2:
+                return F2.identity
+            cl = getattr(dec, f"{side}_pieces").classifier
+            return next(w for w in map(F2.element_at, itertools.count(1)) if cl(w) == j)
+
+        return dec, F2.ball, member
     if kind in ("singleton-z", "singleton-z2"):
         group = Z if kind == "singleton-z" else Z2
         return (singleton_decomposition(group), group.box,
@@ -651,9 +686,18 @@ def reroute(dec, side, member, positions, last):
     })
 
 
-@settings(max_examples=150, deadline=None)
+def outcome(dec, window, bound):
+    """The verdict, or the message of the malformed oracle it raises on."""
+    try:
+        return verify_paradoxical(dec, window, bound)
+    except MalformedOracleError as exc:
+        return str(exc)
+
+
+@settings(max_examples=225, deadline=None)
 @given(
-    kind=st.sampled_from(["singleton-z", "singleton-z2", "even-lift", "powers-lift"]),
+    kind=st.sampled_from(["singleton-z", "singleton-z2", "even-lift", "powers-lift",
+                          "f2-standard", "refined-f2"]),
     radius=st.integers(0, 30),
     bound=st.one_of(st.integers(1, 14), st.integers(15, 120)),
     mutation=st.sampled_from(
@@ -666,7 +710,7 @@ def test_member_table_verdicts_match_the_scan(kind, radius, bound, mutation, sid
     dec, box, member = claimed_decomposition(kind)
     if kind == "singleton-z2":
         radius %= 5
-    elif kind == "powers-lift":
+    elif kind in F2_KINDS:
         radius %= 4
     window = box(radius)
     if mutation == "constant-cover":
@@ -679,14 +723,13 @@ def test_member_table_verdicts_match_the_scan(kind, radius, bound, mutation, sid
         outside = [x for x in box(radius + 2).points if fam.classifier(x) is None]
         if outside:
             target = data.draw(st.sampled_from(outside))
-            dec = claim_twice(dec, side, target, data.draw(st.integers(1, bound)))
+            top = bound if fam.size is None else min(bound, fam.size)
+            dec = claim_twice(dec, side, target, data.draw(st.integers(1, top)))
     elif mutation == "rerouted":
         positions = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
         dec = reroute(dec, side, member, positions, data.draw(st.booleans()))
     assert dec.a_pieces.claimants is not None and dec.b_pieces.claimants is not None
-    assert verify_paradoxical(dec, window, bound) == verify_paradoxical(
-        scanned(dec), window, bound
-    )
+    assert outcome(dec, window, bound) == outcome(scanned(dec), window, bound)
 
 
 @settings(max_examples=100, deadline=None)
@@ -791,13 +834,16 @@ def counted(dec):
 
 
 @pytest.mark.parametrize("bound", [50, 500])
-@pytest.mark.parametrize("kind", ["singleton-z", "even-lift", "powers-lift"])
+@pytest.mark.parametrize(
+    "kind", ["singleton-z", "even-lift", "powers-lift", "f2-standard", "refined-f2"]
+)
 def test_claimants_cost_four_classifier_calls_per_point(kind, bound):
     # two partition calls and one cover-preimage probe per side, whatever
-    # the index bound
+    # the index bound; the refined claimants read the parent's rank scan,
+    # never the refined classifier
     dec, box, _member = claimed_decomposition(kind)
     dec, calls = counted(dec)
-    window = box(4 if kind == "powers-lift" else 50)
+    window = box(4 if kind in F2_KINDS else 50)
     verdict = verify_paradoxical(dec, window, bound)
     assert verdict.verified and verdict.points_checked == len(window.points)
     assert calls[0] == 4 * verdict.points_checked
@@ -844,3 +890,30 @@ def test_lift_claimants_hold_through_any_transversal():
                     j for j in range(1, 60)
                     if fam.classifier(group.mul(group.inv(translator(j)), x)) == j
                 ]
+
+
+def test_f2_and_refined_claimants_are_exact():
+    # probed directly up to index 60; a refined claimant past 60 (a late
+    # rank) is rechecked on its own
+    explicit = build_decomposition(loads_manifest(
+        (FIXTURES / "decomposition_f2_explicit.json").read_text(), "decomposition"
+    )[1])
+    decs = [
+        f2_standard_decomposition(F2),
+        refine_to_singletons(f2_standard_decomposition(F2)),
+        refine_to_singletons(explicit),
+    ]
+    for dec in decs:
+        for fam, translator in ((dec.a_pieces, dec.a_translator),
+                                (dec.b_pieces, dec.b_translator)):
+            top = 60 if fam.size is None else fam.size
+
+            def holds(j, x):
+                return fam.classifier(F2.mul(F2.inv(translator(j)), x)) == j
+
+            for x in F2.ball(3).points:
+                named = sorted(fam.claimants(x))
+                assert [j for j in named if j <= top] == [
+                    j for j in range(1, top + 1) if holds(j, x)
+                ]
+                assert all(holds(j, x) for j in named)
