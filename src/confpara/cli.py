@@ -95,13 +95,12 @@ def _pair_from_args(args, what):
     if args.manifest is not None:
         _kind, payload, _meta = _read_manifest(args.manifest, "pair")
         return schemas.build_pair(payload)
-    action_flag = getattr(args, "action", None) or getattr(args, "h", None)
-    if action_flag is None or args.tuple is None or args.partition is None:
+    if args.action is None or args.tuple is None or args.partition is None:
         raise InputError(
             f"{what} needs a pair manifest, or all of "
-            "--action/--tuple/--partition"
+            f"{args.action_flag}/--tuple/--partition"
         )
-    action = _load_action(action_flag)
+    action = _load_action(args.action)
     kind, payload, _meta = _read_manifest(args.partition)
     if kind != "partition":
         raise InputError(
@@ -424,10 +423,11 @@ def _add_format(p):
 def _add_pair_flags(p, action_flag="--action"):
     p.add_argument("manifest", nargs="?",
                    help="pair manifest path, or - for stdin")
-    p.add_argument(action_flag, dest="action" if action_flag == "--action" else "h",
+    p.add_argument(action_flag, dest="action",
                    help="action manifest (with --tuple and --partition)")
     p.add_argument("--tuple", help='comma-separated elements, e.g. "0,1"')
     p.add_argument("--partition", help="partition manifest path")
+    p.set_defaults(action_flag=action_flag)
 
 
 def build_parser():

@@ -737,46 +737,6 @@ def _first_unmatched(family, other, code_maps):
     ), None)
 
 
-def search_configuration_set(action, n, max_blocks, target, cap):
-    """Search every partition of a finite action's points into at most
-    ``max_blocks`` blocks, and under each every tuple of length n in product
-    order, for a pair whose configuration set is ``target`` (configuration
-    tuples of length n + 1).  Returns (pairs_searched, matched); the search
-    stops at the first match.
-
-    The first coordinate of a configuration is the block of its base point,
-    and the base point ranges over every point, so every pair under a
-    partition with b blocks has first coordinates exactly {1, ..., b}.  A
-    partition for which the target's first coordinates are not that set is
-    skipped without computing its pairs.  Skipped pairs still count toward
-    ``pairs_searched`` and against ``cap``, as if they had been searched, so
-    both read the same as an exhaustive search."""
-    pts, _gels, rows = _compile(action)
-    m = max([max_blocks, *(max(c) for c in target)])
-    goal = frozenset(sum((v - 1) * m ** (n - j) for j, v in enumerate(c)) for c in target)
-    heads = {c[0] for c in target}
-    # the only block count whose pairs can have these first coordinates
-    live = len(heads) if heads == set(range(1, len(heads) + 1)) else None
-    searched = 0
-    for labels, b in set_partitions(len(pts), max_blocks):
-        if b != live:
-            searched += len(rows) ** n
-            if searched > cap:
-                raise ResourceCapExceeded(
-                    f"refinement search exceeded the cap of {cap}", cap=cap
-                )
-            continue
-        for _t, codes in _tuple_codes(labels, rows, n, m):
-            searched += 1
-            if searched > cap:
-                raise ResourceCapExceeded(
-                    f"refinement search exceeded the cap of {cap}", cap=cap
-                )
-            if codes == goal:
-                return searched, True
-    return searched, False
-
-
 @dataclass(frozen=True)
 class PairWitness:
     direction: str

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by the library and the command line driver.
 
-The CLI maps these onto process exit codes; see cli.EXIT_*.
+The CLI maps these onto process exit codes; see the exit-code table in the
+``cli`` module docstring.
 """
 
 

@@ -29,12 +29,24 @@ from .errors import (
 from .groups import FreeAbelianGroup, FreeGroup, Group
 
 
+def _checked_index(who, i, size):
+    """``i`` when it is a piece index of a family with ``size`` pieces (None
+    for countably many); otherwise the ``MalformedOracleError`` naming
+    ``who``, the oracle that returned it."""
+    if not isinstance(i, int) or i < 1:
+        raise MalformedOracleError(f"{who} returned bad index {i!r}")
+    if size is not None and i > size:
+        raise MalformedOracleError(
+            f"{who} returned index {i} beyond the family size {size}"
+        )
+    return i
+
+
 @dataclass
 class PieceFamily:
     """Indexed family of disjoint sets, given by a classifier (point ->
     index, or None for points outside the family).  ``size`` is None for
-    countably indexed families.  An optional independent membership oracle
-    is cross-checked against the classifier wherever both are consulted.
+    countably indexed families.
 
     ``claimants(x)``, when given, names every piece index j whose translate
     t_j·(piece j) holds x, under the translators the family is paired with,
@@ -45,23 +57,11 @@ class PieceFamily:
 
     classifier: Callable[[Any], Optional[int]]
     size: Optional[int] = None
-    membership: Optional[Callable[[int, Any], bool]] = None
     claimants: Optional[Callable[[Any], tuple]] = None
 
     def classify_checked(self, x):
         i = self.classifier(x)
-        if i is not None and (not isinstance(i, int) or i < 1):
-            raise MalformedOracleError(f"classifier returned bad index {i!r}")
-        if i is not None and self.size is not None and i > self.size:
-            raise MalformedOracleError(
-                f"classifier returned index {i} beyond the family size {self.size}"
-            )
-        if self.membership is not None and i is not None and not self.membership(i, x):
-            raise MalformedOracleError(
-                f"classifier places a point in piece {i} but the membership "
-                "oracle denies it"
-            )
-        return i
+        return None if i is None else _checked_index("classifier", i, self.size)
 
 
 @dataclass
@@ -120,6 +120,7 @@ class _CoverCheck:
     def __init__(self, action, side, fam, translator, cover, index_bound):
         self.act, self.inv = action.act, action.group.inv
         self.side, self.fam, self.translator, self.cover = side, fam, translator, cover
+        self.cover_name = f"{side}-cover"
         self.limit = index_bound if fam.size is None else min(index_bound, fam.size)
         self._inverses = {}
 
@@ -135,13 +136,7 @@ class _CoverCheck:
     def failure(self, x):
         """The first failure at x as (equation, detail), or None."""
         side, fam = self.side, self.fam
-        i = self.cover(x)
-        if not isinstance(i, int) or i < 1:
-            raise MalformedOracleError(f"{side}-cover returned bad index {i!r}")
-        if fam.size is not None and i > fam.size:
-            raise MalformedOracleError(
-                f"{side}-cover returned index {i} beyond the family size {fam.size}"
-            )
+        i = _checked_index(self.cover_name, self.cover(x), fam.size)
         if not self._holds(i, x):
             return f"{side}-cover-membership", {"index": i}
         if fam.claimants is None:
@@ -669,7 +664,7 @@ def refine_to_singletons(dec):
 
     act, inv = dec.action.act, group.inv
 
-    def side(fam, translator, cover, size):
+    def side(cover_name, fam, translator, cover, size):
         ranks = _PieceRanks(group, fam.classify_checked)
         inverses = [inv(translator(p)) for p in range(1, size + 1)]
 
@@ -687,7 +682,7 @@ def refine_to_singletons(dec):
             return translator(p0 + 1)
 
         def refined_cover(x):
-            p = cover(x)
+            p = _checked_index(cover_name, cover(x), size)
             y = act(inv(translator(p)), x)
             got = ranks.get(y)
             k = got[1] if got is not None and got[0] == p else 1
@@ -704,9 +699,9 @@ def refine_to_singletons(dec):
         family = PieceFamily(classifier, claimants=claimants)
         return family, refined_translator, refined_cover
 
-    a_fam, a_tr, a_cv = side(dec.a_pieces, dec.a_translator, dec.a_cover,
+    a_fam, a_tr, a_cv = side("a-cover", dec.a_pieces, dec.a_translator, dec.a_cover,
                              dec.a_pieces.size)
-    b_fam, b_tr, b_cv = side(dec.b_pieces, dec.b_translator, dec.b_cover,
+    b_fam, b_tr, b_cv = side("b-cover", dec.b_pieces, dec.b_translator, dec.b_cover,
                              dec.b_pieces.size)
     a_vals = tuple(dec.a_translator(i) for i in range(1, dec.a_pieces.size + 1))
     b_vals = tuple(dec.b_translator(i) for i in range(1, dec.b_pieces.size + 1))

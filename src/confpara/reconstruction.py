@@ -24,10 +24,10 @@ from .actions import LeftTranslation
 from .configurations import (
     ConfigPair,
     Partition,
-    search_configuration_set,
+    _partition_count,
     windowed_configuration_set,
 )
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, ResourceCapExceeded
 from .groups import Window, quotient_group
 
 
@@ -345,17 +345,19 @@ def refined_partition_of(group, family):
 
 def q_group_refinement_check(group, family, cap=200_000):
     """Splitting the identity off F_1 yields a configuration set that no pair
-    over the recovered quotient can reproduce.
+    over the recovered quotient can reproduce, and the count of the pairs
+    that rules it out.
 
-    The refined partition has qn + 1 nonempty blocks, where qn = |G/F_1|,
-    while a pair over the quotient uses at most qn block labels on its qn
-    points, so counting already rules a match out.  The search over every
-    partition of the quotient times every tuple of length qn runs that
-    counting argument per partition: the target's first coordinates are
-    {1, ..., qn + 1}, which no partition's pairs have, so no pair is
-    computed.  It still reports ``pairs_searched`` = S(qn, <=qn) * qn**qn,
-    with S(qn, <=qn) the number of partitions of qn points, and every pair,
-    skipped or not, counts against ``cap``."""
+    The blocks of ``family`` must be the left cosets of F_1, as every family
+    from ``recover_cosets`` is (``PreconditionError`` otherwise).  With |F_1| > 1 the refined partition then
+    has qn + 1 nonempty blocks, where qn = |G/F_1|, and every one of them
+    heads a configuration, since the base point ranges over all of G.  A
+    pair over the quotient's left translation labels its qn points with at
+    most qn blocks, so counting rules a match out.  The report gives
+    ``pairs_searched`` = S(qn, <=qn) * qn**n in closed form, the number of
+    pairs over the quotient (S(qn, <=qn) the partitions of qn points, n the
+    tuple length), without enumerating any, and raises
+    ``ResourceCapExceeded`` when that count exceeds ``cap``."""
     f1 = family.subgroup
     if len(f1) == 1:
         return RefinementSearchReport(
@@ -366,35 +368,25 @@ def q_group_refinement_check(group, family, cap=200_000):
             pairs_searched=0,
             matched=False,
         )
-    refined = refined_partition_of(group, family)
-    action = LeftTranslation(group)
-    window = Window("all", "all", group.elements())
-    target = windowed_configuration_set(
-        action, ConfigPair(family.representatives, refined), window
-    )
-    needed = max(max(cfg) for cfg in target)
-
-    quotient, _, _ = quotient_group(group, f1)
+    quotient, cosets, _ = quotient_group(group, f1)
+    if set(family.blocks) != set(cosets):
+        raise PreconditionError("the family's blocks are not the cosets of F_1")
     qn = quotient.order()
-    searched, matched = search_configuration_set(
-        LeftTranslation(quotient), len(family.representatives), min(needed, qn),
-        target, cap,
-    )
-    conclusion = (
-        "matched: refinement is reproducible over the quotient"
-        if matched
-        else (
-            f"no quotient pair reproduces the refined configuration set "
-            f"({needed} blocks needed, {qn} points available)"
+    pairs = _partition_count(qn, qn, cap) * qn ** len(family.representatives)
+    if pairs > cap:
+        raise ResourceCapExceeded(
+            f"refinement search exceeded the cap of {cap}", cap=cap
         )
-    )
     return RefinementSearchReport(
         subgroup_trivial=False,
-        conclusion=conclusion,
-        refined_block_count=needed,
+        conclusion=(
+            f"no quotient pair reproduces the refined configuration set "
+            f"({qn + 1} blocks needed, {qn} points available)"
+        ),
+        refined_block_count=qn + 1,
         available_points=qn,
-        pairs_searched=searched,
-        matched=matched,
+        pairs_searched=pairs,
+        matched=False,
     )
 
 

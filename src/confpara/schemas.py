@@ -511,9 +511,6 @@ def _explicit_side(f, group, side, path):
             )
         return hits[0] if hits else None
 
-    def membership(i, x):
-        return members[i - 1](x)
-
     def translator(i):
         if not 1 <= i <= n:
             raise MalformedOracleError(f"translator index {i} out of range 1..{n}")
@@ -525,7 +522,7 @@ def _explicit_side(f, group, side, path):
                 return i
         return 1  # no translate contains x; membership check refutes honestly
 
-    family = paradox.PieceFamily(classifier, size=n, membership=membership)
+    family = paradox.PieceFamily(classifier, size=n)
     return family, translator, cover, tuple(translators)
 
 

@@ -336,6 +336,13 @@ def test_recover_flag_style(files, capsys):
     assert doc["payload"]["status"] == "recovered"
 
 
+@pytest.mark.parametrize("command, flag", [("con", "--action"), ("recover", "--h")])
+def test_incomplete_pair_flags_name_the_commands_own_flag(files, capsys, command, flag):
+    code, stdout, stderr = run(capsys, [command, "--tuple", "0,1"])
+    assert code == 4 and stdout == ""
+    assert f"or all of {flag}/--tuple/--partition" in stderr
+
+
 def test_recover_refinement_skips_under_cap(files, capsys):
     code, doc, _ = run_json(
         capsys, ["recover", files["pair_z4"], "--cap", "3"], "report"

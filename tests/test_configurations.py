@@ -25,7 +25,6 @@ from confpara.configurations import (
     default_partition_cap,
     merge_blocks,
     normalizer_maps,
-    search_configuration_set,
     set_partitions,
     singleton_split,
     verify_refinement,
@@ -396,7 +395,6 @@ def test_large_point_sets_stay_within_the_recursion_limit():
     trivial = TrivialAction(cyclic(2), points=range(1200))
     verdict = config_equiv_bounded(trivial, TrivialAction(cyclic(2), points=range(1200)), 1, 1)
     assert verdict.equivalent and verdict.family_sizes == (1, 1)
-    assert search_configuration_set(trivial, 1, 1, {(1, 1)}, cap=10) == (1, True)
 
 
 # ---------------------------------------------------------------------------
@@ -701,76 +699,3 @@ def test_pruned_partitions_match_the_orbit_filter(action, m, data):
         (labels, b) for labels, b in set_partitions(n, m)
         if oracles.least_in_orbit(labels, chosen)
     ]
-
-
-# ---------------------------------------------------------------------------
-# configuration-set search against the naive search
-
-SMALL_GROUPS = [name for name in names if FIXTURES[name].order() <= 4]
-
-
-@st.composite
-def search_action(draw):
-    """A left translation of a group of order <= 4 or a left-coset action of
-    a fixture group on at most four points, sometimes presented as a table
-    in a random point order."""
-    if draw(st.booleans()):
-        action = LeftTranslation(FIXTURES[draw(st.sampled_from(SMALL_GROUPS))])
-    else:
-        name = draw(st.sampled_from(names))
-        g = FIXTURES[name]
-        subs = [s for s in SUBGROUPS[name] if g.order() // len(s) <= 4]
-        action = coset_action(g, draw(st.sampled_from(subs)))
-    if draw(st.booleans()):
-        action = relabeled(action, draw(st.permutations(range(len(action.points())))))
-    return action
-
-
-@st.composite
-def search_target(draw, action, n, max_blocks):
-    """The configuration set of a random pair with at most ``max_blocks``
-    blocks, that set without the configurations of one first-coordinate
-    label or with that label raised above ``max_blocks``, or the empty set."""
-    pts = list(action.points())
-    seen = {}
-    labels = [
-        seen.setdefault(draw(st.integers(min_value=1, max_value=max_blocks)), len(seen) + 1)
-        for _ in pts
-    ]
-    t = tuple(draw(st.sampled_from(action.group.elements())) for _ in range(n))
-    configs = oracles.naive_configurations(pts, action.act, t, dict(zip(pts, labels)).__getitem__)
-    h = draw(st.sampled_from(sorted({c[0] for c in configs})))
-    kind = draw(st.sampled_from(["pair", "removed", "raised", "empty"]))
-    if kind == "removed":
-        return {c for c in configs if c[0] != h}
-    if kind == "raised":
-        top = max_blocks + draw(st.integers(min_value=1, max_value=2))
-        return {tuple(top if v == h else v for v in c) for c in configs}
-    if kind == "empty":
-        return set()
-    return configs
-
-
-@given(search_action(), st.integers(min_value=1, max_value=2),
-       st.integers(min_value=1, max_value=3), st.data())
-@settings(max_examples=150, deadline=None)
-def test_search_matches_naive_search(action, n, max_blocks, data):
-    target = data.draw(search_target(action, n, max_blocks))
-    args = (action.points(), action.act, action.group.elements(), n, max_blocks, target)
-    count, _ = oracles.naive_search_configuration_set(*args, cap=float("inf"))
-    cap = data.draw(st.sampled_from([count, count - 1])
-                    | st.integers(min_value=1, max_value=count + 3))
-    expected = oracles.naive_search_configuration_set(*args, cap=cap)
-    if expected is None:
-        with pytest.raises(ResourceCapExceeded, match=f"cap of {cap}$"):
-            search_configuration_set(action, n, max_blocks, target, cap)
-    else:
-        assert search_configuration_set(action, n, max_blocks, target, cap) == expected
-
-
-def test_search_with_empty_target_counts_every_pair():
-    z3 = LeftTranslation(cyclic(3))
-    total = oracles.partitions_up_to(3, 2) * 3 ** 2
-    assert search_configuration_set(z3, 2, 2, set(), cap=total) == (total, False)
-    with pytest.raises(ResourceCapExceeded):
-        search_configuration_set(z3, 2, 2, set(), cap=total - 1)

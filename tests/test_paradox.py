@@ -64,19 +64,6 @@ def test_classify_checked_rejects_bad_indices():
         PieceFamily(lambda x: 3, size=2).classify_checked(7)
 
 
-def test_classifier_membership_conflict_is_malformed():
-    fam = PieceFamily(lambda x: 1, size=1, membership=lambda i, x: False)
-    with pytest.raises(MalformedOracleError):
-        fam.classify_checked(7)
-
-
-def test_membership_agreement_passes():
-    fam = PieceFamily(lambda x: 1 if x % 2 == 0 else None, size=1,
-                      membership=lambda i, x: x % 2 == 0)
-    assert fam.classify_checked(4) == 1
-    assert fam.classify_checked(3) is None
-
-
 # ---------------------------------------------------------------------------
 # singleton construction
 
@@ -477,6 +464,20 @@ def test_refinement_keeps_the_parent_classifier_contract():
     for d in (bad, refine_to_singletons(bad)):
         with pytest.raises(MalformedOracleError, match="beyond the family size 2"):
             verify_paradoxical(d, fwin(2), 2)
+
+
+@pytest.mark.parametrize("side, index, message", [
+    ("a", 3, "a-cover returned index 3 beyond the family size 2"),
+    ("b", 0, "b-cover returned bad index 0"),
+])
+def test_refinement_keeps_the_parent_cover_contract(side, index, message):
+    # the refined cover checks the parent cover's index before it looks the
+    # translator up, so it raises the parent's error, not an IndexError
+    dec = dataclasses.replace(f2_standard_decomposition(F2),
+                              **{f"{side}_cover": lambda w: index})
+    for d in (dec, refine_to_singletons(dec)):
+        with pytest.raises(MalformedOracleError, match=f"^{message}$"):
+            verify_paradoxical(d, fwin(2), 10)
 
 
 # ---------------------------------------------------------------------------

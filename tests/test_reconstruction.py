@@ -3,7 +3,7 @@
 import pytest
 
 import oracles
-from confpara import configurations
+from confpara import configurations, reconstruction
 from confpara.actions import LeftTranslation
 from confpara.catalog import cyclic, reconstruction_groups
 from confpara.configurations import ConfigPair, Partition
@@ -261,7 +261,7 @@ def test_refinement_search_z4():
     assert not report.subgroup_trivial
     assert report.refined_block_count == 3
     assert report.available_points == 2
-    assert report.pairs_searched == 8  # 2 usable partitions x 4 tuples... exhausted
+    assert report.pairs_searched == 8  # 2 partitions of the 2 cosets x 2**2 tuples
     assert "no quotient pair reproduces" in report.conclusion
 
 
@@ -277,35 +277,72 @@ def test_refinement_search_trivial_subgroup():
 
 def test_refinement_search_computes_no_pair_on_any_quotient(monkeypatch):
     # every nontrivial normal subgroup, quotients of order 5 and 6 included:
-    # the first-coordinate test skips every partition, yet every pair counts
-    calls = []
-    tuple_codes = configurations._tuple_codes
-
-    def counted(*args):
-        calls.append(args)
-        return tuple_codes(*args)
-
-    monkeypatch.setattr(configurations, "_tuple_codes", counted)
-    orders = []
+    # the count is closed form, so the check enumerates no partition and
+    # computes no configuration set, yet every pair counts against the cap
+    cases = []
     for name, g in reconstruction_groups().items():
         for normal in normal_subgroups(g):
-            if len(normal) == 1:
-                continue
-            family, _report, quotient = quotient_recovery_roundtrip(g, normal)
-            qn = quotient.order()
-            expected = oracles.partitions_up_to(qn, qn) * qn ** qn
-            report = q_group_refinement_check(g, family, cap=expected)
-            assert report.pairs_searched == expected, (name, sorted(normal))
-            assert report.refined_block_count == report.available_points + 1 == qn + 1
-            assert report.matched is False
-            if expected <= 200_000:  # within the default cap: the same report
-                assert q_group_refinement_check(g, family) == report
-            with pytest.raises(ResourceCapExceeded):
-                q_group_refinement_check(g, family, cap=expected - 1)
-            orders.append(qn)
+            if len(normal) > 1:
+                family, _report, quotient = quotient_recovery_roundtrip(g, normal)
+                cases.append((name, g, normal, family, quotient.order()))
+    calls = []
+    for module, attr in ((configurations, "_tuple_codes"),
+                         (configurations, "set_partitions"),
+                         (reconstruction, "windowed_configuration_set")):
+        def counted(*args, _original=getattr(module, attr), _attr=attr):
+            calls.append(_attr)
+            return _original(*args)
+
+        monkeypatch.setattr(module, attr, counted)
+    for name, g, normal, family, qn in cases:
+        expected = oracles.partitions_up_to(qn, qn) * qn ** qn
+        report = q_group_refinement_check(g, family, cap=expected)
+        assert report.pairs_searched == expected, (name, sorted(normal))
+        assert report.refined_block_count == report.available_points + 1 == qn + 1
+        assert report.matched is False
+        if expected <= 200_000:  # within the default cap: the same report
+            assert q_group_refinement_check(g, family) == report
+        with pytest.raises(ResourceCapExceeded):
+            q_group_refinement_check(g, family, cap=expected - 1)
+    orders = [qn for *_rest, qn in cases]
     assert len(orders) == 84
     assert orders.count(5) == 1 and orders.count(6) == 5
     assert calls == []
+
+
+def test_refinement_count_matches_the_naive_search():
+    # the closed form against a search that computes every pair over the
+    # quotient's left translation, aimed at the refined pair's configurations
+    checked = 0
+    for name, g in reconstruction_groups().items():
+        for normal in normal_subgroups(g):
+            family, _report, quotient = quotient_recovery_roundtrip(g, normal)
+            qn = quotient.order()
+            if len(normal) == 1 or qn > 4:
+                continue
+            refined = refined_partition_of(g, family)
+            target = oracles.naive_configurations(
+                g.elements(), g.mul, family.representatives, refined.block_of
+            )
+            action = LeftTranslation(quotient)
+            expected = oracles.naive_search_configuration_set(
+                action.points(), action.act, quotient.elements(),
+                len(family.representatives), qn, target, cap=float("inf"),
+            )
+            report = q_group_refinement_check(g, family)
+            assert (report.pairs_searched, report.matched) == expected, (name, sorted(normal))
+            checked += 1
+    assert checked == 78
+
+
+def test_refinement_check_requires_the_cosets_of_f1():
+    # F_1 = {0, 3} is normal in Z6, but the other block is not one coset
+    z6 = cyclic(6)
+    family = CosetFamily(
+        (frozenset({0, 3}), frozenset({1, 2, 4, 5})), (0, 1), (1, 2), 1
+    )
+    with pytest.raises(PreconditionError, match="not the cosets of F_1"):
+        q_group_refinement_check(z6, family)
 
 
 def test_refinement_search_cap():
