@@ -456,11 +456,11 @@ def _build_family_member(payload, group, path):
         if exclude is not None:
             _neg_powers_token(_as_str(exclude, f"{path}/exclude"), group,
                               f"{path}/exclude")
-        return paradox._first_letter_family(
-            group, word[0],
+        return paradox._FirstLetter(
+            word[0],
             include_neg_powers=include is not None,
             exclude_neg_powers=exclude is not None,
-        )
+        ).member
     if family == "explicit":
         tokens = _as_list(f.take("points"), f"{path}/points")
         f.finish()
@@ -529,15 +529,9 @@ def _explicit_side(f, group, side, path):
 def _build_decomposition_explicit(payload, path):
     f = _Fields(payload, path)
     group = build_group(f.take("group"), f"{path}/group")
-    a = _explicit_side(f, group, "a", path)
-    b = _explicit_side(f, group, "b", path)
+    a, b = (_explicit_side(f, group, side, path) for side in "ab")
     f.finish()
-    return paradox.Decomposition(
-        LeftTranslation(group),
-        a[0], b[0], a[1], b[1], a[2], b[2],
-        a_translator_range=a[3], b_translator_range=b[3],
-        meta={"construction": {"kind": "explicit", "group": group.name}},
-    )
+    return paradox._from_sides(LeftTranslation(group), a, b, "explicit", group=group.name)
 
 
 def build_decomposition(payload, path="/payload"):

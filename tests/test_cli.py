@@ -585,6 +585,41 @@ def test_construct_glue_from_flags(files, capsys):
     assert doc["metadata"]["verdict"]["points-checked"] == 14
 
 
+DECOMPOSITION_FIXTURES = ["f2_standard", "f2_explicit", "singleton_z", "lift_even"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kind", "refine-singletons"],
+    ["--kind", "compress"],
+    *(["--kind", "glue", "--mode", mode, "--copies", copies]
+      for mode in ("uniform", "independent") for copies in ("2", "countable")),
+], ids=lambda flags: "-".join(flags[1::2]))
+@pytest.mark.parametrize("fixture", DECOMPOSITION_FIXTURES)
+def test_construct_over_every_fixture_ends_with_a_documented_exit(fixture, flags, capsys):
+    # an uncaught exception would escape main() and fail the test before
+    # the exit code is read; a documented outcome is a code and a message
+    window = "prefix=6,indices=0..1" if "glue" in flags else "prefix=6"
+    code, _, stderr = run(
+        capsys,
+        ["paradox", "construct", *flags, "--window", window, "--index-bound", "50",
+         "--inner", str(FIXTURES / f"decomposition_{fixture}.json")],
+    )
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("fixture", ["f2_standard", "f2_explicit"])
+def test_construct_independent_glue_of_finite_pieces(fixture, capsys):
+    code, stdout, _ = run(
+        capsys,
+        ["paradox", "construct", "--kind", "glue", "--mode", "independent",
+         "--copies", "2", "--inner", str(FIXTURES / f"decomposition_{fixture}.json"),
+         "--window", '{"ball": 2, "indices": [0, 1]}', "--index-bound", "10"],
+    )
+    assert code == 0
+    assert json.loads(stdout)["metadata"]["verdict"]["status"] == "verified-up-to"
+
+
 def test_construct_uncompressible_inner_is_input_error(files, capsys):
     code, _, stderr = run(
         capsys,

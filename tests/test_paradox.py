@@ -384,6 +384,20 @@ def test_f2_compression_is_identity_on_piece_indices():
         assert res.decomposition.b_pieces.classifier(w) == dec.b_pieces.classifier(w)
 
 
+def test_compressed_cover_beyond_the_detected_range_is_malformed():
+    # the scan up to 200 sees translator 0 only; a cover naming a later
+    # index with a new translator raises as the classifier does, not KeyError
+    dec = dataclasses.replace(
+        singleton_decomposition(Z),
+        a_translator=lambda i: 0 if i <= 400 else 7, b_translator=lambda i: 0,
+        a_cover=lambda x: 1000,
+    )
+    res = compress_translators(dec, 200)
+    assert res.status == "compressed"
+    with pytest.raises(MalformedOracleError, match="outside the detected range"):
+        verify_paradoxical(res.decomposition, zwin(4), 5)
+
+
 def test_refined_f2_compresses_back_to_the_standard_pieces():
     dec = f2_standard_decomposition(F2)
     refined = refine_to_singletons(dec)
@@ -453,17 +467,35 @@ def test_refinement_needs_finite_pieces_and_translation_action():
         refine_to_singletons(product)
 
 
+def derived_with_windows(dec):
+    """``dec`` and every construction over it that reads its oracles, each
+    with a window: the singleton refinement, the translator compression and
+    the independent glue of two copies."""
+    product = ProductAction(LeftTranslation(F2), 2)
+    glued = glue_orbit_decompositions(
+        product, product_orbit_structure(product), lambda rep: dec, mode="independent"
+    )
+    return (
+        (dec, fwin(2)),
+        (refine_to_singletons(dec), fwin(2)),
+        (compress_translators(dec).decomposition, fwin(2)),
+        (glued, product.window({"ball": 2, "indices": [0, 1]})),
+    )
+
+
 def test_refinement_keeps_the_parent_classifier_contract():
-    # an a-piece 3 that the size-2 family does not have is malformed in the
-    # parent, and its refinement must not read it as piece (3, 1) instead
+    # an a-piece 3 (or 0) that the size-2 family does not have is malformed
+    # in the parent; no derived decomposition may read it as a piece of its
+    # own (refined piece (3, 1), a compressed piece, a flat glued index)
     dec = f2_standard_decomposition(F2)
     base = dec.a_pieces.classifier
-    bad = dataclasses.replace(dec, a_pieces=dataclasses.replace(
-        dec.a_pieces, classifier=lambda w: 3 if w == (1,) else base(w)
-    ))
-    for d in (bad, refine_to_singletons(bad)):
-        with pytest.raises(MalformedOracleError, match="beyond the family size 2"):
-            verify_paradoxical(d, fwin(2), 2)
+    for index, message in ((3, "index 3 beyond the family size 2"), (0, "bad index 0")):
+        bad = dataclasses.replace(dec, a_pieces=dataclasses.replace(
+            dec.a_pieces, classifier=lambda w: index if w == (1,) else base(w)
+        ))
+        for d, window in derived_with_windows(bad):
+            with pytest.raises(MalformedOracleError, match=f"^classifier returned {message}$"):
+                verify_paradoxical(d, window, 2)
 
 
 @pytest.mark.parametrize("side, index, message", [
@@ -471,13 +503,13 @@ def test_refinement_keeps_the_parent_classifier_contract():
     ("b", 0, "b-cover returned bad index 0"),
 ])
 def test_refinement_keeps_the_parent_cover_contract(side, index, message):
-    # the refined cover checks the parent cover's index before it looks the
+    # a derived cover checks the parent cover's index before it looks the
     # translator up, so it raises the parent's error, not an IndexError
     dec = dataclasses.replace(f2_standard_decomposition(F2),
                               **{f"{side}_cover": lambda w: index})
-    for d in (dec, refine_to_singletons(dec)):
+    for d, window in derived_with_windows(dec):
         with pytest.raises(MalformedOracleError, match=f"^{message}$"):
-            verify_paradoxical(d, fwin(2), 10)
+            verify_paradoxical(d, window, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +574,29 @@ def test_glue_refuses_broken_orbit_decoding():
             action, bad, lambda rep: singleton_decomposition(Z),
             mode="uniform", validate_window=lambda rep: zwin(4),
         )
+
+
+@pytest.mark.parametrize("copies", [2, None])
+@pytest.mark.parametrize("fixture", ["f2_standard", "f2_explicit"])
+def test_independent_glue_of_finite_pieces_verifies(fixture, copies):
+    # flat indices whose piece index exceeds the inner size are empty pieces
+    # with the identity translator; probing them must neither crash nor
+    # reach the inner translator beyond its range
+    _kind, payload, _meta = loads_manifest(
+        (FIXTURES / f"decomposition_{fixture}.json").read_text(), "decomposition"
+    )
+    inner = build_decomposition(payload)
+    action = ProductAction(LeftTranslation(F2), copies)
+    glued = glue_orbit_decompositions(
+        action, product_orbit_structure(action), lambda rep: inner, mode="independent"
+    )
+    empty = cantor_pair(2, 0) + 1  # piece 3 of the first copy
+    assert glued.a_translator(empty) == glued.b_translator(empty) == F2.identity
+    verdict = verify_paradoxical(
+        glued, action.window({"ball": 2, "indices": [0, 1]}), 10
+    )
+    assert verdict.verified
+    assert verdict.points_checked == 2 * 17
 
 
 def test_glue_argument_errors():
