@@ -308,7 +308,7 @@ def orbit_and_stabilizer(action, x, bound=None):
     else:
         if bound is None:
             raise InputError("countable groups need an explicit search bound")
-        elems = [g.element_at(i) for i in range(1, bound + 1)]
+        elems = g.prefix_window(bound).points
         exact = False
     orbit = []
     seen = set()

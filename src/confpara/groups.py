@@ -13,6 +13,12 @@ groups expose a canonical enumeration (``element_at`` / ``position_of``,
 1-based) used by prefix windows and by the decomposition constructors:
 shortlex order for free groups, box-shell order (zigzag within a shell) for
 free-abelian groups, the oracle's own indexing for enumerated groups.
+``walk`` yields the enumeration in order, and every window (``ball``,
+``box``, ``prefix_window``) is a prefix of it, so a window costs O(window).
+A free group's walk extends each shell of words by one letter, in order;
+a free-abelian shell is generated in its own order and cached with an
+index, so a rank costs O(1) once its shell is built, and a free-group rank
+O(word length).
 """
 
 from __future__ import annotations
@@ -88,11 +94,15 @@ class Group:
     def format(self, a):
         raise NotImplementedError
 
+    def walk(self):
+        """The canonical enumeration from position 1 on, as an iterator."""
+        return map(self.element_at, itertools.count(1))
+
     def prefix_window(self, count):
         """First ``count`` elements of the canonical enumeration."""
         if count < 0:
             raise InputError("window size must be >= 0")
-        pts = tuple(self.element_at(i) for i in range(1, count + 1))
+        pts = tuple(itertools.islice(self.walk(), count))
         return Window("prefix", f"prefix({count})", pts)
 
     def power(self, a, n):
@@ -256,6 +266,18 @@ def permutation_group(degree, generators, name="finite-perm"):
     return CayleyTableGroup(table, index[tuple(range(degree))], labels, name)
 
 
+def _iroot(n, k):
+    """Largest m with m**k <= n, by Newton's method from above."""
+    if n < 2:
+        return n
+    m = 1 << (n.bit_length() // k + 1)
+    while True:
+        t = ((k - 1) * m + n // m ** (k - 1)) // k
+        if t >= m:
+            return m
+        m = t
+
+
 class FreeGroup(Group):
     """Free group of finite rank; elements are reduced words.
 
@@ -306,48 +328,62 @@ class FreeGroup(Group):
             raise InputError(f"generator index {k} out of range")
         return (k,)
 
-    # shortlex rank/unrank ------------------------------------------------
+    # shortlex walk and rank/unrank ---------------------------------------
     def _count_words(self, length):
         a = 2 * self.rank
         return 1 if length == 0 else a * (a - 1) ** (length - 1)
+
+    def walk(self):
+        """Reduced words in shortlex order: shell k + 1 extends each word of
+        shell k, in order, by each non-cancelling letter in canonical order."""
+        yield ()
+        follow = {v: tuple(u for u in self._letters if u != -v) for v in self._letters}
+        shell = [(v,) for v in self._letters]
+        yield from shell
+        while True:
+            nxt = []
+            for w in shell:
+                for v in follow[w[-1]]:
+                    u = w + (v,)
+                    nxt.append(u)
+                    yield u
+            shell = nxt
+
+    # The 0-based position of a one-letter word is 1 + the letter's order;
+    # that of w·v with |w| >= 1 is (2·rank - 1)·pos(w) + 2 + the order of v
+    # among the letters that do not cancel w's last letter.
 
     def position_of(self, w):
         """1-based shortlex position of a reduced word."""
         if not self.contains(w):
             raise InputError(f"not a reduced word: {w!r}")
-        a = 2 * self.rank
-        pos = sum(self._count_words(l) for l in range(len(w)))
+        q = 2 * self.rank - 1
+        n = 0
         for i, v in enumerate(w):
             order = self._letter_rank[v]
             if i:
-                # letters other than the cancelling one, in canonical order
                 banned = self._letter_rank[-w[i - 1]]
                 order -= 1 if order > banned else 0
-                pos += order * (a - 1) ** (len(w) - 1 - i)
+                n = q * n + 2 + order
             else:
-                pos += order * (a - 1) ** (len(w) - 1)
-        return pos + 1
+                n = order + 1
+        return n + 1
 
     def element_at(self, pos):
         if pos < 1:
             raise InputError("enumeration position must be >= 1")
         n = pos - 1
-        a = 2 * self.rank
-        length = 0
-        while n >= self._count_words(length):
-            n -= self._count_words(length)
-            length += 1
-        word = []
-        for i in range(length):
-            block = (a - 1) ** (length - 1 - i)
-            order, n = divmod(n, block)
-            if i == 0:
-                word.append(self._letters[order])
-            else:
-                banned = self._letter_rank[-word[-1]]
-                if order >= banned:
-                    order += 1
-                word.append(self._letters[order])
+        q = 2 * self.rank - 1
+        orders = []
+        while n > q + 1:  # two letters or more: peel the last one off
+            n, order = divmod(n - 2, q)
+            orders.append(order)
+        if n == 0:
+            return ()
+        word = [self._letters[n - 1]]
+        for order in reversed(orders):
+            banned = self._letter_rank[-word[-1]]
+            word.append(self._letters[order + 1 if order >= banned else order])
         return tuple(word)
 
     def ball(self, radius):
@@ -355,7 +391,7 @@ class FreeGroup(Group):
         if radius < 0:
             raise InputError("radius must be >= 0")
         size = sum(self._count_words(l) for l in range(radius + 1))
-        pts = tuple(self.element_at(i) for i in range(1, size + 1))
+        pts = tuple(itertools.islice(self.walk(), size))
         return Window("ball", f"ball({radius})", pts)
 
     # element syntax ------------------------------------------------------
@@ -410,7 +446,9 @@ class FreeAbelianGroup(Group):
             raise InputError("free-abelian rank must be >= 1")
         self.rank = rank
         self.name = f"free-abelian({rank})"
-        self._shells = []  # cached shells for rank >= 2
+        # rank >= 2: shell r and its vector -> index map, built on first use
+        self._shells = {}
+        self._indices = {}
 
     @property
     def identity(self):
@@ -443,17 +481,40 @@ class FreeAbelianGroup(Group):
         return tuple(1 if i == k - 1 else 0 for i in range(self.rank))
 
     def _shell(self, r):
-        """Vectors of max-norm exactly r, in zigzag-lex order (rank >= 2)."""
-        while len(self._shells) <= r:
-            rr = len(self._shells)
-            ring = [
-                v
-                for v in itertools.product(range(-rr, rr + 1), repeat=self.rank)
-                if max(abs(c) for c in v) == rr
-            ] if rr else [(0,) * self.rank]
-            ring.sort(key=lambda v: tuple(codec.zigzag_position(c) for c in v))
-            self._shells.append(tuple(ring))
-        return self._shells[r]
+        """Vectors of max-norm exactly r, in zigzag-lex order (rank >= 2).
+
+        Built from the last coordinate up: a vector whose first coordinate c
+        has |c| < r goes on in the shell of one rank less, one with |c| = r
+        anywhere in the box of one rank less."""
+        shell = self._shells.get(r)
+        if shell is None:
+            if r == 0:
+                shell = ((0,) * self.rank,)
+            else:
+                line = (0, *itertools.chain.from_iterable((c, -c) for c in range(1, r + 1)))
+                shell = [(r,), (-r,)]
+                for m in range(1, self.rank):
+                    box = list(itertools.product(line, repeat=m))
+                    shell = [(c, *t) for c in line for t in (box if abs(c) == r else shell)]
+                shell = tuple(shell)
+            self._shells[r] = shell
+        return shell
+
+    def _shell_index(self, r):
+        """vector -> 0-based index in ``_shell(r)``."""
+        index = self._indices.get(r)
+        if index is None:
+            index = self._indices[r] = {v: i for i, v in enumerate(self._shell(r))}
+        return index
+
+    def _inside(self, r):
+        """Number of vectors of max-norm < r: the box of radius r - 1."""
+        return (2 * r - 1) ** self.rank if r else 0
+
+    def walk(self):
+        if self.rank == 1:
+            return map(codec.zigzag_value, itertools.count())
+        return itertools.chain.from_iterable(map(self._shell, itertools.count()))
 
     def element_at(self, pos):
         if pos < 1:
@@ -461,13 +522,9 @@ class FreeAbelianGroup(Group):
         if self.rank == 1:
             return codec.zigzag_value(pos - 1)
         n = pos - 1
-        r = 0
-        while True:
-            shell = self._shell(r)
-            if n < len(shell):
-                return shell[n]
-            n -= len(shell)
-            r += 1
+        # the least r with n < (2r + 1)^k
+        r = (_iroot(n, self.rank) + 1) // 2
+        return self._shell(r)[n - self._inside(r)]
 
     def position_of(self, v):
         if not self.contains(v):
@@ -475,21 +532,14 @@ class FreeAbelianGroup(Group):
         if self.rank == 1:
             return codec.zigzag_position(v) + 1
         r = max(abs(c) for c in v)
-        shell = self._shell(r)
-        base = sum(len(self._shell(s)) for s in range(r))
-        return base + shell.index(v) + 1
+        return self._inside(r) + self._shell_index(r)[v] + 1
 
     def box(self, radius):
         """Window of all vectors with every coordinate in [-radius, radius],
         listed in canonical enumeration order."""
         if radius < 0:
             raise InputError("radius must be >= 0")
-        if self.rank == 1:
-            pts = tuple(codec.zigzag_value(i) for i in range(2 * radius + 1))
-        else:
-            pts = tuple(
-                itertools.chain.from_iterable(self._shell(r) for r in range(radius + 1))
-            )
+        pts = tuple(itertools.islice(self.walk(), (2 * radius + 1) ** self.rank))
         return Window("box", f"box({radius})", pts)
 
     def parse(self, token):

@@ -28,6 +28,7 @@ from .errors import (
     InputError,
     MalformedOracleError,
     PreconditionError,
+    UnsupportedOperationError,
 )
 from .groups import FreeAbelianGroup, FreeGroup, Group
 
@@ -582,11 +583,12 @@ class _PieceRanks:
         self.classifier = classifier
         self.known = {}
         self.counts = {}
+        self.walk = group.walk()
         self.upto = 0
 
     def _advance(self):
         self.upto += 1
-        y = self.group.element_at(self.upto)
+        y = next(self.walk)
         p = self.classifier(y)
         if p is not None:
             self.counts[p] = self.counts.get(p, 0) + 1
@@ -616,7 +618,7 @@ def refine_to_singletons(dec):
             "orbit presented over the group first"
         )
     if any(fam.size is None for _name, fam, *_ in dec.sides()):
-        raise PreconditionError("singleton refinement expects finite piece families")
+        raise UnsupportedOperationError("singleton refinement expects finite piece families")
 
     act, inv = dec.action.act, group.inv
 
@@ -716,7 +718,7 @@ def _validate_orbit_equivariance(action, orbits, rep, window, probes=3):
     if group.is_finite:
         sample_g = list(group.elements())[:probes]
     else:
-        sample_g = [group.element_at(i) for i in range(1, probes + 1)]
+        sample_g = group.prefix_window(probes).points
     for c in list(window.points)[: 2 * probes]:
         x = orbits.point_of(rep, c)
         if orbits.rep_of(x) != rep:

@@ -81,9 +81,7 @@ def multiplication_index_table(group, enumeration, bound=None):
 
 def table_from_canonical_enumeration(group, bound):
     """Index table over the group's own canonical enumeration."""
-    return multiplication_index_table(
-        group, [group.element_at(i) for i in range(1, bound + 1)]
-    )
+    return multiplication_index_table(group, group.prefix_window(bound).points)
 
 
 def table_from_configurations(action, pair):

@@ -162,6 +162,27 @@ def free_ball(rank, radius):
     return seen
 
 
+def shortlex_word(rank, position):
+    """The reduced word at a 1-based shortlex position (letters ordered
+    a < a^-1 < b < b^-1 < ...), unranked on its own: count the words of each
+    length to find the length, then read the letters off as digits, base
+    2·rank for the first and 2·rank - 1 (the non-cancelling letters) after."""
+    letters = [v for i in range(1, rank + 1) for v in (i, -i)]
+    a = len(letters)
+    n = position - 1
+    length, count = 0, 1
+    while n >= count:
+        n -= count
+        length += 1
+        count = a * (a - 1) ** (length - 1)
+    word = []
+    for i in range(length):
+        choices = [v for v in letters if not word or v != -word[-1]]
+        digit, n = divmod(n, (a - 1) ** (length - 1 - i))
+        word.append(choices[digit])
+    return tuple(word)
+
+
 def free_ball_size(rank, radius):
     """1 + 2r((2r-1)^k - 1)/(2r-2) for rank r >= 2; 2k+1 on the line."""
     if rank == 1:
@@ -189,6 +210,14 @@ def zigzag_inverse(value):
     while zigzag(position) != value:
         position += 1
     return position
+
+
+def box_in_order(rank, radius):
+    """Every vector of the cube [-radius, radius]^rank, sorted by max-norm
+    and then coordinatewise by zigzag position."""
+    cube = itertools.product(range(-radius, radius + 1), repeat=rank)
+    return sorted(cube, key=lambda v: (max(abs(c) for c in v),
+                                       [zigzag_inverse(c) for c in v]))
 
 
 def cantor(i, j):

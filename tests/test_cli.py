@@ -608,6 +608,19 @@ def test_construct_over_every_fixture_ends_with_a_documented_exit(fixture, flags
     assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("fixture", ["singleton_z", "lift_even"])
+def test_refining_countably_many_pieces_is_unsupported(fixture, capsys):
+    # nothing is refuted: the refinement is not defined for such a family
+    code, stdout, stderr = run(
+        capsys,
+        ["paradox", "construct", "--kind", "refine-singletons",
+         "--inner", str(FIXTURES / f"decomposition_{fixture}.json")],
+    )
+    assert code == 4
+    assert stdout == ""
+    assert stderr == "error: singleton refinement expects finite piece families\n"
+
+
 @pytest.mark.parametrize("fixture", ["f2_standard", "f2_explicit"])
 def test_construct_independent_glue_of_finite_pieces(fixture, capsys):
     code, stdout, _ = run(

@@ -1,6 +1,8 @@
 """Group backends: table groups, free groups, enumerated groups, and the
 finite-group utilities the reconstruction suite leans on."""
 
+import functools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -211,6 +213,116 @@ def test_no_order_for_infinite_groups():
         FreeGroup(2).order()
     with pytest.raises(UnsupportedOperationError):
         FreeAbelianGroup(1).elements()
+
+
+# ---------------------------------------------------------------------------
+# canonical enumerations against the slow references
+
+RADIUS = 4
+ENUMERATIONS = [(kind, rank) for kind in ("free", "free-abelian") for rank in (1, 2, 3)]
+
+
+def make_group(kind, rank):
+    return FreeGroup(rank) if kind == "free" else FreeAbelianGroup(rank)
+
+
+def window_size(kind, rank, radius):
+    return oracles.free_ball_size(rank, radius) if kind == "free" else (2 * radius + 1) ** rank
+
+
+def radius_window(group, radius):
+    return group.ball(radius) if isinstance(group, FreeGroup) else group.box(radius)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_order(kind, rank):
+    """The enumeration up to radius RADIUS + 1, from the slow references."""
+    if kind == "free":
+        size = window_size(kind, rank, RADIUS + 1)
+        return tuple(oracles.shortlex_word(rank, p) for p in range(1, size + 1))
+    return tuple(v[0] if rank == 1 else v
+                 for v in oracles.box_in_order(rank, RADIUS + 1))
+
+
+@pytest.mark.parametrize("kind,rank", ENUMERATIONS)
+def test_windows_and_ranks_on_each_side_of_every_shell_boundary(kind, rank):
+    ref = reference_order(kind, rank)
+    g = make_group(kind, rank)
+    for radius in range(RADIUS + 1):
+        size = window_size(kind, rank, radius)
+        assert radius_window(g, radius).points == ref[:size]
+        # the last element of shell `radius` and the first of the next; fresh
+        # groups, so no rank leans on shells another call built
+        for pos in (size, size + 1):
+            assert make_group(kind, rank).element_at(pos) == ref[pos - 1]
+            assert make_group(kind, rank).position_of(ref[pos - 1]) == pos
+
+
+@given(st.sampled_from(ENUMERATIONS), st.data())
+def test_enumeration_matches_the_reference(enumeration, data):
+    kind, rank = enumeration
+    ref = reference_order(kind, rank)
+    g = make_group(kind, rank)
+    pos = data.draw(st.integers(min_value=1, max_value=len(ref)), label="position")
+    assert g.element_at(pos) == ref[pos - 1]
+    assert g.position_of(ref[pos - 1]) == pos
+    count = data.draw(st.integers(min_value=0, max_value=len(ref)), label="prefix")
+    assert g.prefix_window(count).points == ref[:count]
+    radius = data.draw(st.integers(min_value=0, max_value=RADIUS + 1), label="radius")
+    assert radius_window(g, radius).points == ref[:window_size(kind, rank, radius)]
+
+
+@given(st.integers(min_value=2, max_value=3), st.integers(min_value=1, max_value=10**40))
+def test_free_group_far_positions_match_the_reference(rank, pos):
+    g = FreeGroup(rank)
+    w = oracles.shortlex_word(rank, pos)
+    assert g.element_at(pos) == w
+    assert g.position_of(w) == pos
+
+
+def counting_unranks(group):
+    """Record every position the instance's ``element_at`` is asked for."""
+    calls = []
+    unrank = group.element_at
+
+    def element_at(pos):
+        calls.append(pos)
+        return unrank(pos)
+
+    group.element_at = element_at
+    return calls
+
+
+@pytest.mark.parametrize("make,build", [
+    (lambda: FreeGroup(2), lambda g: g.ball(6)),
+    (lambda: FreeAbelianGroup(2), lambda g: g.box(20)),
+    (lambda: FreeGroup(2), lambda g: g.prefix_window(500)),
+    (lambda: FreeAbelianGroup(2), lambda g: g.prefix_window(500)),
+], ids=["free-ball", "free-abelian-box", "free-prefix", "free-abelian-prefix"])
+def test_windows_walk_the_enumeration_without_unranking(make, build):
+    g = make()
+    calls = counting_unranks(g)
+    build(g)
+    assert calls == []
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: FreeGroup(2).element_at(0), "enumeration position must be >= 1"),
+    (lambda: FreeAbelianGroup(1).element_at(0), "enumeration position must be >= 1"),
+    (lambda: FreeAbelianGroup(2).element_at(0), "enumeration position must be >= 1"),
+    (lambda: FreeGroup(2).position_of((1, -1)), "not a reduced word: (1, -1)"),
+    (lambda: FreeAbelianGroup(2).position_of((1,)), "not an element of free-abelian(2): (1,)"),
+    (lambda: FreeAbelianGroup(1).position_of(True), "not an element of free-abelian(1): True"),
+    (lambda: FreeGroup(2).ball(-1), "radius must be >= 0"),
+    (lambda: FreeAbelianGroup(2).box(-1), "radius must be >= 0"),
+    (lambda: FreeGroup(2).prefix_window(-1), "window size must be >= 0"),
+    (lambda: FreeAbelianGroup(2).prefix_window(-1), "window size must be >= 0"),
+], ids=["free-at-0", "z-at-0", "z2-at-0", "free-unreduced", "z2-short", "z-bool",
+        "ball-negative", "box-negative", "free-prefix-negative", "z2-prefix-negative"])
+def test_enumeration_input_errors_keep_their_messages(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

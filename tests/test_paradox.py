@@ -11,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 from confpara.actions import LeftTranslation, ProductAction, TrivialAction
 from confpara.catalog import cyclic
 from confpara.codec import cantor_pair, cantor_unpair
-from confpara.errors import InputError, MalformedOracleError, PreconditionError
+from confpara.errors import (
+    InputError,
+    MalformedOracleError,
+    PreconditionError,
+    UnsupportedOperationError,
+)
 from confpara.groups import FreeAbelianGroup, FreeGroup
 from confpara.paradox import (
     CompressionResult,
@@ -458,8 +463,19 @@ def test_refined_f2_still_verifies():
     assert verdict.verified
 
 
+def test_refinement_rank_scan_walks_the_enumeration():
+    group = FreeGroup(2)
+    refined = refine_to_singletons(f2_standard_decomposition(group))
+    unranked = []
+    unrank = group.element_at
+    group.element_at = lambda pos: unranked.append(pos) or unrank(pos)
+    window = LeftTranslation(group).window({"ball": 4})
+    assert verify_paradoxical(refined, window, 40).verified
+    assert unranked == []
+
+
 def test_refinement_needs_finite_pieces_and_translation_action():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(UnsupportedOperationError, match="expects finite piece families"):
         refine_to_singletons(singleton_decomposition(Z))
     dec = f2_standard_decomposition(F2)
     product = dataclasses.replace(dec, action=ProductAction(LeftTranslation(F2), 2))
