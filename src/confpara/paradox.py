@@ -683,6 +683,7 @@ class OrbitStructure:
     point_of: Callable[[Any, Any], Any]
     rep_index: Callable[[Any], int]  # 1-based position among representatives
     rep_at: Optional[Callable[[int], Any]] = None
+    count: Optional[int] = None  # number of orbits; None means countably many
 
 
 def product_orbit_structure(action):
@@ -696,6 +697,7 @@ def product_orbit_structure(action):
         point_of=lambda rep, g: (g, rep[1]),
         rep_index=lambda rep: rep[1] + 1,
         rep_at=lambda pos: (e, pos - 1),
+        count=action.index_count,
     )
 
 
@@ -708,6 +710,7 @@ def transitive_orbit_structure(group):
         point_of=lambda rep, g: g,
         rep_index=lambda rep: 1,
         rep_at=lambda pos: e,
+        count=1,
     )
 
 
@@ -798,7 +801,8 @@ def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
     def independent_side(k, name):
         """Flat piece cantor_pair(i - 1, r - 1) + 1 is piece i of side k on
         the r-th orbit, with that orbit's translator; empty, translated by
-        the identity, when i exceeds a finite family.  The orbit's oracles
+        the identity, when i exceeds a finite family or r the orbit count;
+        a missing orbit's decomposition is never asked for.  The orbit's oracles
         are read through their contract: a malformed index raises."""
         cover_name = f"{name}-cover"
 
@@ -811,6 +815,8 @@ def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
 
         def flat_translator(j):
             i0, r0 = cantor_unpair(j - 1)
+            if orbits.count is not None and r0 >= orbits.count:
+                return identity  # no such orbit: an empty flat piece
             _name, fam, translator, _cover, _range = sides(orbits.rep_at(r0 + 1))[k]
             if fam.size is not None and i0 >= fam.size:
                 return identity  # empty flat piece; never matched

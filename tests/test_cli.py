@@ -1,12 +1,14 @@
 """Command line driver: subcommands, manifest input in both argument styles,
 exit codes, and the report/verdict envelopes on stdout."""
 
+import importlib.util
 import io
 import json
 import pathlib
 
 import pytest
 
+from confpara import cli
 from confpara.cli import main
 from confpara.schemas import dumps_canonical, make_manifest
 
@@ -685,3 +687,49 @@ def test_reports_are_byte_identical_across_runs(files, capsys):
                  "--index-bound", "2"],
     )
     assert v1 == v2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def readme_commands(out_dir):
+    """scripts/report_digests.py's list of the README's command examples."""
+    path = pathlib.Path(__file__).parent.parent / "scripts" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.readme_commands(out_dir)
+
+
+def test_repeated_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    # every subcommand, a usage error and --help, twice over in one process,
+    # then each once more on a parser of its own
+    commands = readme_commands(tmp_path)
+    session = [argv for _name, argv in commands[:4]]
+    session += [["equiv", "-n", "1"], ["--help"]]  # usage error, help
+    session += [argv for _name, argv in commands[4:]]
+
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    cli._parser.cache_clear()
+    try:
+        first = [run(capsys, argv) for argv in session]
+        again = [run(capsys, argv) for argv in session]
+        assert len(built) == 1
+        fresh = []
+        for argv in session:
+            cli._parser.cache_clear()
+            fresh.append(run(capsys, argv))
+        assert len(built) == 1 + len(session)
+    finally:
+        cli._parser.cache_clear()
+    assert again == first
+    assert fresh == first
+    codes = [code for code, _, _ in first]
+    assert codes == [0, 0, 2, 0, 4, 0, 0, 0, 0]
+    _, usage_out, usage_err = first[4]
+    assert usage_out == "" and usage_err.startswith("usage: confpara equiv")
+    _, help_out, help_err = first[5]
+    assert help_out.startswith("usage: confpara") and help_err == ""

@@ -595,16 +595,20 @@ def test_glue_refuses_broken_orbit_decoding():
 @pytest.mark.parametrize("copies", [2, None])
 @pytest.mark.parametrize("fixture", ["f2_standard", "f2_explicit"])
 def test_independent_glue_of_finite_pieces_verifies(fixture, copies):
-    # flat indices whose piece index exceeds the inner size are empty pieces
-    # with the identity translator; probing them must neither crash nor
-    # reach the inner translator beyond its range
+    # flat indices whose piece index exceeds the inner size, or whose orbit
+    # is past the last of finitely many copies, are empty pieces with the
+    # identity translator; probing them must neither crash nor reach the
+    # inner translator beyond its range, nor ask for a copy that does not exist
     _kind, payload, _meta = loads_manifest(
         (FIXTURES / f"decomposition_{fixture}.json").read_text(), "decomposition"
     )
     inner = build_decomposition(payload)
     action = ProductAction(LeftTranslation(F2), copies)
+    orbits = product_orbit_structure(action)
+    assert orbits.count == copies
+    asked = set()
     glued = glue_orbit_decompositions(
-        action, product_orbit_structure(action), lambda rep: inner, mode="independent"
+        action, orbits, lambda rep: asked.add(rep) or inner, mode="independent"
     )
     empty = cantor_pair(2, 0) + 1  # piece 3 of the first copy
     assert glued.a_translator(empty) == glued.b_translator(empty) == F2.identity
@@ -613,6 +617,8 @@ def test_independent_glue_of_finite_pieces_verifies(fixture, copies):
     )
     assert verdict.verified
     assert verdict.points_checked == 2 * 17
+    if copies is not None:
+        assert sorted(asked) == [(F2.identity, r) for r in range(copies)]
 
 
 def test_glue_argument_errors():
@@ -646,6 +652,7 @@ def test_transitive_orbit_structure_is_the_group_itself():
     assert s.point_of(0, -3) == -3
     assert s.rep_index(0) == 1
     assert s.rep_at(1) == 0
+    assert s.count == 1
 
 
 # ---------------------------------------------------------------------------
