@@ -8,6 +8,7 @@ actions X x I with the group acting on the first coordinate only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, UnsupportedOperationError
@@ -36,7 +37,7 @@ class Action:
         raise NotImplementedError
 
     def format_point(self, x):
-        raise NotImplementedError
+        return str(x)
 
     def all_window(self):
         pts = tuple(self.points())
@@ -87,6 +88,20 @@ class LeftTranslation(Action):
         raise InputError(f"no window of kind {sorted(keys)} for {g.name}")
 
 
+def _listed_point(points, token):
+    """The point of a finite listed point set that ``token`` names: the
+    point itself, or an integer point by its digits."""
+    token = token.strip()
+    if token in points:
+        return token
+    try:
+        if int(token) in points:
+            return int(token)
+    except ValueError:
+        pass
+    raise InputError(f"unknown point {token!r}")
+
+
 class TableAction(Action):
     """Finite action given by a table: row per group element index, column
     per point index."""
@@ -132,19 +147,7 @@ class TableAction(Action):
         return x in self._index
 
     def parse_point(self, token):
-        token = token.strip()
-        if token in self._index:
-            return token
-        try:
-            v = int(token)
-        except ValueError:
-            raise InputError(f"unknown point {token!r}") from None
-        if v in self._index:
-            return v
-        raise InputError(f"unknown point {token!r}")
-
-    def format_point(self, x):
-        return str(x)
+        return _listed_point(self._index, token)
 
     def window(self, spec):
         if set(spec) == {"all"}:
@@ -185,35 +188,22 @@ class TrivialAction(Action):
         return x in self._points
 
     def parse_point(self, token):
-        token = token.strip()
-        if self._countable:
-            try:
-                v = int(token)
-            except ValueError:
-                raise InputError(f"bad point {token!r}") from None
-            if v < 0:
-                raise InputError("points are natural numbers")
-            return v
-        if token in self._points:
-            return token
+        if not self._countable:
+            return _listed_point(self._points, token)
         try:
             v = int(token)
         except ValueError:
-            raise InputError(f"unknown point {token!r}") from None
-        if v in self._points:
-            return v
-        raise InputError(f"unknown point {token!r}")
-
-    def format_point(self, x):
-        return str(x)
+            raise InputError(f"bad point {token.strip()!r}") from None
+        if v < 0:
+            raise InputError("points are natural numbers")
+        return v
 
     def window(self, spec):
         keys = set(spec)
         if keys == {"all"} and not self._countable:
             return self.all_window()
         if keys == {"prefix"} and self._countable:
-            n = spec["prefix"]
-            return Window("prefix", f"prefix({n})", tuple(range(n)))
+            return Window.prefix(itertools.count(), spec["prefix"])
         raise InputError(f"no window of kind {sorted(keys)} for trivial action")
 
 

@@ -29,7 +29,9 @@ import json
 import sys
 
 from . import schemas
+from .actions import LeftTranslation
 from .configurations import (
+    ConfigPair,
     check_generating_assertion,
     check_partition_covers,
     config_equiv_bounded,
@@ -77,8 +79,6 @@ def _load_action(path_arg):
     manifest stands in when only its action matters."""
     kind, payload, _meta = _read_manifest(path_arg)
     if kind == "group":
-        from .actions import LeftTranslation
-
         return LeftTranslation(schemas.build_group(payload))
     if kind == "action":
         return schemas.build_action(payload)
@@ -107,18 +107,10 @@ def _pair_from_args(args, what):
             f"{args.action_flag}/--tuple/--partition"
         )
     action = _load_action(args.action)
-    kind, payload, _meta = _read_manifest(args.partition)
-    if kind != "partition":
-        raise InputError(
-            f"expected a partition manifest, got {kind!r}", path="/object-kind"
-        )
+    _kind, payload, _meta = _read_manifest(args.partition, "partition")
     partition = schemas.build_partition(payload, action)
-    elements = []
-    for token in args.tuple.split(","):
-        elements.append(action.group.parse(token.strip()))
-    from .configurations import ConfigPair
-
-    return action, ConfigPair(tuple(elements), partition)
+    elements = tuple(action.group.parse(t.strip()) for t in args.tuple.split(","))
+    return action, ConfigPair(elements, partition)
 
 
 def _emit(args, kind, payload, text_lines, bounds=None):

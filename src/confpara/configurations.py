@@ -26,66 +26,60 @@ from .groups import is_generating
 class Partition:
     """Partition of the point set into 1-based blocks.
 
-    Explicit partitions list their blocks; classifier partitions give a
-    total function point -> block index, an optional block count, and
-    optional per-block enumerators (unrank/rank within a block, 0-based)
-    which the singleton-split construction needs for its designated block.
+    Build one with ``explicit`` (the blocks are listed; ``blocks`` holds
+    them) or ``classifier`` (a total function point -> block index, an
+    optional block count, and optional per-block enumerators, unrank/rank
+    within a block, 0-based, which the singleton-split construction needs
+    for its designated block; ``blocks`` is None).  Either way ``block_of``
+    is one function, built once by the constructor, that checks its answer.
     """
 
-    def __init__(self, *, blocks=None, classify=None, block_count=None,
-                 block_unrank=None, block_rank=None):
-        if (blocks is None) == (classify is None):
-            raise InputError("exactly one of blocks/classify must be given")
-        if blocks is not None:
-            blocks = tuple(frozenset(b) for b in blocks)
-            if not blocks:
-                raise InputError("a partition needs at least one block")
-            seen = set()
-            for i, b in enumerate(blocks, start=1):
-                if not b:
-                    raise InputError(f"block {i} is empty")
-                if seen & b:
-                    raise InputError(f"block {i} overlaps an earlier block")
-                seen |= b
-            self.blocks = blocks
-            self.block_count = len(blocks)
-            self._lookup = {x: i for i, b in enumerate(blocks, start=1) for x in b}
-            self._classify = None
-        else:
-            self.blocks = None
-            self.block_count = block_count
-            self._classify = classify
-            self._lookup = None
+    def __init__(self, block_of, blocks, block_count, block_unrank=None, block_rank=None):
+        self.block_of = block_of
+        self.blocks = blocks
+        self.block_count = block_count
         self._block_unrank = block_unrank
         self._block_rank = block_rank
 
     @classmethod
     def explicit(cls, blocks):
-        return cls(blocks=blocks)
+        blocks = tuple(frozenset(b) for b in blocks)
+        if not blocks:
+            raise InputError("a partition needs at least one block")
+        seen = set()
+        for i, b in enumerate(blocks, start=1):
+            if not b:
+                raise InputError(f"block {i} is empty")
+            if seen & b:
+                raise InputError(f"block {i} overlaps an earlier block")
+            seen |= b
+        lookup = {x: i for i, b in enumerate(blocks, start=1) for x in b}
+
+        def block_of(x):
+            try:
+                return lookup[x]
+            except KeyError:
+                raise InputError(f"point {x!r} is not covered by the partition") from None
+
+        return cls(block_of, blocks, len(blocks))
 
     @classmethod
     def classifier(cls, classify, block_count=None, block_unrank=None, block_rank=None):
-        return cls(classify=classify, block_count=block_count,
-                   block_unrank=block_unrank, block_rank=block_rank)
+        def block_of(x):
+            b = classify(x)
+            if not isinstance(b, int) or b < 1:
+                raise InputError(f"classifier returned bad block index {b!r}")
+            if block_count is not None and b > block_count:
+                raise InputError(
+                    f"classifier returned block {b} beyond the declared count {block_count}"
+                )
+            return b
+
+        return cls(block_of, None, block_count, block_unrank, block_rank)
 
     @property
     def is_explicit(self):
         return self.blocks is not None
-
-    def block_of(self, x):
-        if self._lookup is not None:
-            try:
-                return self._lookup[x]
-            except KeyError:
-                raise InputError(f"point {x!r} is not covered by the partition") from None
-        b = self._classify(x)
-        if not isinstance(b, int) or b < 1:
-            raise InputError(f"classifier returned bad block index {b!r}")
-        if self.block_count is not None and b > self.block_count:
-            raise InputError(
-                f"classifier returned block {b} beyond the declared count {self.block_count}"
-            )
-        return b
 
     def block_unrank(self, block, pos):
         if self._block_unrank is None:
@@ -388,18 +382,16 @@ def singleton_split(action, pair, block_index):
     )
 
 
-def merge_blocks(pair, cutoff, tuple_len=None):
+def merge_blocks(pair, cutoff):
     """Collapse every block with index >= cutoff into one block and truncate
-    the countable tuple to its declared identity tail (or ``tuple_len``)."""
+    the countable tuple to its declared identity tail."""
     if not isinstance(pair, CountablePair):
         raise InputError("merge_blocks expects a countable pair")
     if cutoff < 1:
         raise InputError("cutoff must be >= 1")
-    n = tuple_len if tuple_len is not None else pair.identity_tail_after
+    n = pair.identity_tail_after
     if n is None:
-        raise InputError(
-            "tuple length unknown: pass tuple_len or use a pair with an identity tail"
-        )
+        raise InputError("tuple length unknown: use a pair with an identity tail")
     elements = tuple(pair.element_at(i) for i in range(1, n + 1))
     base_block_of = pair.partition.block_of
 

@@ -41,6 +41,13 @@ class Window:
     label: str
     points: tuple
 
+    @classmethod
+    def prefix(cls, walk, count):
+        """The first ``count`` points of the iterator ``walk``."""
+        if count < 0:
+            raise InputError("window size must be >= 0")
+        return cls("prefix", f"prefix({count})", tuple(itertools.islice(walk, count)))
+
     @cached_property
     def point_set(self):
         return frozenset(self.points)
@@ -100,10 +107,7 @@ class Group:
 
     def prefix_window(self, count):
         """First ``count`` elements of the canonical enumeration."""
-        if count < 0:
-            raise InputError("window size must be >= 0")
-        pts = tuple(itertools.islice(self.walk(), count))
-        return Window("prefix", f"prefix({count})", pts)
+        return Window.prefix(self.walk(), count)
 
     def power(self, a, n):
         if n < 0:

@@ -58,11 +58,9 @@ class MultiplicationIndexTable:
         return all(all(v is not None for v in row) for row in self.rows)
 
 
-def multiplication_index_table(group, enumeration, bound=None):
+def multiplication_index_table(group, enumeration):
     """Build the index table of a 1-based enumeration starting at the identity."""
     enumeration = list(enumeration)
-    if bound is not None:
-        enumeration = enumeration[:bound]
     if not enumeration:
         raise InputError("empty enumeration")
     if enumeration[0] != group.identity:

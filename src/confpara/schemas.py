@@ -65,6 +65,30 @@ def _as_bool(v, path):
     return v
 
 
+def _parse_at(parse, token, path):
+    """``parse(token)`` for a string token; its InputError is re-raised at
+    ``path``, so every token error names its own field once."""
+    _as_str(token, path)
+    try:
+        return parse(token)
+    except InputError as exc:
+        _fail(str(exc), path)
+
+
+def _as_points(v, path):
+    """Listed action points: strings and integers, which hash and print."""
+    points = _as_list(v, path)
+    for i, x in enumerate(points):
+        if isinstance(x, bool) or not isinstance(x, (str, int)):
+            _fail(f"expected a string or an integer, got {type(x).__name__}", f"{path}/{i}")
+    return points
+
+
+def _as_copies(v, path):
+    """A copy count: an integer >= 1, or "countable" (None)."""
+    return None if v == "countable" else _as_int(v, path, minimum=1)
+
+
 class _Fields:
     """Tracks which payload fields were consumed; leftovers are rejected."""
 
@@ -133,21 +157,24 @@ def loads_manifest(text, expected_kind=None):
 # groups
 
 
+# family -> (its one integer field, that field's minimum, constructor)
+_ONE_INTEGER_FAMILIES = {
+    "cyclic": ("order", 1, catalog.cyclic),
+    "symmetric": ("degree", 1, catalog.symmetric),
+    "dihedral": ("sides", 3, catalog.dihedral),
+    "free": ("rank", 1, FreeGroup),
+    "free-abelian": ("rank", 1, FreeAbelianGroup),
+}
+
+
 def build_group(payload, path="/payload"):
     f = _Fields(payload, path)
     family = _as_str(f.take("family"), f"{path}/family")
-    if family == "cyclic":
-        n = _as_int(f.take("order"), f"{path}/order", minimum=1)
+    if family in _ONE_INTEGER_FAMILIES:
+        key, minimum, make = _ONE_INTEGER_FAMILIES[family]
+        n = _as_int(f.take(key), f"{path}/{key}", minimum=minimum)
         f.finish()
-        return catalog.cyclic(n)
-    if family == "symmetric":
-        n = _as_int(f.take("degree"), f"{path}/degree", minimum=1)
-        f.finish()
-        return catalog.symmetric(n)
-    if family == "dihedral":
-        n = _as_int(f.take("sides"), f"{path}/sides", minimum=3)
-        f.finish()
-        return catalog.dihedral(n)
+        return make(n)
     if family == "alternating4":
         f.finish()
         return catalog.alternating4()
@@ -166,7 +193,7 @@ def build_group(payload, path="/payload"):
         rows = _as_list(f.take("table"), f"{path}/table")
         identity = _as_int(f.take("identity"), f"{path}/identity", minimum=0)
         labels = f.take("labels", required=False)
-        name = f.take("name", required=False, default="finite-cayley")
+        name = _as_str(f.take("name", required=False, default="finite-cayley"), f"{path}/name")
         f.finish()
         table = []
         for i, row in enumerate(rows):
@@ -181,17 +208,9 @@ def build_group(payload, path="/payload"):
                 for i, v in enumerate(_as_list(labels, f"{path}/labels"))
             ]
         try:
-            return CayleyTableGroup(table, identity, labels, name=_as_str(name, f"{path}/name"))
+            return CayleyTableGroup(table, identity, labels, name=name)
         except InputError as exc:
             _fail(f"bad multiplication table: {exc}", f"{path}/table")
-    if family == "free":
-        rank = _as_int(f.take("rank"), f"{path}/rank", minimum=1)
-        f.finish()
-        return FreeGroup(rank)
-    if family == "free-abelian":
-        rank = _as_int(f.take("rank"), f"{path}/rank", minimum=1)
-        f.finish()
-        return FreeAbelianGroup(rank)
     _fail(f"unknown group family {family!r}", f"{path}/family")
 
 
@@ -208,7 +227,7 @@ def build_action(payload, path="/payload"):
         return LeftTranslation(group)
     if kind == "table":
         group = build_group(f.take("group"), f"{path}/group")
-        points = _as_list(f.take("points"), f"{path}/points")
+        points = _as_points(f.take("points"), f"{path}/points")
         rows = _as_list(f.take("rows"), f"{path}/rows")
         f.finish()
         rows = [
@@ -223,23 +242,19 @@ def build_action(payload, path="/payload"):
     if kind == "trivial":
         group = build_group(f.take("group"), f"{path}/group")
         points = f.take("points", required=False)
-        countable = f.take("countable", required=False, default=False)
+        countable = _as_bool(f.take("countable", required=False, default=False),
+                             f"{path}/countable")
         f.finish()
         if points is not None:
-            points = list(_as_list(points, f"{path}/points"))
+            points = _as_points(points, f"{path}/points")
         try:
-            return TrivialAction(group, points,
-                                 countable=_as_bool(countable, f"{path}/countable"))
+            return TrivialAction(group, points, countable=countable)
         except InputError as exc:
             _fail(str(exc), f"{path}/points")
     if kind == "product":
         base = build_action(f.take("base"), f"{path}/base")
-        copies = f.take("copies")
+        count = _as_copies(f.take("copies"), f"{path}/copies")
         f.finish()
-        if copies == "countable":
-            count = None
-        else:
-            count = _as_int(copies, f"{path}/copies", minimum=1)
         return ProductAction(base, count)
     _fail(f"unknown action kind {kind!r}", f"{path}/kind")
 
@@ -248,7 +263,7 @@ def build_action(payload, path="/payload"):
 # partitions
 
 
-def _residue_partition(group, modulus):
+def _residue_partition(modulus):
     def classify(v):
         return v % modulus + 1
 
@@ -283,16 +298,11 @@ def build_partition(payload, action, path="/payload"):
     if kind == "blocks":
         blocks = _as_list(f.take("blocks"), f"{path}/blocks")
         f.finish()
-        parsed = []
-        for i, block in enumerate(blocks):
-            block = _as_list(block, f"{path}/blocks/{i}")
-            out = []
-            for j, token in enumerate(block):
-                try:
-                    out.append(action.parse_point(_as_str(token, f"{path}/blocks/{i}/{j}")))
-                except InputError as exc:
-                    _fail(str(exc), f"{path}/blocks/{i}/{j}")
-            parsed.append(out)
+        parsed = [
+            [_parse_at(action.parse_point, token, f"{path}/blocks/{i}/{j}")
+             for j, token in enumerate(_as_list(block, f"{path}/blocks/{i}"))]
+            for i, block in enumerate(blocks)
+        ]
         try:
             return Partition.explicit(parsed)
         except InputError as exc:
@@ -305,7 +315,7 @@ def build_partition(payload, action, path="/payload"):
                 and isinstance(action, LeftTranslation)):
             _fail("residue partitions live on the integers translating themselves",
                   f"{path}/kind")
-        return _residue_partition(group, modulus)
+        return _residue_partition(modulus)
     if kind == "first-letter":
         f.finish()
         group = action.group
@@ -326,20 +336,15 @@ def build_pair(payload, path="/payload"):
     action = build_action(f.take("action"), f"{path}/action")
     tokens = _as_list(f.take("tuple"), f"{path}/tuple")
     partition_payload = f.take("partition")
-    generating = f.take("generating", required=False, default=False)
+    generating = _as_bool(f.take("generating", required=False, default=False),
+                          f"{path}/generating")
     f.finish()
-    elements = []
-    for i, token in enumerate(tokens):
-        try:
-            elements.append(action.group.parse(_as_str(token, f"{path}/tuple/{i}")))
-        except InputError as exc:
-            _fail(str(exc), f"{path}/tuple/{i}")
-    partition = build_partition(partition_payload, action, f"{path}/partition")
-    pair = ConfigPair(
-        tuple(elements), partition,
-        generating=_as_bool(generating, f"{path}/generating"),
+    elements = tuple(
+        _parse_at(action.group.parse, token, f"{path}/tuple/{i}")
+        for i, token in enumerate(tokens)
     )
-    return action, pair
+    partition = build_partition(partition_payload, action, f"{path}/partition")
+    return action, ConfigPair(elements, partition, generating)
 
 
 _WINDOW_KEYS = {"all", "ball", "box", "prefix", "indices"}
@@ -354,7 +359,9 @@ def build_window_spec(payload, path="/payload"):
             _fail(f"unknown window field '{key}'", f"{path}/{key}")
         v = d[key]
         if key == "all":
-            spec[key] = _as_bool(v, f"{path}/{key}")
+            if not _as_bool(v, f"{path}/{key}"):
+                _fail("'all' must be true", f"{path}/{key}")
+            spec[key] = True
         elif key == "indices":
             pairv = _as_list(v, f"{path}/{key}")
             if len(pairv) != 2:
@@ -419,14 +426,10 @@ def parse_window_flag(text):
 def _neg_powers_token(token, group, path):
     """Only the non-positive powers of the first generator are built in; the
     token must read "<first-generator>-neg-powers"."""
-    name, sep, rest = token.partition("-")
+    name, sep, rest = _as_str(token, path).partition("-")
     if not sep or rest != "neg-powers":
         _fail(f"unknown adjustment set {token!r}", path)
-    try:
-        word = group.parse(name)
-    except InputError as exc:
-        _fail(str(exc), path)
-    if word != (1,):
+    if _parse_at(group.parse, name, path) != (1,):
         _fail(
             "only the non-positive powers of the first generator are supported",
             path,
@@ -444,18 +447,13 @@ def _build_family_member(payload, group, path):
         f.finish()
         if not isinstance(group, FreeGroup):
             _fail("first-letter families live on free groups", f"{path}/family")
-        try:
-            word = group.parse(letter_tok)
-        except InputError as exc:
-            _fail(str(exc), f"{path}/letter")
+        word = _parse_at(group.parse, letter_tok, f"{path}/letter")
         if len(word) != 1:
             _fail(f"expected a single letter, got {letter_tok!r}", f"{path}/letter")
         if include is not None:
-            _neg_powers_token(_as_str(include, f"{path}/include"), group,
-                              f"{path}/include")
+            _neg_powers_token(include, group, f"{path}/include")
         if exclude is not None:
-            _neg_powers_token(_as_str(exclude, f"{path}/exclude"), group,
-                              f"{path}/exclude")
+            _neg_powers_token(exclude, group, f"{path}/exclude")
         return paradox._FirstLetter(
             word[0],
             include_neg_powers=include is not None,
@@ -464,13 +462,11 @@ def _build_family_member(payload, group, path):
     if family == "explicit":
         tokens = _as_list(f.take("points"), f"{path}/points")
         f.finish()
-        points = set()
-        for i, token in enumerate(tokens):
-            try:
-                points.add(group.parse(_as_str(token, f"{path}/points/{i}")))
-            except InputError as exc:
-                _fail(str(exc), f"{path}/points/{i}")
-        return lambda x, _pts=frozenset(points): x in _pts
+        points = frozenset(
+            _parse_at(group.parse, token, f"{path}/points/{i}")
+            for i, token in enumerate(tokens)
+        )
+        return points.__contains__
     _fail(f"unknown piece family {family!r}", f"{path}/family")
 
 
@@ -485,14 +481,10 @@ def _explicit_side(f, group, side, path):
     if not members:
         _fail("a side needs at least one piece", f"{path}/{side}-pieces")
     tokens = _as_list(f.take(f"{side}-translators"), f"{path}/{side}-translators")
-    translators = []
-    for i, token in enumerate(tokens):
-        try:
-            translators.append(
-                group.parse(_as_str(token, f"{path}/{side}-translators/{i}"))
-            )
-        except InputError as exc:
-            _fail(str(exc), f"{path}/{side}-translators/{i}")
+    translators = [
+        _parse_at(group.parse, token, f"{path}/{side}-translators/{i}")
+        for i, token in enumerate(tokens)
+    ]
     if len(translators) != len(members):
         _fail(
             f"expected {len(members)} translators, got {len(translators)}",
@@ -592,11 +584,7 @@ def build_decomposition(payload, path="/payload"):
         if not isinstance(inner.action, LeftTranslation):
             _fail("glue expects an inner decomposition of the group itself",
                   f"{path}/inner")
-        if copies == "countable":
-            count = None
-        else:
-            count = _as_int(copies, f"{path}/copies", minimum=1)
-        action = ProductAction(inner.action, count)
+        action = ProductAction(inner.action, _as_copies(copies, f"{path}/copies"))
         orbits = paradox.product_orbit_structure(action)
         return paradox.glue_orbit_decompositions(
             action, orbits, lambda rep: inner, mode=mode

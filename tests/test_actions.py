@@ -65,12 +65,55 @@ def test_trivial_action_modes():
     assert nat.act(1, 7) == 7
     w = nat.window({"prefix": 4})
     assert list(w) == [0, 1, 2, 3]
+    assert nat.parse_point(" 7 ") == 7 and nat.format_point(7) == "7"
+    with pytest.raises(InputError, match="bad point 'x'"):
+        nat.parse_point(" x")
+    with pytest.raises(InputError, match="points are natural numbers"):
+        nat.parse_point("-1")
     with pytest.raises(UnsupportedOperationError):
         nat.points()
     with pytest.raises(InputError):
         TrivialAction(g)
     with pytest.raises(InputError):
         TrivialAction(g, points=["x"], countable=True)
+
+
+def test_table_action_point_tokens_and_window():
+    act = TableAction(cyclic(2), ["p", 7], [[0, 1], [1, 0]])
+    assert act.parse_point(" p ") == "p"
+    assert act.parse_point("7") == 7  # an integer point is named by its digits
+    for bad in ("q", "8"):
+        with pytest.raises(InputError, match=f"unknown point {bad!r}"):
+            act.parse_point(bad)
+    assert [act.format_point(x) for x in act.points()] == ["p", "7"]
+    w = act.window({"all": True})
+    assert w.label == "all(2)" and w.points == ("p", 7)
+    with pytest.raises(InputError, match="only support the 'all' window"):
+        act.window({"prefix": 1})
+
+
+def test_finite_trivial_action_point_tokens():
+    act = TrivialAction(cyclic(3), points=["x", 4])
+    assert act.parse_point("x") == "x"
+    assert act.parse_point(" 4") == 4
+    for bad in ("y", "5"):
+        with pytest.raises(InputError, match=f"unknown point {bad!r}"):
+            act.parse_point(bad)
+    assert [act.format_point(x) for x in act.points()] == ["x", "4"]
+
+
+def test_countable_trivial_action_rejects_a_negative_prefix():
+    nat = TrivialAction(FreeAbelianGroup(1), countable=True)
+    with pytest.raises(InputError, match="window size must be >= 0"):
+        nat.window({"prefix": -2})
+    assert nat.window({"prefix": 0}).points == ()
+
+
+def test_prefix_window_on_a_finite_group():
+    w = LeftTranslation(cyclic(4)).window({"prefix": 3})
+    assert w.label == "prefix(3)" and w.points == (0, 1, 2)
+    s3 = symmetric(3)
+    assert LeftTranslation(s3).window({"prefix": 6}).points == s3.elements()
 
 
 def test_product_action_points_and_windows():

@@ -134,6 +134,16 @@ def test_con_from_flags(files, capsys):
     assert doc["payload"]["configurations"] == [[1, 1, 2], [2, 2, 1]]
 
 
+def test_con_partition_flag_needs_a_partition_manifest(files, capsys):
+    code, stdout, stderr = run(
+        capsys,
+        ["con", "--action", files["g_z4"], "--tuple", "0,1", "--partition", files["pair_z4"]],
+    )
+    assert code == 4
+    assert stdout == ""
+    assert stderr == "error: expected a partition manifest, got 'pair' (at /object-kind)\n"
+
+
 def test_con_text_format(files, capsys):
     code, stdout, _ = run(capsys, ["con", files["pair_z4"], "--format", "text"])
     assert code == 0
@@ -159,6 +169,34 @@ def test_con_windowed_on_the_integers(files, capsys):
     assert doc["payload"]["configurations"] == [[1, 2], [2, 1]]
     assert doc["payload"]["exact"] is False
     assert doc["payload"]["window"] == "box(5)"
+
+
+def test_con_rejects_an_all_window_set_to_false(capsys):
+    code, stdout, stderr = run(
+        capsys, ["con", str(FIXTURES / "pair_z4_parity.json"), "--window", '{"all": false}']
+    )
+    assert code == 4
+    assert stdout == ""
+    assert stderr.count("(at /window/all)") == 1
+
+
+def test_con_on_free_abelian_rank_two_tuples(tmp_path, capsys):
+    # Z^2 fixing two points: tuple entries are vectors written [x,y]
+    def pair(*tokens):
+        return write_manifest(tmp_path, "pair_z2sq.json", "pair", {
+            "action": {"kind": "trivial", "group": {"family": "free-abelian", "rank": 2},
+                       "points": ["p", "q"]},
+            "tuple": list(tokens),
+            "partition": {"kind": "blocks", "blocks": [["p"], ["q"]]},
+        })
+
+    code, doc, _ = run_json(capsys, ["con", pair("[1,0]", " [0, -2] ")], "report")
+    assert code == 0
+    assert doc["payload"]["configurations"] == [[1, 1, 1], [2, 2, 2]]
+    code, stdout, stderr = run(capsys, ["con", pair("[1,0]", "[1]")])
+    assert code == 4
+    assert stdout == ""
+    assert stderr == "error: bad element '[1]' for free-abelian(2) (at /payload/tuple/1)\n"
 
 
 def test_con_countable_needs_window(files, capsys):
@@ -216,6 +254,35 @@ def test_equiv_mixed_argument_styles_is_input_error(files, capsys, argv):
     assert code == 4
     assert stdout == ""
     assert "error: equiv takes two positional manifests or --a/--b, not both" in stderr
+
+
+def test_equiv_loads_action_and_pair_manifests(files, tmp_path, capsys):
+    # an action manifest and a pair manifest stand for their actions
+    action = write_manifest(
+        tmp_path, "z4_action.json", "action",
+        {"kind": "left-translation", "group": {"family": "cyclic", "order": 4}},
+    )
+    code, stdout, _ = run(capsys, ["equiv", action, files["pair_z4"], "-n", "1", "-m", "2"])
+    assert code == 0
+    assert (code, stdout) == run(
+        capsys, ["equiv", files["g_z4"], files["g_z4"], "-n", "1", "-m", "2"]
+    )[:2]
+
+
+@pytest.mark.parametrize("kind", ["table", "trivial"])
+@pytest.mark.parametrize("point", [[0], {"x": 0}], ids=["array", "object"])
+def test_non_scalar_action_points_are_input_errors(kind, point, tmp_path, capsys):
+    payload = {"kind": kind, "group": {"family": "cyclic", "order": 2}, "points": [point, [1]]}
+    if kind == "table":
+        payload["rows"] = [[0, 1], [1, 0]]
+    action = write_manifest(tmp_path, "action.json", "action", payload)
+    code, stdout, stderr = run(
+        capsys, ["equiv", action, str(FIXTURES / "group_z2.json"), "-n", "1", "-m", "1"]
+    )
+    assert code == 4
+    assert stdout == ""
+    assert stderr.startswith("error: ")
+    assert stderr.count("(at /payload/points/0)") == 1
 
 
 def test_equiv_text_format(files, capsys):
@@ -436,6 +503,21 @@ def test_verify_refuted_decomposition(files, capsys):
     w = doc["payload"]["witness"]
     assert w["point"] == "0"
     assert w["equation"] == "b-cover-membership"
+
+
+def test_verify_formats_free_abelian_rank_two_witnesses(tmp_path, capsys):
+    dec = write_manifest(tmp_path, "dec_z2sq.json", "decomposition", {
+        "group": {"family": "free-abelian", "rank": 2},
+        "a-pieces": [{"family": "explicit", "points": ["[0,0]"]}],
+        "a-translators": ["[0,0]"],
+        "a-cover": "scan",
+        "b-pieces": [{"family": "explicit", "points": ["[1,-1]"]}],
+        "b-translators": ["[0,0]"],
+        "b-cover": "scan",
+    })
+    code, doc, _ = run_json(capsys, ["paradox", "verify", dec, "--window", "box=1"], "verdict")
+    assert code == 2
+    assert doc["payload"]["witness"]["point"] == "[0,0]"
 
 
 def test_verify_text_format(files, capsys):

@@ -66,6 +66,42 @@ def test_explicit_partition_rejects_overlap():
         Partition.explicit([[0], []])
 
 
+def test_partition_messages():
+    cases = [
+        (lambda: Partition.explicit([]), "a partition needs at least one block"),
+        (lambda: Partition.explicit([[0], []]), "block 2 is empty"),
+        (lambda: Partition.explicit([[0, 1], [2], [1]]), "block 3 overlaps an earlier block"),
+        (lambda: Partition.explicit([[0]]).block_of(5),
+         "point 5 is not covered by the partition"),
+        (lambda: Partition.classifier(lambda x: 0).block_of(1),
+         "classifier returned bad block index 0"),
+        (lambda: Partition.classifier(lambda x: "1").block_of(1),
+         "classifier returned bad block index '1'"),
+        (lambda: Partition.classifier(lambda x: 3, block_count=2).block_of(1),
+         "classifier returned block 3 beyond the declared count 2"),
+        (lambda: Partition.classifier(lambda x: 1).block_unrank(1, 0),
+         "partition carries no per-block enumerator"),
+        (lambda: Partition.explicit([[0]]).block_rank(1, 0),
+         "partition carries no per-block enumerator"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InputError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_partition_kinds_and_enumerators():
+    explicit = Partition.explicit([[0], [1, 2]])
+    assert explicit.blocks == (frozenset({0}), frozenset({1, 2}))
+    assert [explicit.block_of(x) for x in (0, 1, 2)] == [1, 2, 2]
+    assert not explicit.has_enumerators
+    open_ended = Partition.classifier(lambda x: x + 1)
+    assert not open_ended.is_explicit and open_ended.blocks is None
+    assert open_ended.block_count is None and open_ended.block_of(41) == 42
+    half = Partition.classifier(lambda x: 1, block_unrank=lambda b, pos: pos)
+    assert half.block_unrank(1, 7) == 7 and not half.has_enumerators
+
+
 def test_partition_cover_check():
     act = LeftTranslation(cyclic(4))
     check_partition_covers(act, Partition.explicit([[0, 2], [1, 3]]))
@@ -360,8 +396,11 @@ def test_merge_undoes_split(modulus, elements, data):
 def test_merge_requires_countable_pair():
     act = LeftTranslation(cyclic(4))
     pair = ConfigPair((1,), Partition.explicit([[0, 2], [1, 3]]))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="expects a countable pair"):
         merge_blocks(pair, 2)
+    open_tail = cf.CountablePair(lambda i: 0, pair.partition)
+    with pytest.raises(InputError, match="tuple length unknown"):
+        merge_blocks(open_tail, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -609,3 +609,94 @@ def test_explicit_decomposition_unknown_field():
     with pytest.raises(InputError) as err:
         build_decomposition(payload)
     assert path_of(err) == "/payload/color"
+
+
+# ---------------------------------------------------------------------------
+# every field error names its own pointer, once
+
+
+def explicit_z_payload(point="1", translator="0"):
+    return {
+        "group": {"family": "free-abelian", "rank": 1},
+        "a-pieces": [{"family": "explicit", "points": ["0"]}],
+        "a-translators": [translator],
+        "a-cover": "scan",
+        "b-pieces": [{"family": "explicit", "points": [point]}],
+        "b-translators": ["0"],
+        "b-cover": "scan",
+    }
+
+
+Z2_GROUP = {"family": "cyclic", "order": 2}
+FIELD_FAULTS = {
+    "tuple": (
+        lambda: build_pair(dict(pair_payload(), tuple=["1", 2])), "/payload/tuple/1",
+    ),
+    "blocks": (
+        lambda: build_pair(dict(pair_payload(),
+                                partition={"kind": "blocks", "blocks": [["0", 2], ["1", "3"]]})),
+        "/payload/partition/blocks/0/1",
+    ),
+    "explicit-points": (
+        lambda: build_decomposition(explicit_z_payload(point=1)),
+        "/payload/b-pieces/0/points/0",
+    ),
+    "translators": (
+        lambda: build_decomposition(explicit_z_payload(translator=0)),
+        "/payload/a-translators/0",
+    ),
+    "table-name": (
+        lambda: build_group({"family": "table", "table": [[0]], "identity": 0, "name": 3}),
+        "/payload/name",
+    ),
+    "trivial-countable": (
+        lambda: build_action({"kind": "trivial", "group": Z2_GROUP, "countable": "yes"}),
+        "/payload/countable",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_FAULTS))
+def test_field_errors_name_their_pointer_once(field):
+    build, pointer = FIELD_FAULTS[field]
+    with pytest.raises(InputError) as err:
+        build()
+    assert path_of(err) == pointer
+    message = str(err.value)
+    assert message.endswith(f" (at {pointer})")
+    assert message.count("(at ") == 1
+
+
+def test_token_parse_errors_keep_their_pointer():
+    with pytest.raises(InputError) as err:
+        build_decomposition(explicit_z_payload(point="x"))
+    assert str(err.value) == (
+        "bad element 'x' for free-abelian(1) (at /payload/b-pieces/0/points/0)"
+    )
+    with pytest.raises(InputError) as err:
+        build_decomposition(explicit_z_payload(translator="[1]"))
+    assert str(err.value) == (
+        "bad element '[1]' for free-abelian(1) (at /payload/a-translators/0)"
+    )
+
+
+@pytest.mark.parametrize("kind", ["table", "trivial"])
+@pytest.mark.parametrize("point", [[0], {"x": 0}, True, 1.5, None],
+                         ids=["array", "object", "boolean", "float", "null"])
+def test_action_points_are_strings_or_integers(kind, point):
+    payload = {"kind": kind, "group": Z2_GROUP, "points": ["p", point]}
+    if kind == "table":
+        payload["rows"] = [[0, 1], [1, 0]]
+    with pytest.raises(InputError) as err:
+        build_action(payload)
+    assert path_of(err) == "/payload/points/1"
+    assert str(err.value).count("(at ") == 1
+
+
+def test_all_window_must_be_true():
+    with pytest.raises(InputError) as err:
+        build_window_spec({"all": False}, "/window")
+    assert path_of(err) == "/window/all"
+    with pytest.raises(InputError) as err:
+        parse_window_flag('{"all": false}')
+    assert path_of(err) == "/window/all"
