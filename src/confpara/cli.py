@@ -108,8 +108,14 @@ def _pair_from_args(args, what):
         )
     action = _load_action(args.action)
     _kind, payload, _meta = _read_manifest(args.partition, "partition")
-    partition = schemas.build_partition(payload, action)
-    elements = tuple(action.group.parse(t.strip()) for t in args.tuple.split(","))
+    try:
+        partition = schemas.build_partition(payload, action)
+    except InputError as exc:
+        raise InputError(f"{exc} in --partition {args.partition}") from None
+    try:
+        elements = tuple(action.group.parse(t.strip()) for t in args.tuple.split(","))
+    except InputError as exc:
+        raise InputError(str(exc), path="--tuple") from None
     return action, ConfigPair(elements, partition)
 
 

@@ -107,6 +107,11 @@ class Group:
 
     def prefix_window(self, count):
         """First ``count`` elements of the canonical enumeration."""
+        if self.is_finite and count > self.order():
+            raise InputError(
+                f"prefix window of {count} elements is longer than {self.name}, "
+                f"of order {self.order()}"
+            )
         return Window.prefix(self.walk(), count)
 
     def power(self, a, n):
@@ -736,10 +741,16 @@ def subgroups(group):
 
 
 def is_normal(group, subset):
+    """Whether x S x^-1 = S for every x.  Conjugation is injective, so for S
+    within the group that holds iff every conjugate lies in S: |G| |S|
+    membership tests, no set built per x."""
     sub = frozenset(subset)
-    return all(
-        frozenset(group.mul(group.mul(x, s), group.inv(x)) for s in sub) == sub
-        for x in group.elements()
+    elements = group.elements()
+    mul, inv = group.mul, group.inv
+    return sub.issubset(elements) and all(
+        mul(mul(x, s), xi) in sub
+        for x, xi in zip(elements, map(inv, elements))
+        for s in sub
     )
 
 

@@ -235,6 +235,11 @@ def build_action(payload, path="/payload"):
              enumerate(_as_list(row, f"{path}/rows/{i}"))]
             for i, row in enumerate(rows)
         ]
+        # the constructor's own first two checks, made here to name their fields
+        if not group.is_finite:
+            _fail("table actions require a finite group", f"{path}/group")
+        if len(set(points)) != len(points):
+            _fail("duplicate points in action table", f"{path}/points")
         try:
             return TableAction(group, points, rows)
         except InputError as exc:

@@ -234,3 +234,122 @@ def cantor_inverse(n):
             if cantor(d - j, j) == n:
                 return d - j, j
     raise ValueError(n)
+
+
+# ---------------------------------------------------------------------------
+# coset recovery and its certificate, from the definitions: every table
+# entry read through the table's bounds-checked ``entry``, every coset
+# translate and product built as a set
+
+
+class Refusal(Exception):
+    """A reference check refusing its input; ``kind`` names the error class
+    the package raises for the same refusal, and the message is its message."""
+
+    def __init__(self, kind, message):
+        super().__init__(message)
+        self.kind = kind
+
+
+def naive_validate_table(table):
+    """Identity row and column, then associativity (ij)k = i(jk) at every
+    (i, j, k) where all four entries involved are known."""
+    out = []
+    n = table.bound
+    for j in range(1, n + 1):
+        if table.entry(1, j) != j:
+            out.append({"kind": "identity-row", "at": (1, j), "got": table.entry(1, j)})
+        if table.entry(j, 1) != j:
+            out.append({"kind": "identity-column", "at": (j, 1), "got": table.entry(j, 1)})
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            ij = table.entry(i, j)
+            if ij is None:
+                continue
+            for k in range(1, n + 1):
+                jk = table.entry(j, k)
+                if jk is None:
+                    continue
+                left = table.entry(ij, k)
+                right = table.entry(i, jk)
+                if left is not None and right is not None and left != right:
+                    out.append({"kind": "associativity", "at": (i, j, k),
+                                "left": left, "right": right})
+    return out
+
+
+def naive_is_normal(elements, mul, inv, subset):
+    """x S x^-1 = S, as sets, for every x."""
+    sub = frozenset(subset)
+    return all(frozenset(mul(mul(x, s), inv(x)) for s in sub) == sub for x in elements)
+
+
+def naive_recover_cosets(elements, mul, identity, translators, block_of, table):
+    """The blocks of a pair realizing the table's full canonical
+    configuration set, relabeled so the identity's block is 1 by right
+    translation with the inverse of its old index, and checked against the
+    coset law h_j F_l = F_pi(j,l) setwise in (j, l) order.  Returns
+    (blocks, relabeling, old identity block) or raises ``Refusal``."""
+    n = table.bound
+    if any(table.entry(i, j) is None for i in range(1, n + 1) for j in range(1, n + 1)):
+        raise Refusal("InputError", "coset recovery needs a total index table")
+    if len(translators) != n:
+        raise Refusal("PreconditionError",
+                      f"tuple length {len(translators)} must equal the table bound {n}")
+    expected = {tuple([j] + [table.entry(i, j) for i in range(1, n + 1)])
+                for j in range(1, n + 1)}
+    got = naive_configurations(elements, mul, translators, block_of)
+    if got != expected:
+        raise Refusal("PreconditionError",
+                      "configuration set does not match the canonical family: "
+                      f"{len(got ^ expected)} configurations differ")
+    old = block_of(identity)
+    relabeling = tuple(range(1, n + 1))
+    if old != 1:
+        inverse = next((j for j in range(1, n + 1) if table.entry(old, j) == 1), None)
+        if inverse is None:
+            raise Refusal("PreconditionError", f"index {old} has no inverse in the table")
+        relabeling = tuple(table.entry(b, inverse) for b in range(1, n + 1))
+    blocks = tuple(frozenset(x for x in elements if relabeling[block_of(x) - 1] == b)
+                   for b in range(1, n + 1))
+    if any(not b for b in blocks):
+        raise Refusal("PreconditionError", "partition must have exactly one block per index")
+    for j in range(1, n + 1):
+        for l in range(1, n + 1):
+            target = table.entry(j, l)
+            if {mul(translators[j - 1], x) for x in blocks[l - 1]} != blocks[target - 1]:
+                raise Refusal("PreconditionError",
+                              f"translate of block {l} by tuple entry {j} is not block {target}")
+    return blocks, relabeling, old
+
+
+def naive_verify_normal_and_iso(group, blocks, table):
+    """F_1 a normal subgroup (identity, inverses, closure, x F_1 x^-1 = F_1),
+    the setwise products F_k F_j = F_pi(k,j) and the coset count, with the
+    failures in that order.  Returns (ok, failures, iso, |F_1|, #blocks), the
+    fields of an ``IsoReport``."""
+    f1 = blocks[0]
+    n = len(blocks)
+    failures = []
+    if group.identity not in f1:
+        failures.append({"identity": "identity-in-subgroup"})
+    for a in sorted(f1):
+        if group.inv(a) not in f1:
+            failures.append({"identity": "subgroup-inverse", "witness": group.format(a)})
+            break
+    if not all(group.mul(a, b) in f1 for a in f1 for b in f1):
+        failures.append({"identity": "subgroup-closure"})
+    for x in group.elements():
+        if frozenset(group.mul(group.mul(x, s), group.inv(x)) for s in f1) != f1:
+            failures.append({"identity": "normality", "witness": group.format(x)})
+            break
+    for k in range(1, n + 1):
+        for j in range(1, n + 1):
+            product = frozenset(group.mul(a, b) for a in blocks[k - 1] for b in blocks[j - 1])
+            if product != blocks[table.entry(k, j) - 1]:
+                failures.append({"identity": "coset-product", "witness": (k, j)})
+    if group.order() != n * len(f1):
+        failures.append({"identity": "coset-count",
+                         "witness": (group.order(), n, len(f1))})
+    iso = tuple((table.labels[j - 1], j) for j in range(1, n + 1))
+    return not failures, tuple(failures), iso, len(f1), n

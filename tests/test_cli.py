@@ -412,6 +412,31 @@ def test_incomplete_pair_flags_name_the_commands_own_flag(files, capsys, command
     assert f"or all of {flag}/--tuple/--partition" in stderr
 
 
+def test_pair_flag_errors_name_the_flag_or_file(files, capsys):
+    code, stdout, stderr = run(capsys, ["con", "--action", files["g_z4"], "--tuple", "0,x",
+                                        "--partition", files["part_z4"]])
+    assert (code, stdout) == (4, "")
+    assert stderr == "error: unknown element 'x' of Z4 (at --tuple)\n"
+    residue = str(FIXTURES / "partition_z_residue2.json")
+    code, stdout, stderr = run(capsys, ["con", "--action", files["g_z4"], "--tuple", "0,1",
+                                        "--partition", residue])
+    assert (code, stdout) == (4, "")
+    assert stderr == (
+        "error: residue partitions live on the integers translating themselves "
+        f"(at /payload/kind) in --partition {residue}\n"
+    )
+
+
+def test_prefix_window_longer_than_a_finite_group(capsys):
+    code, stdout, stderr = run(capsys, ["con", str(FIXTURES / "pair_z4_parity.json"),
+                                        "--window", "prefix=5"])
+    assert (code, stdout) == (4, "")
+    assert stderr == "error: prefix window of 5 elements is longer than Z4, of order 4\n"
+    code, _doc, _ = run_json(capsys, ["con", str(FIXTURES / "pair_z4_parity.json"),
+                                      "--window", "prefix=4"], "report")
+    assert code == 0
+
+
 def test_recover_refinement_skips_under_cap(files, capsys):
     code, doc, _ = run_json(
         capsys, ["recover", files["pair_z4"], "--cap", "3"], "report"

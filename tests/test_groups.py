@@ -317,8 +317,11 @@ def test_windows_walk_the_enumeration_without_unranking(make, build):
     (lambda: FreeAbelianGroup(2).box(-1), "radius must be >= 0"),
     (lambda: FreeGroup(2).prefix_window(-1), "window size must be >= 0"),
     (lambda: FreeAbelianGroup(2).prefix_window(-1), "window size must be >= 0"),
+    (lambda: cyclic(4).prefix_window(5),
+     "prefix window of 5 elements is longer than Z4, of order 4"),
 ], ids=["free-at-0", "z-at-0", "z2-at-0", "free-unreduced", "z2-short", "z-bool",
-        "ball-negative", "box-negative", "free-prefix-negative", "z2-prefix-negative"])
+        "ball-negative", "box-negative", "free-prefix-negative", "z2-prefix-negative",
+        "finite-prefix-too-long"])
 def test_enumeration_input_errors_keep_their_messages(call, message):
     with pytest.raises(InputError) as exc:
         call()

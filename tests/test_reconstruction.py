@@ -1,6 +1,10 @@
 """Coset recovery from canonical configuration sets."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from confpara import configurations, reconstruction
@@ -8,9 +12,17 @@ from confpara.actions import LeftTranslation
 from confpara.catalog import cyclic, reconstruction_groups
 from confpara.configurations import ConfigPair, Partition
 from confpara.errors import InputError, PreconditionError, ResourceCapExceeded
-from confpara.groups import FreeAbelianGroup, direct_product, normal_subgroups
+from confpara.groups import (
+    FreeAbelianGroup,
+    direct_product,
+    is_normal,
+    normal_subgroups,
+    quotient_group,
+    subgroups,
+)
 from confpara.reconstruction import (
     CosetFamily,
+    MultiplicationIndexTable,
     canonical_configurations,
     multiplication_index_table,
     q_group_refinement_check,
@@ -61,8 +73,6 @@ def test_partial_table_on_integer_window():
 
 
 def test_validate_table_flags_corruption():
-    from confpara.reconstruction import MultiplicationIndexTable
-
     # quasigroup but not associative: (2*2)*2 = 2 while 2*(2*2) = 1
     rows = ((1, 2, 3), (2, 3, 1), (3, 2, 1))
     t = MultiplicationIndexTable(3, rows, ("e", "g", "h"))
@@ -203,6 +213,211 @@ def test_verify_flags_non_subgroup_blocks():
     assert not report.ok
     kinds = {f["identity"] for f in report.failures}
     assert "subgroup-closure" in kinds or "coset-product" in kinds
+
+
+def test_out_of_range_entries_keep_their_input_error():
+    # 3 is no index of a bound-2 table: read as a row, it is an error, not
+    # a verdict
+    for rows in [((1, 2), (2, 3)), ((1, 3), (2, 1))]:
+        t = MultiplicationIndexTable(2, rows, ("e", "g"))
+        with pytest.raises(InputError, match=r"^table indices \(1,3\) out of range 1\.\.2$"):
+            validate_table(t)
+        with pytest.raises(InputError, match=r"^table indices \(1,3\) out of range 1\.\.2$"):
+            oracles.naive_validate_table(t)
+    t = MultiplicationIndexTable(2, ((1, 2), (2, 1)), ("e", "g"))
+    with pytest.raises(InputError, match=r"^table indices \(3,1\) out of range 1\.\.2$"):
+        t.inverse(3)
+    assert MultiplicationIndexTable(0, (), ()).inverse(3) is None
+
+
+def test_partial_table_reports_every_associativity_failure():
+    # entries outside the window are None; a known clash is still reported
+    rows = ((1, 2, 3), (2, 1, 1), (3, 1, None))
+    t = MultiplicationIndexTable(3, rows, ("e", "g", "h"))
+    assert validate_table(t) == oracles.naive_validate_table(t) == [
+        {"kind": "associativity", "at": (2, 2, 3), "left": 3, "right": 2},
+        {"kind": "associativity", "at": (3, 2, 2), "left": 2, "right": 3},
+    ]
+
+
+def test_coset_law_failure_names_the_least_block():
+    # the table read off this pair's configurations is no group table (its
+    # identity sits in row 2), so the relabeled blocks break the coset law
+    z3 = cyclic(3)
+    pair = ConfigPair((1, 0, 2), Partition.explicit([[1], [2], [0]]))
+    t = MultiplicationIndexTable(3, ((2, 3, 1), (1, 2, 3), (3, 1, 2)), ("1", "2", "3"))
+    message = "translate of block 1 by tuple entry 1 is not block 2"
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        recover_cosets(z3, pair, t)
+    with pytest.raises(oracles.Refusal, match=f"^{message}$"):
+        oracles.naive_recover_cosets(z3.elements(), z3.mul, z3.identity, pair.elements,
+                                     pair.partition.block_of, t)
+
+
+def test_verify_takes_setwise_products_off_the_coset_shortcut():
+    # Z4 over {0, 2}: an empty block, a block that is a coset plus one
+    # element, and tables of other bounds each fall back to setwise
+    # products, with the reference's failures or error
+    z4 = cyclic(4)
+    t = multiplication_index_table(cyclic(2), cyclic(2).elements())
+    cosets = (frozenset({0, 2}), frozenset({1, 3}))
+    cases = [
+        ((frozenset({0, 2}), frozenset()), t),
+        ((frozenset({0, 2}), frozenset({1, 2, 3})), t),
+        (cosets, multiplication_index_table(cyclic(1), cyclic(1).elements())),
+        (cosets, multiplication_index_table(z4, z4.elements())),
+    ]
+    outcomes = [_outcome(_verified, z4, blocks, table) for blocks, table in cases]
+    assert outcomes == [_outcome(oracles.naive_verify_normal_and_iso, z4, blocks, table)
+                        for blocks, table in cases]
+    assert [o[0] for o in outcomes[:3]] == ["ok", "ok", "InputError"]
+    assert not outcomes[0][1][0] and not outcomes[1][1][0]
+
+
+def test_a_subset_outside_the_group_is_not_normal():
+    # -2 indexes row 2 of Z4's table, so every conjugate of {0, 2, -2} lies
+    # in {0, 2}: as sets they differ, though each conjugate is a member
+    z4 = cyclic(4)
+    sub = frozenset({0, 2, -2})
+    assert is_normal(z4, {0, 2})
+    assert not is_normal(z4, sub)
+    assert not oracles.naive_is_normal(z4.elements(), z4.mul, z4.inv, sub)
+    blocks = (sub, frozenset({1, 3}))
+    t = multiplication_index_table(cyclic(2), cyclic(2).elements())
+    report = _verified(z4, blocks, t)
+    assert report == oracles.naive_verify_normal_and_iso(z4, blocks, t)
+    assert {"identity": "normality", "witness": "0"} in report[1]
+
+
+# ---------------------------------------------------------------------------
+# the certificate against its slow reference
+
+
+GROUPS = reconstruction_groups()
+
+
+@functools.cache
+def _subgroups(name):
+    """(normal subgroups, non-normal subgroups) of a reconstruction group."""
+    g = GROUPS[name]
+    normal = {s: oracles.naive_is_normal(g.elements(), g.mul, g.inv, s) for s in subgroups(g)}
+    return [s for s in normal if normal[s]], [s for s in normal if not normal[s]]
+
+
+def _verified(group, blocks, table):
+    """The fields of ``verify_normal_and_iso``'s report on these blocks."""
+    report = verify_normal_and_iso(group, CosetFamily(blocks, (), (), 1), table)
+    return report.ok, report.failures, report.iso, report.subgroup_order, report.coset_count
+
+
+def _outcome(call, *args):
+    """("ok", the call's value), or its exception as (class name, message)."""
+    try:
+        return "ok", call(*args)
+    except oracles.Refusal as exc:
+        return exc.kind, str(exc)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _recovered(group, pair, table):
+    family = recover_cosets(group, pair, table)
+    return family.blocks, family.relabeling, family.identity_block_before
+
+
+def _left_cosets(group, sub):
+    cosets = []
+    for x in group.elements():
+        coset = frozenset(group.mul(x, s) for s in sub)
+        if coset not in cosets:
+            cosets.append(coset)
+    return cosets
+
+
+CORRUPTIONS = ("none", "swap", "none-entry", "out-of-range", "tuple-entry", "read-off",
+               "non-normal", "not-cosets", "empty-block")
+
+
+@st.composite
+def certificate_input(draw):
+    """(H, pair, table, blocks): from H over a normal subgroup, the pair's
+    blocks are the cosets right-translated by a coset and its tuple random
+    coset representatives, the table is the quotient's, and the blocks to
+    certify, besides any the pair recovers, are the cosets; then one
+    corruption of the table, the tuple, the pair (with the table read off
+    its configurations) or the blocks."""
+    corruption = draw(st.sampled_from(CORRUPTIONS))
+    names = sorted(GROUPS)
+    if corruption == "non-normal":
+        names = [name for name in names if _subgroups(name)[1]]
+    name = draw(st.sampled_from(names))
+    g = GROUPS[name]
+    normals, non_normal = _subgroups(name)
+    quotient, cosets, _reps = quotient_group(g, draw(st.sampled_from(normals)))
+    n = len(cosets)
+    s = min(cosets[draw(st.integers(0, n - 1))])
+    pair_blocks = [frozenset(g.mul(x, s) for x in c) for c in cosets]
+    elements = [draw(st.sampled_from(sorted(c))) for c in cosets]
+    table = multiplication_index_table(quotient, quotient.elements())
+    rows, labels = [list(r) for r in table.rows], table.labels
+    blocks = list(cosets)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if corruption == "swap":
+        (i1, j1), (i2, j2) = draw(cell), draw(cell)
+        rows[i1][j1], rows[i2][j2] = rows[i2][j2], rows[i1][j1]
+    elif corruption in ("none-entry", "out-of-range"):
+        i, j = draw(cell)
+        rows[i][j] = None if corruption == "none-entry" else draw(st.sampled_from((0, -1, n + 1)))
+    elif corruption == "tuple-entry":
+        elements[draw(st.integers(0, n - 1))] = draw(st.sampled_from(g.elements()))
+    elif corruption == "read-off":
+        # blocks and tuple each in a random order: the table's rows are
+        # distinct translations of the cosets, but seldom a group table
+        pair_blocks = [pair_blocks[k] for k in draw(st.permutations(range(n)))]
+        elements = [elements[k] for k in draw(st.permutations(range(n)))]
+        label = {x: b for b, block in enumerate(pair_blocks, start=1) for x in block}
+        configs = oracles.naive_configurations(g.elements(), g.mul, elements, label.__getitem__)
+        by_first = {c[0]: c for c in configs}
+        if len(configs) == n and sorted(by_first) == list(range(1, n + 1)):
+            rows = [[by_first[j][i] for j in range(1, n + 1)] for i in range(1, n + 1)]
+    elif corruption == "non-normal":
+        blocks = _left_cosets(g, draw(st.sampled_from(non_normal)))
+        other = cyclic(len(blocks))
+        other_table = multiplication_index_table(other, other.elements())
+        rows, labels = [list(r) for r in other_table.rows], other_table.labels
+    elif corruption == "not-cosets" and n > 1:
+        k, other = draw(st.integers(1, n - 1)), draw(st.integers(0, n - 1))
+        x = draw(st.sampled_from(sorted(blocks[k])))
+        y = draw(st.sampled_from(sorted(blocks[other])))
+        if other in (0, k):  # F_1 stays: the block gains an element
+            blocks[k] = blocks[k] | {y}
+        else:
+            blocks[k], blocks[other] = blocks[k] - {x} | {y}, blocks[other] - {y} | {x}
+    elif corruption == "empty-block" and n > 1:
+        blocks[draw(st.integers(1, n - 1))] = frozenset()
+    table = MultiplicationIndexTable(len(rows), tuple(map(tuple, rows)), labels)
+    pair = ConfigPair(tuple(elements), Partition.explicit(pair_blocks))
+    return g, pair, table, tuple(blocks)
+
+
+@given(certificate_input())
+@settings(max_examples=250, deadline=None)
+def test_certificate_matches_its_slow_reference(case):
+    g, pair, table, blocks = case
+    assert _outcome(validate_table, table) == _outcome(oracles.naive_validate_table, table)
+    recovered = _outcome(_recovered, g, pair, table)
+    assert recovered == _outcome(
+        oracles.naive_recover_cosets, g.elements(), g.mul, g.identity, pair.elements,
+        pair.partition.block_of, table,
+    )
+    families = [blocks] + ([recovered[1][0]] if recovered[0] == "ok" else [])
+    for blocks in families:
+        assert _outcome(_verified, g, blocks, table) == _outcome(
+            oracles.naive_verify_normal_and_iso, g, blocks, table
+        )
+        assert is_normal(g, blocks[0]) == oracles.naive_is_normal(
+            g.elements(), g.mul, g.inv, blocks[0]
+        )
 
 
 # ---------------------------------------------------------------------------

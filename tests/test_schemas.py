@@ -237,6 +237,20 @@ def test_build_action_error_paths():
     assert path_of(err) == "/payload/copies"
 
 
+@pytest.mark.parametrize("group, points, rows, message, path", [
+    ({"family": "cyclic", "order": 2}, ["p", "p"], [[0, 1], [1, 0]],
+     "duplicate points in action table", "/payload/points"),
+    ({"family": "free", "rank": 1}, ["p"], [[0]],
+     "table actions require a finite group", "/payload/group"),
+    ({"family": "cyclic", "order": 2}, ["p", "q"], [[0, 1]],
+     "action table has wrong shape", "/payload/rows"),
+], ids=["duplicate-points", "infinite-group", "short-rows"])
+def test_table_action_errors_name_their_field(group, points, rows, message, path):
+    with pytest.raises(InputError) as err:
+        build_action({"kind": "table", "group": group, "points": points, "rows": rows})
+    assert str(err.value) == f"{message} (at {path})"
+
+
 # ---------------------------------------------------------------------------
 # partitions
 
