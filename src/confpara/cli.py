@@ -24,6 +24,7 @@ of 1.6-2.5 ms (2-core Xeon, Python 3.11); one parser build takes 1.2-2.1 ms.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -108,15 +109,25 @@ def _pair_from_args(args, what):
         )
     action = _load_action(args.action)
     _kind, payload, _meta = _read_manifest(args.partition, "partition")
-    try:
+    with _naming_partition(args):
         partition = schemas.build_partition(payload, action)
-    except InputError as exc:
-        raise InputError(f"{exc} in --partition {args.partition}") from None
     try:
         elements = tuple(action.group.parse(t.strip()) for t in args.tuple.split(","))
     except InputError as exc:
         raise InputError(str(exc), path="--tuple") from None
     return action, ConfigPair(elements, partition)
+
+
+@contextlib.contextmanager
+def _naming_partition(args):
+    """Input errors raised inside name the --partition file of a pair
+    assembled from flags."""
+    try:
+        yield
+    except InputError as exc:
+        if args.manifest is not None:
+            raise
+        raise InputError(f"{exc} in --partition {args.partition}") from None
 
 
 def _emit(args, kind, payload, text_lines, bounds=None):
@@ -152,7 +163,8 @@ def _cap(args):
 
 def _cmd_con(args):
     action, pair = _pair_from_args(args, "con")
-    check_partition_covers(action, pair.partition)
+    with _naming_partition(args):
+        check_partition_covers(action, pair.partition)
     check_generating_assertion(action, pair)
     if args.window is None:
         if not action.is_finite_points:
@@ -255,12 +267,16 @@ def _cmd_recover(args):
     group = action.group
     if not group.is_finite:
         raise InputError("recovery runs on finite instances")
+    configs = None
     if args.g is not None:
         target = _load_group(args.g)
         table = multiplication_index_table(target, target.elements())
     else:
-        table = table_from_configurations(action, pair)
-    family = recover_cosets(group, pair, table)
+        if isinstance(action, LeftTranslation):
+            # the set recover_cosets matches: compute it once for both
+            configs = windowed_configuration_set(action, pair, action.all_window())
+        table = table_from_configurations(action, pair, configs)
+    family = recover_cosets(group, pair, table, configs)
     report = verify_normal_and_iso(group, family, table)
     try:
         refinement = q_group_refinement_check(group, family, cap=cap)

@@ -321,6 +321,8 @@ class FreeGroup(Group):
         return True
 
     def mul(self, a, b):
+        if not a:
+            return b
         i = len(a)
         j = 0
         while i > 0 and j < len(b) and a[i - 1] == -b[j]:
@@ -770,6 +772,11 @@ def quotient_group(group, normal):
     normal = frozenset(normal)
     if not is_normal(group, normal):
         raise PreconditionError("subgroup is not normal")
+    mul = group.mul
+    if group.identity not in normal or not all(
+        mul(a, b) in normal for a in normal for b in normal
+    ):
+        raise PreconditionError("conjugation-closed set is not a subgroup")
     coset_of = {}
     cosets = []
     for x in group.elements():

@@ -65,7 +65,11 @@ class PieceFamily:
 
     def classify_checked(self, x):
         i = self.classifier(x)
-        return None if i is None else _checked_index("classifier", i, self.size)
+        # the common case without a call; anything else, bools included,
+        # goes through _checked_index
+        if i is None or type(i) is int and 0 < i and (self.size is None or i <= self.size):
+            return i
+        return _checked_index("classifier", i, self.size)
 
 
 @dataclass
@@ -137,9 +141,11 @@ class _CoverCheck:
     piece whose translate holds x, and no other piece index up to the index
     bound (and the family size) may.
 
-    A family that names its claimants is checked at the smallest claimant
-    other than the cover's index, rechecked against the classifier; other
-    families are probed index by index."""
+    ``failure`` is the check for this family, picked once: a family that
+    names its claimants is checked at the smallest claimant other than the
+    cover's index, rechecked against the classifier; other families are
+    probed index by index.  Callers bind it to a local; stored on the
+    instance, the bound method would make every check a reference cycle."""
 
     def __init__(self, action, side, fam, translator, cover, index_bound):
         self.act, self.inv = action.act, action.group.inv
@@ -148,39 +154,69 @@ class _CoverCheck:
         self.limit = index_bound if fam.size is None else min(index_bound, fam.size)
         self._inverses = {}
 
-    def _inverse(self, j):
-        if j not in self._inverses:
-            self._inverses[j] = self.inv(self.translator(j))
-        return self._inverses[j]
+    @property
+    def failure(self):
+        """x -> the first failure at x as (equation, detail), or None."""
+        return self._scanned if self.fam.claimants is None else self._claimed
+
+    # Both checks open with the same cover-membership test, written out in
+    # each: a shared helper costs a call per side and point, about 5% of
+    # ``f2-standard``.
+
+    def _scanned(self, x):
+        fam, inverses = self.fam, self._inverses
+        size, classify = fam.size, fam.classify_checked
+        i = self.cover(x)
+        if not (type(i) is int and 0 < i and (size is None or i <= size)):
+            i = _checked_index(self.cover_name, i, size)
+        try:
+            t = inverses[i]
+        except KeyError:
+            t = inverses[i] = self.inv(self.translator(i))
+        act = self.act
+        if classify(act(t, x)) != i:
+            return f"{self.side}-cover-membership", {"index": i}
+        for j in range(1, self.limit + 1):
+            if j == i:
+                continue
+            try:
+                t = inverses[j]
+            except KeyError:
+                t = inverses[j] = self.inv(self.translator(j))
+            if classify(act(t, x)) == j:
+                return f"{self.side}-cover-uniqueness", {"index": i, "other": j}
+        return None
+
+    def _claimed(self, x):
+        fam = self.fam
+        size = fam.size
+        i = self.cover(x)
+        if not (type(i) is int and 0 < i and (size is None or i <= size)):
+            i = _checked_index(self.cover_name, i, size)
+        try:
+            t = self._inverses[i]
+        except KeyError:
+            t = self._inverses[i] = self.inv(self.translator(i))
+        if fam.classify_checked(self.act(t, x)) != i:
+            return f"{self.side}-cover-membership", {"index": i}
+        named = fam.claimants(x)
+        if named == (i,):
+            return None
+        other = min((j for j in named if j != i and j <= self.limit), default=None)
+        if i not in named or not (other is None or self._holds(other, x)):
+            raise MalformedOracleError(
+                f"{self.side}-claimants {tuple(named)!r} of {x!r} disagree with "
+                f"the classifier (cover piece {i})"
+            )
+        if other is not None:
+            return f"{self.side}-cover-uniqueness", {"index": i, "other": other}
+        return None
 
     def _holds(self, j, x):
         """Whether the translate of piece j holds x."""
-        return self.fam.classify_checked(self.act(self._inverse(j), x)) == j
-
-    def failure(self, x):
-        """The first failure at x as (equation, detail), or None."""
-        side, fam = self.side, self.fam
-        i = _checked_index(self.cover_name, self.cover(x), fam.size)
-        if not self._holds(i, x):
-            return f"{side}-cover-membership", {"index": i}
-        if fam.claimants is None:
-            other = next(
-                (j for j in range(1, self.limit + 1) if j != i and self._holds(j, x)),
-                None,
-            )
-        else:
-            named = fam.claimants(x)
-            other = None if named == (i,) else min(
-                (j for j in named if j != i and j <= self.limit), default=None
-            )
-            if i not in named or not (other is None or self._holds(other, x)):
-                raise MalformedOracleError(
-                    f"{side}-claimants {tuple(named)!r} of {x!r} disagree with "
-                    f"the classifier (cover piece {i})"
-                )
-        if other is not None:
-            return f"{side}-cover-uniqueness", {"index": i, "other": other}
-        return None
+        if j not in self._inverses:
+            self._inverses[j] = self.inv(self.translator(j))
+        return self.fam.classify_checked(self.act(self._inverses[j], x)) == j
 
 
 def verify_paradoxical(dec, window, index_bound):
@@ -193,14 +229,17 @@ def verify_paradoxical(dec, window, index_bound):
     claimants (singletons and their lifts, the free group's four pieces and
     singleton refinements: four per point until a failure; a refinement's
     claimants add one rank lookup per parent piece), else
-    O(window x index_bound)."""
+    O(window x index_bound).  Each side's check is picked once per call, and
+    the index scan is one loop with the translator inverses cached, so a
+    probe costs the action, the classifier and its index check."""
     if index_bound < 1:
         raise InputError("index bound must be >= 1")
-    sides = [
+    check_a, check_b = (
         _CoverCheck(dec.action, name, fam, translator, cover, index_bound)
         for name, fam, translator, cover, _range in dec.sides()
-    ]
-    classify_a, classify_b = sides[0].fam.classify_checked, sides[1].fam.classify_checked
+    )
+    classify_a, classify_b = check_a.fam.classify_checked, check_b.fam.classify_checked
+    failure_a, failure_b = check_a.failure, check_b.failure
     checked = 0
     for x in window.points:
         checked += 1
@@ -211,11 +250,10 @@ def verify_paradoxical(dec, window, index_bound):
                 window, index_bound, checked, x, "combined-partition",
                 a_piece=ia, b_piece=ib,
             )
-        for side in sides:
-            failure = side.failure(x)
-            if failure is not None:
-                equation, detail = failure
-                return _refuted(window, index_bound, checked, x, equation, **detail)
+        failure = failure_a(x) or failure_b(x)
+        if failure is not None:
+            equation, detail = failure
+            return _refuted(window, index_bound, checked, x, equation, **detail)
     return Verdict("verified-up-to", window.label, index_bound, checked, None)
 
 
@@ -239,6 +277,7 @@ def verify_equidecomposable(source, target, witness, action, window, index_bound
     target_cover = _CoverCheck(
         action, "target", fam, witness.translator, witness.cover, index_bound
     )
+    failure = target_cover.failure
     checked = 0
     for x in window.points:
         checked += 1
@@ -256,9 +295,9 @@ def verify_equidecomposable(source, target, witness, action, window, index_bound
                     window, index_bound, checked, x, "translated-inside-target", index=i
                 )
         if target(x):
-            failure = target_cover.failure(x)
-            if failure is not None:
-                equation, detail = failure
+            found = failure(x)
+            if found is not None:
+                equation, detail = found
                 return _refuted(window, index_bound, checked, x, equation, **detail)
     return Verdict("verified-up-to", window.label, index_bound, checked, None)
 
@@ -310,29 +349,55 @@ def singleton_decomposition(group):
 @dataclass
 class _FirstLetter:
     """Reduced words starting with ``letter``; optionally adjoin or remove
-    the non-positive powers e, a^-1, a^-2, ... of the first generator.
-
-    A class, not a closure, so that every family's ``member`` is the same
-    function: the F2 paradox's per-side oracles call either side's families
-    from one call site, which CPython 3.11 specializes per function object.
-    With one closure per family, ``f2-standard`` verified about 4% slower
-    (Python 3.11 on a 2-core Xeon)."""
+    the non-positive powers e, a^-1, a^-2, ... of the first generator (when
+    both are asked for, adjoining wins).  The explicit manifest's
+    first-letter pieces are these."""
 
     letter: int
     include_neg_powers: bool = False
     exclude_neg_powers: bool = False
 
-    def is_neg_power(self, w):
-        return w.count(-1) == len(w)  # includes the empty word
-
     def member(self, w):
-        if self.include_neg_powers and self.is_neg_power(w):
-            return True
-        if not w or w[0] != self.letter:
-            return False
-        if self.exclude_neg_powers and self.is_neg_power(w):
-            return False
-        return True
+        if w and w[0] == self.letter:
+            return (not self.exclude_neg_powers or self.include_neg_powers
+                    or w.count(-1) != len(w))
+        return self.include_neg_powers and w.count(-1) == len(w)  # e too
+
+
+class _F2Side:
+    """One side of the F2 paradox: piece 1 is the words starting with
+    ``letter``, piece 2 those starting with its inverse, and with ``absorb``
+    the non-positive powers e, a^-1, a^-2, ... of the first generator move
+    from piece 2 (or from no piece, for e) into piece 1.
+
+    A class, not closures, so that both sides share one function per oracle:
+    the verifier calls either side's oracles from one call site, which
+    CPython 3.11 specializes per function object.  The first-letter closures
+    this replaced verified ``f2-standard`` about 4% slower than one shared
+    member function; for these three oracles, closures timed within 3% of
+    the class (Python 3.11 on a 2-core Xeon)."""
+
+    __slots__ = ("letter", "absorb")
+
+    def __init__(self, letter, absorb=False):
+        self.letter, self.absorb = letter, absorb
+
+    def classifier(self, w):
+        """1, 2 or None (outside both pieces), reading the first letter once."""
+        if not w:
+            return 1 if self.absorb else None
+        first = w[0]
+        if first == self.letter:
+            return 1
+        if first != -self.letter:
+            return None
+        return 1 if self.absorb and w.count(-1) == len(w) else 2
+
+    def cover(self, w):
+        return 1 if self.classifier(w) == 1 else 2
+
+    def claimants(self, w):
+        return (1,) if self.classifier(w) == 1 else (2,)
 
 
 def f2_standard_decomposition(group):
@@ -347,23 +412,20 @@ def f2_standard_decomposition(group):
     if not isinstance(group, FreeGroup) or group.rank != 2:
         raise PreconditionError("the standard four-piece paradox lives on free(2)")
 
-    def side(generator, in_1, in_2):
-        """Pieces in_1 (kept in place) and in_2 (moved by the generator)."""
+    def side(generator, oracle):
+        """Piece 1 kept in place, piece 2 moved by the generator."""
         translators = (group.identity, generator)
         return (
-            PieceFamily(lambda w: 1 if in_1(w) else 2 if in_2(w) else None, size=2,
-                        claimants=lambda w: (1,) if in_1(w) else (2,)),
+            PieceFamily(oracle.classifier, size=2, claimants=oracle.claimants),
             lambda i: translators[i - 1],
-            lambda w: 1 if in_1(w) else 2,
+            oracle.cover,
             translators,
         )
 
     return _from_sides(
         LeftTranslation(group),
-        side(group.generator(1),
-             _FirstLetter(1, include_neg_powers=True).member,
-             _FirstLetter(-1, exclude_neg_powers=True).member),
-        side(group.generator(2), _FirstLetter(2).member, _FirstLetter(-2).member),
+        side(group.generator(1), _F2Side(1, absorb=True)),
+        side(group.generator(2), _F2Side(2)),
         "free2-standard",
     )
 
@@ -784,8 +846,15 @@ def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
             """Each orbit's own pieces and cover on side k, under the
             translators of the first orbit's decomposition."""
 
+            classifiers = {}  # rep -> its pieces' classifier, as ``cache`` grows
+
             def classifier(x):
-                return sides(orbits.rep_of(x))[k][1].classifier(orbits.coset_of(x))
+                rep = orbits.rep_of(x)
+                try:
+                    inner = classifiers[rep]
+                except KeyError:
+                    inner = classifiers[rep] = sides(rep)[k][1].classifier
+                return inner(orbits.coset_of(x))
 
             def glued_cover(x):
                 return sides(orbits.rep_of(x))[k][3](orbits.coset_of(x))

@@ -109,16 +109,19 @@ def table_from_canonical_enumeration(group, bound):
     return multiplication_index_table(group, group.prefix_window(bound).points)
 
 
-def table_from_configurations(action, pair):
-    """Read a candidate index table off a pair's configuration set.
+def table_from_configurations(action, pair, configurations=None):
+    """Read a candidate index table off a pair's configuration set, given as
+    ``configurations`` when the caller has it, else computed on every point.
 
     When the set is a canonical family, configuration j has the shape
     (j, pi(1,j), ..., pi(N,j)); the rows can be read straight off once the
     first entries are seen to enumerate 1..N.  The result still has to pass
     ``validate_table`` and the full matching check in ``recover_cosets``."""
     n = len(pair.elements)
-    window = Window("all", "all", tuple(action.points()))
-    configs = windowed_configuration_set(action, pair, window)
+    configs = configurations
+    if configs is None:
+        window = Window("all", "all", tuple(action.points()))
+        configs = windowed_configuration_set(action, pair, window)
     if len(configs) != n:
         raise PreconditionError(
             f"expected {n} distinct configurations, found {len(configs)}"
@@ -241,9 +244,11 @@ class CosetFamily:
         return self.blocks[0]
 
 
-def recover_cosets(group, pair, table):
+def recover_cosets(group, pair, table, configurations=None):
     """Recover the coset family from a pair realizing the canonical
-    configuration set of the table's group.
+    configuration set of the table's group.  ``configurations``, when given,
+    is the pair's configuration set under left translation on the whole
+    group, already computed by the caller.
 
     The pair's tuple must have one entry per enumeration index (its first
     entry plays the identity's role and must preserve every block).  The
@@ -267,10 +272,11 @@ def recover_cosets(group, pair, table):
             f"tuple length {len(pair.elements)} must equal the table bound {n}"
         )
 
-    action = LeftTranslation(group)
     expected = _full_canonical_set(table)
-    window = Window("all", "all", group.elements())
-    got = frozenset(windowed_configuration_set(action, pair, window))
+    if configurations is None:
+        window = Window("all", "all", group.elements())
+        configurations = windowed_configuration_set(LeftTranslation(group), pair, window)
+    got = frozenset(configurations)
     if got != expected:
         raise PreconditionError(
             "configuration set does not match the canonical family: "

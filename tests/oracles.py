@@ -353,3 +353,54 @@ def naive_verify_normal_and_iso(group, blocks, table):
                          "witness": (group.order(), n, len(f1))})
     iso = tuple((table.labels[j - 1], j) for j in range(1, n + 1))
     return not failures, tuple(failures), iso, len(f1), n
+
+
+# ---------------------------------------------------------------------------
+# paradoxical decompositions, checked on a window from the definition
+
+
+def naive_verify_paradoxical(dec, points, index_bound):
+    """Check a decomposition on the window ``points`` from the definition:
+    at each point, in order, exactly one side's classifier names a piece,
+    and on each side (a, then b) the piece its cover names holds the point
+    in its translate while no other piece up to the index bound (and the
+    family size) does.  Every index up to the bound is probed, through the
+    action and the inverse of the translator, on both sides; claimants are
+    never read.  A malformed index raises ``Refusal`` with the package's
+    message.  Returns (status, points_checked, point, equation, detail), the
+    last three None when every point passes."""
+    act, inv = dec.action.act, dec.action.group.inv
+
+    def index(who, i, size):
+        if not isinstance(i, int) or i < 1:
+            raise Refusal("MalformedOracleError", f"{who} returned bad index {i!r}")
+        if size is not None and i > size:
+            raise Refusal("MalformedOracleError",
+                          f"{who} returned index {i} beyond the family size {size}")
+        return i
+
+    def piece(fam, x):
+        i = fam.classifier(x)
+        return None if i is None else index("classifier", i, fam.size)
+
+    sides = (("a", dec.a_pieces, dec.a_translator, dec.a_cover),
+             ("b", dec.b_pieces, dec.b_translator, dec.b_cover))
+    checked = 0
+    for x in points:
+        checked += 1
+        ia, ib = piece(dec.a_pieces, x), piece(dec.b_pieces, x)
+        if (ia is None) == (ib is None):
+            return ("refuted", checked, x, "combined-partition",
+                    (("a_piece", ia), ("b_piece", ib)))
+        for name, fam, translator, cover in sides:
+            i = index(f"{name}-cover", cover(x), fam.size)
+            if piece(fam, act(inv(translator(i)), x)) != i:
+                return "refuted", checked, x, f"{name}-cover-membership", (("index", i),)
+            top = index_bound if fam.size is None else min(index_bound, fam.size)
+            holders = [j for j in range(1, top + 1)
+                       if piece(fam, act(inv(translator(j)), x)) == j]
+            others = [j for j in holders if j != i]
+            if others:
+                return ("refuted", checked, x, f"{name}-cover-uniqueness",
+                        (("index", i), ("other", others[0])))
+    return "verified-up-to", checked, None, None, None

@@ -427,6 +427,55 @@ def test_pair_flag_errors_name_the_flag_or_file(files, capsys):
     )
 
 
+def test_partition_cover_errors_name_the_partition_file(files, capsys, tmp_path):
+    parity = str(FIXTURES / "partition_z4_parity.json")
+    code, stdout, stderr = run(capsys, ["con", "--action", str(FIXTURES / "group_z.json"),
+                                        "--tuple", "0,1", "--partition", parity,
+                                        "--window", "box=3"])
+    assert (code, stdout) == (4, "")
+    assert stderr == (
+        f"error: explicit partitions require a finite point set in --partition {parity}\n"
+    )
+    short = write_manifest(tmp_path, "short.json", "partition",
+                           {"kind": "blocks", "blocks": [["0", "2"], ["1"]]})
+    code, stdout, stderr = run(capsys, ["con", "--action", files["g_z4"], "--tuple", "0,1",
+                                        "--partition", short])
+    assert (code, stdout) == (4, "")
+    assert stderr == (
+        f"error: partition does not cover the point set; missing [3] in --partition {short}\n"
+    )
+    # a pair manifest names no flag
+    pair = write_manifest(tmp_path, "pair_short.json", "pair", {
+        "action": {"kind": "left-translation", "group": {"family": "cyclic", "order": 4}},
+        "tuple": ["0", "1"],
+        "partition": {"kind": "blocks", "blocks": [["0", "2"], ["1"]]},
+    })
+    code, stdout, stderr = run(capsys, ["con", pair])
+    assert (code, stdout) == (4, "")
+    assert stderr == "error: partition does not cover the point set; missing [3]\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_recover_computes_the_configuration_set_once(capsys, monkeypatch, fmt):
+    # the table is read off the same set that recovery matches; recovering
+    # from the set recomputed prints the same bytes
+    from confpara import reconstruction
+
+    argv = ["recover", str(FIXTURES / "pair_z4_parity.json"), "--format", fmt]
+    calls = []
+    for module in (cli, reconstruction):
+        real = module.windowed_configuration_set
+        monkeypatch.setattr(module, "windowed_configuration_set",
+                            lambda *a, real=real: calls.append(a) or real(*a))
+    code, once, _ = run(capsys, argv)
+    assert code == 0 and len(calls) == 1
+    recover = cli.recover_cosets
+    monkeypatch.setattr(cli, "recover_cosets",
+                        lambda group, pair, table, _configs: recover(group, pair, table))
+    assert run(capsys, argv)[:2] == (0, once)
+    assert len(calls) == 3
+
+
 def test_prefix_window_longer_than_a_finite_group(capsys):
     code, stdout, stderr = run(capsys, ["con", str(FIXTURES / "pair_z4_parity.json"),
                                         "--window", "prefix=5"])

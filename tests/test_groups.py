@@ -430,6 +430,15 @@ def test_quotient_rejects_non_normal():
         quotient_group(s3, h)
 
 
+@pytest.mark.parametrize("subset", [{0, 1}, {1, 3}, set()])
+def test_quotient_rejects_a_conjugation_closed_non_subgroup(subset):
+    # Z4 is abelian, so every subset is closed under conjugation
+    z4 = cyclic(4)
+    assert is_normal(z4, subset)
+    with pytest.raises(PreconditionError, match="^conjugation-closed set is not a subgroup$"):
+        quotient_group(z4, subset)
+
+
 def test_direct_product_structure():
     g = direct_product(cyclic(2), cyclic(3))
     assert g.order() == 6

@@ -8,6 +8,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from confpara.actions import LeftTranslation, ProductAction, TrivialAction
 from confpara.catalog import cyclic
 from confpara.codec import cantor_pair, cantor_unpair
@@ -39,6 +40,7 @@ from confpara.paradox import (
     transitive_orbit_structure,
     verify_equidecomposable,
     verify_paradoxical,
+    _FirstLetter,
 )
 from confpara.schemas import build_decomposition, loads_manifest
 
@@ -710,8 +712,8 @@ def claimed_decomposition(kind):
 
 def claim_twice(dec, side, target, index):
     """``side`` also claims ``target`` (a point of the other side) as a member
-    of piece ``index``; its claimants grow with the new translate, so they
-    stay exact."""
+    of piece ``index``; its claimants, if it names any, grow with the new
+    translate, so they stay exact."""
     fam = getattr(dec, f"{side}_pieces")
     base_classifier, base_claimants = fam.classifier, fam.claimants
     image = dec.action.act(getattr(dec, f"{side}_translator")(index), target)
@@ -723,7 +725,8 @@ def claim_twice(dec, side, target, index):
         named = base_claimants(x)
         return named + ((index,) if x == image and index not in named else ())
 
-    mutated = dataclasses.replace(fam, classifier=classifier, claimants=claimants)
+    mutated = dataclasses.replace(fam, classifier=classifier,
+                                  claimants=None if base_claimants is None else claimants)
     return dataclasses.replace(dec, **{f"{side}_pieces": mutated})
 
 
@@ -732,7 +735,8 @@ def reroute(dec, side, member, positions, last):
     member(side, j) onto the element at enumeration position
     positions[j - 1], so that several translates can meet; the cover names
     the first (or last) rerouted piece whose translate holds x, else what it
-    named before.  The claimants probe the rerouted pieces directly."""
+    named before.  The claimants, if the side names any, probe the rerouted
+    pieces directly."""
     group = dec.action.group
     fam = getattr(dec, f"{side}_pieces")
     translator = getattr(dec, f"{side}_translator")
@@ -760,7 +764,8 @@ def reroute(dec, side, member, positions, last):
         return tuple(j for j in fam.claimants(x) if j > n) + tuple(hits(x))
 
     return dataclasses.replace(dec, **{
-        f"{side}_pieces": dataclasses.replace(fam, claimants=claimants),
+        f"{side}_pieces": dataclasses.replace(
+            fam, claimants=None if fam.claimants is None else claimants),
         f"{side}_translator": rerouted_translator, f"{side}_cover": rerouted_cover,
     })
 
@@ -974,13 +979,10 @@ def test_lift_claimants_hold_through_any_transversal():
 def test_f2_and_refined_claimants_are_exact():
     # probed directly up to index 60; a refined claimant past 60 (a late
     # rank) is rechecked on its own
-    explicit = build_decomposition(loads_manifest(
-        (FIXTURES / "decomposition_f2_explicit.json").read_text(), "decomposition"
-    )[1])
     decs = [
         f2_standard_decomposition(F2),
         refine_to_singletons(f2_standard_decomposition(F2)),
-        refine_to_singletons(explicit),
+        refine_to_singletons(explicit_f2()),
     ]
     for dec in decs:
         for fam, translator in ((dec.a_pieces, dec.a_translator),
@@ -996,3 +998,194 @@ def test_f2_and_refined_claimants_are_exact():
                     j for j in range(1, top + 1) if holds(j, x)
                 ]
                 assert all(holds(j, x) for j in named)
+
+
+# ---------------------------------------------------------------------------
+# the verifier against its slow reference
+
+
+def explicit_f2():
+    """The explicit-manifest twin of the F2 paradox: first-letter pieces and
+    scan covers, no claimants."""
+    return build_decomposition(loads_manifest(
+        (FIXTURES / "decomposition_f2_explicit.json").read_text(), "decomposition"
+    )[1])
+
+
+def first_member(dec):
+    """member(side, j): the first enumerated member of piece j of a
+    decomposition over F2 with two pieces per side (or of its singleton
+    refinement), the identity for a piece past the family or an empty
+    refined piece."""
+    refined = dec.a_pieces.size is None
+
+    def member(side, j):
+        if (cantor_unpair(j - 1)[0] + 1 if refined else j) > 2:
+            return F2.identity
+        cl = getattr(dec, f"{side}_pieces").classifier
+        return next(w for w in map(F2.element_at, itertools.count(1)) if cl(w) == j)
+
+    return member
+
+
+def reference_case(kind):
+    """(decomposition, window by radius, member(side, j) or None when the
+    action is not a left translation)."""
+    if kind in ("f2-standard", "f2-explicit", "refined-f2", "refined-explicit"):
+        dec = explicit_f2() if kind.endswith("explicit") else f2_standard_decomposition(F2)
+        if kind.startswith("refined"):
+            dec = refine_to_singletons(dec)
+        return dec, F2.ball, first_member(dec)
+    if kind == "glue-f2-uniform":
+        action = ProductAction(LeftTranslation(F2), 2)
+        per_orbit, window = (lambda rep: f2_standard_decomposition(F2)), (
+            lambda r: action.window({"ball": r, "indices": [0, 1]}))
+        mode = "uniform"
+    else:
+        action = ProductAction(LeftTranslation(Z))
+        per_orbit, window = (lambda rep: singleton_decomposition(Z)), (
+            lambda r: action.window({"box": r, "indices": [0, 2]}))
+        mode = kind.split("-")[-1]
+    dec = glue_orbit_decompositions(action, product_orbit_structure(action), per_orbit,
+                                    mode=mode)
+    return dec, window, None
+
+
+def reference_outcome(verify, *args):
+    try:
+        return verify(*args)
+    except MalformedOracleError as exc:
+        return "MalformedOracleError", str(exc)
+    except oracles.Refusal as exc:
+        return exc.kind, str(exc)
+
+
+def fast_outcome(dec, window, bound):
+    v = verify_paradoxical(dec, window, bound)
+    w = v.witness
+    if w is None:
+        return v.status, v.points_checked, None, None, None
+    return v.status, v.points_checked, w.point, w.equation, w.detail
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["f2-standard", "f2-explicit", "refined-f2", "refined-explicit",
+                          "glue-uniform", "glue-independent", "glue-f2-uniform"]),
+    radius=st.integers(0, 3),
+    bound=st.one_of(st.integers(1, 6), st.integers(7, 60)),
+    mutation=st.sampled_from(["none", "constant-cover", "zero-cover", "bool-cover",
+                              "shifted-cover", "claimed-twice", "rerouted"]),
+    side=st.sampled_from(["a", "b"]),
+    data=st.data(),
+)
+def test_verifier_matches_its_slow_reference(kind, radius, bound, mutation, side, data):
+    dec, window_of, member = reference_case(kind)
+    if mutation == "constant-cover":
+        dec = dataclasses.replace(dec, **{f"{side}_cover": lambda x: 1})
+    elif mutation == "zero-cover":
+        dec = dataclasses.replace(dec, **{f"{side}_cover": lambda x: 0})
+    elif mutation == "bool-cover":
+        cover = getattr(dec, f"{side}_cover")
+        dec = dataclasses.replace(dec, **{f"{side}_cover": lambda x: cover(x) == 1 or cover(x)})
+    elif mutation == "shifted-cover":
+        cover = getattr(dec, f"{side}_cover")
+        dec = dataclasses.replace(dec, **{f"{side}_cover": lambda x: cover(x) + 1})
+    elif mutation == "claimed-twice":
+        fam = getattr(dec, f"{side}_pieces")
+        outside = [x for x in window_of(radius + 1).points if fam.classifier(x) is None]
+        top = bound if fam.size is None else min(bound, fam.size)
+        dec = claim_twice(dec, side, data.draw(st.sampled_from(outside)),
+                          data.draw(st.integers(1, top)))
+    elif mutation == "rerouted" and member is not None:
+        positions = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+        dec = reroute(dec, side, member, positions, data.draw(st.booleans()))
+    window = window_of(radius)
+    assert reference_outcome(fast_outcome, dec, window, bound) == reference_outcome(
+        oracles.naive_verify_paradoxical, dec, window.points, bound)
+
+
+@pytest.mark.parametrize("include, exclude", itertools.product([False, True], repeat=2))
+def test_first_letter_members_match_their_definition(include, exclude):
+    # adjoining the non-positive powers of a wins over removing them
+    for letter in (1, -1, 2, -2):
+        member = _FirstLetter(letter, include, exclude).member
+        for w in F2.ball(4).points:
+            neg_power = all(v == -1 for v in w)
+            starts = len(w) > 0 and w[0] == letter
+            expected = (include and neg_power) or (starts and not (exclude and neg_power))
+            assert member(w) == expected, (letter, w)
+
+
+def test_f2_side_oracles_agree_with_the_explicit_twin():
+    # the F2 paradox's one-letter classifier and cover against the
+    # manifest's first-letter members and scan cover
+    dec, twin = f2_standard_decomposition(F2), explicit_f2()
+    assert twin.a_pieces.claimants is None
+    for w in F2.ball(6).points:
+        for side in "ab":
+            fam, twin_fam = getattr(dec, f"{side}_pieces"), getattr(twin, f"{side}_pieces")
+            cover = getattr(dec, f"{side}_cover")
+            assert fam.classifier(w) == twin_fam.classifier(w)
+            assert cover(w) == getattr(twin, f"{side}_cover")(w)
+            assert fam.claimants(w) == (cover(w),)
+
+
+def test_uniform_glue_reads_each_orbits_own_classifier():
+    # copy 1 swaps the a-pieces of copy 0; the glued classifier, asked in
+    # alternating copies, answers each copy's own
+    dec = f2_standard_decomposition(F2)
+    base = dec.a_pieces.classifier
+    swapped = dataclasses.replace(dec, a_pieces=dataclasses.replace(
+        dec.a_pieces, classifier=lambda w: {1: 2, 2: 1}.get(base(w))))
+    action = ProductAction(LeftTranslation(F2), 2)
+    glued = glue_orbit_decompositions(action, product_orbit_structure(action),
+                                      lambda rep: swapped if rep[1] else dec, mode="uniform")
+    for w in F2.ball(2).points:
+        for r, inner in ((0, dec), (1, swapped)):
+            assert glued.a_pieces.classifier((w, r)) == inner.a_pieces.classifier(w)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0, "classifier returned bad index 0"),
+    (3, "classifier returned index 3 beyond the family size 2"),
+])
+def test_uniform_glue_scan_probe_reads_the_inner_index_through_the_contract(bad, message):
+    # the window holds only the identity of copy 0; the a-side scan probes
+    # piece 2's preimage a^-1, where the inner classifier goes wrong
+    dec = f2_standard_decomposition(F2)
+    base = dec.a_pieces.classifier
+    broken = dataclasses.replace(dec, a_pieces=dataclasses.replace(
+        dec.a_pieces, classifier=lambda w: bad if w == (-1,) else base(w)))
+    action = ProductAction(LeftTranslation(F2), 1)
+    glued = glue_orbit_decompositions(action, product_orbit_structure(action),
+                                      lambda rep: broken, mode="uniform")
+    window = action.window({"ball": 0, "indices": [0, 0]})
+    assert window.points == ((F2.identity, 0),)
+    with pytest.raises(MalformedOracleError, match=f"^{message}$"):
+        verify_paradoxical(glued, window, 2)
+
+
+def test_a_classifier_returning_true_names_piece_1():
+    assert PieceFamily(lambda x: True, size=2).classify_checked(7) is True
+    dec = f2_standard_decomposition(F2)
+    base = dec.a_pieces.classifier
+    truthy = dataclasses.replace(dec, a_pieces=dataclasses.replace(
+        dec.a_pieces, classifier=lambda w: True if base(w) == 1 else base(w)))
+    assert verify_paradoxical(truthy, fwin(3), 2) == verify_paradoxical(dec, fwin(3), 2)
+
+
+def test_equidecomposition_bound_and_source_checks():
+    w = galileo_witness()
+    action, window = LeftTranslation(Z), zwin(5)
+    with pytest.raises(InputError, match="index bound must be >= 1"):
+        verify_equidecomposable(lambda v: True, lambda v: v % 2 == 0, w, action, window, 0)
+    # 3 lies in a piece but outside the source; 0, 1, -1, 2 and -2 come first
+    verdict = verify_equidecomposable(
+        lambda v: v != 3, lambda v: v % 2 == 0, w, action, window, 12,
+    )
+    assert verdict.status == "refuted"
+    assert verdict.witness.point == 3
+    assert verdict.witness.equation == "piece-inside-source"
+    assert dict(verdict.witness.detail) == {"index": Z.position_of(3)}
+    assert verdict.points_checked == 6
