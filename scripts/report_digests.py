@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Print the SHA-256 of every acceptance report, one ``slug sha256`` line each,
-then of every README command-line example, one ``cli:<name> sha256`` line each,
-then of every coset recovery over the reconstruction groups, one
+then of every README command-line example and of ``equiv`` on two
+presentations of one group, one ``cli:<name> sha256`` line each, then of
+every coset recovery over the reconstruction groups, one
 ``recover:<group>-<k> sha256`` line each.
 
 The reports are the canonical JSON bytes of the payload builders listed in
 tests/test_acceptance.py::PAYLOAD_BUILDERS.  The command-line examples are
 ``readme_commands`` below, run one after another through
-``confpara.cli.main`` in this process; each digest hashes the exit code and
-the stdout bytes.  The recoveries are ``recover_digests`` below, one per normal
-subgroup.  Running this script on two checkouts and diffing the output shows
-whether a change left every report, every command's output and every
-recovery byte-identical.  Usage: ``python3 scripts/report_digests.py`` (no flags).
+``confpara.cli.main`` in this process, then ``conjugate_commands``; each
+digest hashes the exit code and the stdout bytes.  The recoveries are
+``recover_digests`` below, one per normal subgroup.  Running this script on
+two checkouts and diffing the output shows whether a change left every
+report, every command's output and every recovery byte-identical.
+Usage: ``python3 scripts/report_digests.py`` (no flags).
 """
 
 import contextlib
@@ -32,7 +34,7 @@ from confpara.catalog import reconstruction_groups  # noqa: E402
 from confpara.configurations import ConfigPair, Partition  # noqa: E402
 from confpara.errors import InputError  # noqa: E402
 from confpara.groups import normal_subgroups, quotient_group  # noqa: E402
-from confpara.schemas import dumps_canonical  # noqa: E402
+from confpara.schemas import dumps_canonical, make_manifest  # noqa: E402
 
 
 def readme_commands(out_dir):
@@ -56,6 +58,21 @@ def readme_commands(out_dir):
                                "--index-bound", "20",
                                "--out", str(Path(out_dir) / "singleton.json")]),
     ]
+
+
+def conjugate_commands(out_dir):
+    """``equiv`` on two presentations of Z4, by name, in JSON and text: the
+    fixture against a Cayley table of Z4 with its elements relabelled,
+    whose manifest is written under ``out_dir``."""
+    value = [2, 0, 3, 1]  # table index -> element of Z4
+    index = {v: i for i, v in enumerate(value)}
+    table = [[index[(a + b) % 4] for b in value] for a in value]
+    path = Path(out_dir) / "group_z4_relabelled.json"
+    path.write_text(dumps_canonical(make_manifest(
+        "group", {"family": "table", "table": table, "identity": index[0]})))
+    argv = ["equiv", str(ROOT / "tests" / "fixtures" / "group_z4.json"), str(path),
+            "-n", "2", "-m", "3"]
+    return [("equiv-conjugate", argv), ("equiv-conjugate-text", argv + ["--format", "text"])]
 
 
 def _outcome(call, *args):
@@ -100,7 +117,7 @@ def main():
         digest = hashlib.sha256(dumps_canonical(build()).encode("utf-8")).hexdigest()
         print(f"{slug} {digest}")
     with tempfile.TemporaryDirectory() as out_dir:
-        for name, argv in readme_commands(out_dir):
+        for name, argv in readme_commands(out_dir) + conjugate_commands(out_dir):
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(argv)

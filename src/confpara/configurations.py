@@ -344,7 +344,6 @@ def singleton_split(action, pair, block_index):
     relabeling = tuple(relabel(b) for b in range(1, m + 1))
     base_block_of = part.block_of
     base_rank = part.block_rank
-    base_unrank = part.block_unrank
 
     def classify(x):
         b = relabel(base_block_of(x))
@@ -352,21 +351,7 @@ def singleton_split(action, pair, block_index):
             return b
         return m + base_rank(block_index, x)
 
-    def block_unrank(b, pos):
-        if b >= m:
-            if pos != 0:
-                raise InputError("singleton blocks have a single member")
-            return base_unrank(block_index, b - m)
-        return base_unrank(relabel(b), pos)
-
-    def block_rank(b, x):
-        if b >= m:
-            return 0
-        return base_rank(relabel(b), x)
-
-    split_partition = Partition.classifier(
-        classify, block_count=None, block_unrank=block_unrank, block_rank=block_rank
-    )
+    split_partition = Partition.classifier(classify)
     n = len(pair.elements)
     elements = pair.elements
     identity = action.group.identity
@@ -501,7 +486,7 @@ def _cycle_type(perm):
             k += 1
         if k:
             lengths.append(k)
-    return sorted(lengths)
+    return tuple(sorted(lengths))
 
 
 def _generating_rows(rows):
@@ -523,29 +508,31 @@ def _generating_rows(rows):
     return gens
 
 
-def normalizer_maps(rows, limit=None):
+def conjugating_maps(rows, targets, limit=None):
     """Permutations phi of the points 0..N-1 of a compiled finite action
-    that conjugate every row to a row (phi r phi^-1 is a row for each row
-    r): the normalizer of the action's image in the symmetric group.  For a
-    group acting on itself by left translation that is the holomorph, with
-    |G| |Aut(G)| maps.  Each map is a tuple with phi[x] the image of x; the
-    identity comes first, and at most ``limit`` maps are returned.
+    that conjugate every row to one of ``targets``, the rows of a finite
+    action on the same points: phi r phi^-1 is a target for each row r.
+    Each map is a tuple with phi[x] the image of x; the identity comes
+    first when it is one of them, and at most ``limit`` maps are returned.
 
-    Backtracking: the image of the least point of the first orbit, then an
-    image row of the same cycle type for each generating row, then the
-    image of the least point of each further orbit.  Each choice is
-    propagated along the generators, phi(s x) = alpha(s) phi(x), and a
-    clash or a repeated image rejects it.  Conjugating the generators to
-    rows carries the whole group to a group of the same order inside the
-    rows, that is onto them."""
+    Backtracking: the image of the least point of the first orbit, then a
+    target of the same cycle type for each generating row, then the image
+    of the least point of each further orbit.  Each choice is propagated
+    along the generators, phi(s x) = alpha(s) phi(x), and a clash or a
+    repeated image rejects it.  Conjugating the generators to targets
+    carries the group of the rows into the group of the targets, onto it
+    when the two have as many distinct rows; with more distinct targets
+    than rows, the image may be a proper subgroup."""
     size = len(rows[0])
     identity = tuple(range(size))
     if limit is not None and limit < 1:
         return []
-    distinct = list(dict.fromkeys(rows))
-    gens = _generating_rows(distinct)
-    shapes = {r: _cycle_type(r) for r in distinct}
-    images = [[s, *(r for r in distinct if r != s and shapes[r] == shapes[s])] for s in gens]
+    gens = _generating_rows(list(dict.fromkeys(rows)))
+    by_shape = {}
+    for r in dict.fromkeys(targets):
+        by_shape.setdefault(_cycle_type(r), []).append(r)
+    # each generator's own row first, when it is a target
+    images = [sorted(by_shape.get(_cycle_type(s), ()), key=s.__ne__) for s in gens]
     reps, placed = [], set()
     for o in range(size):
         if o not in placed:
@@ -628,6 +615,14 @@ def normalizer_maps(rows, limit=None):
     return maps
 
 
+def normalizer_maps(rows, limit=None):
+    """The maps conjugating every row to a row (see conjugating_maps): the
+    normalizer of the action's image in the symmetric group.  For a group
+    acting on itself by left translation that is the holomorph, with
+    |G| |Aut(G)| maps.  The identity comes first."""
+    return conjugating_maps(rows, rows, limit)
+
+
 def _code_maps(b, m, n):
     """For each relabeling of blocks 1..b, the induced map on configuration
     codes: a configuration (c_0, ..., c_n) is coded as the base-m integer
@@ -676,10 +671,10 @@ def _relabeled(codes, relabelings):
     return (frozenset(map(cm.__getitem__, codes)) for cm in relabelings)
 
 
-def _configuration_family(action, n, m, cap, code_maps):
+def _configuration_family(compiled, n, m, cap, code_maps):
     """One configuration set per class under block relabeling, over tuples
     of length n and partitions into at most m blocks, each mapped to its
-    first witness.
+    first witness, for a compiled action (see _compile).
 
     Every partition counts against ``cap``, and the count, S(N, 1) + ... +
     S(N, m) for N points, is checked before any is enumerated.  A partition
@@ -697,7 +692,7 @@ def _configuration_family(action, n, m, cap, code_maps):
     of it under another relabeling of its blocks is in ``seen``.  It joins
     ``seen`` only after that probe, since a relabeling may fix it.
     ``code_maps`` caches _code_maps by block count."""
-    pts, gels, rows = _compile(action)
+    pts, _gels, rows = compiled
     total = _partition_count(len(pts), m, cap)
     if total > cap:
         raise ResourceCapExceeded(
@@ -717,7 +712,7 @@ def _configuration_family(action, n, m, cap, code_maps):
             if seen.isdisjoint(_relabeled(codes, others)):
                 family[codes] = (t, labels, b)
             seen.add(codes)
-    return family, pts, gels
+    return family
 
 
 def _first_unmatched(family, other, code_maps):
@@ -747,6 +742,23 @@ class EquivVerdict:
     family_sizes: tuple
 
 
+def _conjugate(rows1, rows2):
+    """Whether some point map conjugates every row of one compiled action
+    to a row of the other, on as many distinct rows.  The sorted cycle
+    types of the distinct rows, which fix their count and degree, are
+    compared first; a map the search returns is checked on every row."""
+    distinct1, distinct2 = list(dict.fromkeys(rows1)), list(dict.fromkeys(rows2))
+    if sorted(map(_cycle_type, distinct1)) != sorted(map(_cycle_type, distinct2)):
+        return False
+    maps = conjugating_maps(distinct1, distinct2, 1)
+    if not maps:
+        return False
+    phi = maps[0]
+    inverse = sorted(range(len(phi)), key=phi.__getitem__)
+    targets = set(distinct2)
+    return all(tuple(phi[r[x]] for x in inverse) in targets for r in distinct1)
+
+
 def _witness_from(action, pts, gels, record, direction):
     t, labels, b = record
     group = action.group
@@ -768,9 +780,12 @@ def config_equiv_bounded(action1, action2, n, m, cap=None):
 
     Each family keeps the first configuration set met of each class.  A
     class of one family is in the other when one of its relabeled images is
-    among the other's kept sets, so no canonical form is computed.  An
-    action compared with itself (the same object) is equivalent without a
-    comparison."""
+    among the other's kept sets, so no canonical form is computed.  Two
+    conjugate presentations of one action, the same object or two whose
+    permutations a point map carries onto each other (see _conjugate), are
+    decided from the first family alone: the map carries each pair of one
+    to a pair of the other with the same configuration set, so the two
+    families are equal."""
     if n < 1 or m < 1:
         raise InputError("bounds must be >= 1")
     for a in (action1, action2):
@@ -779,14 +794,14 @@ def config_equiv_bounded(action1, action2, n, m, cap=None):
     if cap is None:
         cap = default_partition_cap()
     code_maps = {}
-    fam1, pts1, gels1 = _configuration_family(action1, n, m, cap, code_maps)
-    if action2 is action1:
-        fam2, pts2, gels2 = fam1, pts1, gels1
-        only1 = only2 = None
-    else:
-        fam2, pts2, gels2 = _configuration_family(action2, n, m, cap, code_maps)
-        only1 = _first_unmatched(fam1, fam2, code_maps)
-        only2 = _first_unmatched(fam2, fam1, code_maps)
+    compiled1 = pts1, gels1, rows1 = _compile(action1)
+    fam1 = _configuration_family(compiled1, n, m, cap, code_maps)
+    compiled2 = pts2, gels2, rows2 = compiled1 if action2 is action1 else _compile(action2)
+    if compiled2 is compiled1 or _conjugate(rows1, rows2):
+        return EquivVerdict(True, n, m, None, None, (len(fam1), len(fam1)))
+    fam2 = _configuration_family(compiled2, n, m, cap, code_maps)
+    only1 = _first_unmatched(fam1, fam2, code_maps)
+    only2 = _first_unmatched(fam2, fam1, code_maps)
     w1 = _witness_from(action1, pts1, gels1, fam1[only1], "first-not-second") if only1 else None
     w2 = _witness_from(action2, pts2, gels2, fam2[only2], "second-not-first") if only2 else None
     return EquivVerdict(

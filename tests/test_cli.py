@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from confpara import cli
+from confpara import cli, configurations
 from confpara.cli import main
 from confpara.schemas import dumps_canonical, make_manifest
 
@@ -283,6 +283,22 @@ def test_non_scalar_action_points_are_input_errors(kind, point, tmp_path, capsys
     assert stdout == ""
     assert stderr.startswith("error: ")
     assert stderr.count("(at /payload/points/0)") == 1
+
+
+def test_equiv_on_two_presentations_matches_the_two_family_path(tmp_path, capsys, monkeypatch):
+    # scripts/report_digests.py's Z4 against a relabelled Z4 table, in JSON
+    # and text: decided from one family, with the output of building both
+    commands = report_digests().conjugate_commands(tmp_path)
+    built = []
+    real = configurations._configuration_family
+    monkeypatch.setattr(configurations, "_configuration_family",
+                        lambda *args: built.append(1) or real(*args))
+    shortcut = [run(capsys, argv) for _name, argv in commands]
+    assert len(built) == len(commands)
+    assert [code for code, _, _ in shortcut] == [0, 0]
+    monkeypatch.setattr(configurations, "_conjugate", lambda rows1, rows2: False)
+    assert [run(capsys, argv) for _name, argv in commands] == shortcut
+    assert len(built) == 3 * len(commands)
 
 
 def test_equiv_text_format(files, capsys):
@@ -849,13 +865,18 @@ def test_reports_are_byte_identical_across_runs(files, capsys):
 # one parser per process
 
 
-def readme_commands(out_dir):
-    """scripts/report_digests.py's list of the README's command examples."""
+def report_digests():
+    """scripts/report_digests.py, loaded as a module."""
     path = pathlib.Path(__file__).parent.parent / "scripts" / "report_digests.py"
     spec = importlib.util.spec_from_file_location("report_digests", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.readme_commands(out_dir)
+    return module
+
+
+def readme_commands(out_dir):
+    """scripts/report_digests.py's list of the README's command examples."""
+    return report_digests().readme_commands(out_dir)
 
 
 def test_repeated_calls_share_one_parser(tmp_path, capsys, monkeypatch):

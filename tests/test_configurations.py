@@ -1,6 +1,7 @@
 """Configuration sets, refinement cells, splits and bounded equivalence."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from confpara import configurations as cf
 from confpara.actions import LeftTranslation, ProductAction, TableAction, TrivialAction
-from confpara.catalog import cyclic, fixture_groups, reconstruction_groups
+from confpara.catalog import cyclic, fixture_groups, reconstruction_groups, symmetric
 from confpara.codec import zigzag_position, zigzag_value
 from confpara.configurations import (
     ConfigPair,
@@ -19,6 +20,7 @@ from confpara.configurations import (
     check_partition_covers,
     config_equiv_bounded,
     configuration_cells,
+    conjugating_maps,
     configurations_finite,
     configurations_with_cells,
     countable_config_prefixes,
@@ -31,7 +33,7 @@ from confpara.configurations import (
     windowed_configuration_set,
 )
 from confpara.errors import InputError, PreconditionError, ResourceCapExceeded
-from confpara.groups import FreeAbelianGroup, subgroups
+from confpara.groups import CayleyTableGroup, FreeAbelianGroup, direct_product, subgroups
 
 FIXTURES = fixture_groups()
 
@@ -466,7 +468,7 @@ def test_z4_vs_z2xz2_distinguished_at_1_2():
 @pytest.mark.parametrize("name", ["Z2", "Z3", "Z4", "Z2xZ2"])
 def test_group_equivalent_to_itself(name):
     a1 = LeftTranslation(FIXTURES[name])
-    a2 = LeftTranslation(FIXTURES[name])  # distinct instance: no shortcut
+    a2 = LeftTranslation(FIXTURES[name])  # distinct instance: decided by a conjugator
     verdict = config_equiv_bounded(a1, a2, 1, 3)
     assert verdict.equivalent
     assert verdict.family_sizes[0] == verdict.family_sizes[1]
@@ -487,6 +489,18 @@ def test_default_cap_env(monkeypatch):
     monkeypatch.setenv("CONFPARA_CAP", "zero")
     with pytest.raises(InputError):
         default_partition_cap()
+
+
+def test_equiv_refusals(monkeypatch):
+    z2 = LeftTranslation(cyclic(2))
+    for n, m in [(0, 1), (1, 0)]:
+        with pytest.raises(InputError, match="^bounds must be >= 1$"):
+            config_equiv_bounded(z2, z2, n, m)
+    with pytest.raises(InputError, match="^bounded equivalence compares finite actions$"):
+        config_equiv_bounded(z2, LeftTranslation(FreeAbelianGroup(1)), 1, 1)
+    monkeypatch.setenv("CONFPARA_CAP", "0")
+    with pytest.raises(InputError, match="^CONFPARA_CAP must be >= 1$"):
+        config_equiv_bounded(z2, z2, 1, 1)
 
 
 def test_cap_is_checked_before_any_tuple(monkeypatch):
@@ -630,22 +644,132 @@ def test_maps_stay_within_the_bound(monkeypatch):
         assert used == [(len(action.group.elements()), bound)]
 
 
-@pytest.mark.parametrize("action", [
+D4_COSET = coset_action(FIXTURES["D4"], next(s for s in subgroups(FIXTURES["D4"]) if len(s) == 2))
+ROW_ACTIONS = pytest.mark.parametrize("action", [
     LeftTranslation(FIXTURES["Q8"]),
-    coset_action(FIXTURES["D4"], next(s for s in subgroups(FIXTURES["D4"]) if len(s) == 2)),
+    D4_COSET,
     ProductAction(LeftTranslation(FIXTURES["Z2xZ2"]), index_count=2),
     ProductAction(TrivialAction(cyclic(2), points=["u", "v"]), index_count=2),
     ProductAction(LeftTranslation(cyclic(2)), index_count=6),
 ], ids=["Q8", "D4-coset", "Z2xZ2-x2", "trivial-x2", "Z2-x6"])
-def test_maps_conjugate_every_row_to_a_row(action):
-    rows = compiled_rows(action)
-    row_set = set(rows)
-    maps = normalizer_maps(rows)
+
+
+def assert_conjugators(maps, rows, targets):
+    """Every map is a permutation conjugating each row to one of ``targets``."""
+    target_set = set(targets)
     assert len(set(maps)) == len(maps)
     for phi in maps:
         assert sorted(phi) == list(range(len(phi)))
         inverse = sorted(range(len(phi)), key=phi.__getitem__)
-        assert all(tuple(phi[r[x]] for x in inverse) in row_set for r in row_set)
+        assert all(tuple(phi[r[x]] for x in inverse) in target_set for r in set(rows))
+
+
+@ROW_ACTIONS
+def test_maps_conjugate_every_row_to_a_row(action):
+    rows = compiled_rows(action)
+    assert_conjugators(normalizer_maps(rows), rows, rows)
+
+
+@ROW_ACTIONS
+def test_conjugating_maps_carry_rows_onto_a_relabelled_presentation(action):
+    # the conjugators onto a relabelled copy are one coset of the normalizer
+    rows = compiled_rows(action)
+    perm = list(range(len(rows[0])))
+    random.Random(len(perm)).shuffle(perm)
+    targets = compiled_rows(relabeled(action, perm))
+    maps = conjugating_maps(rows, targets)
+    assert_conjugators(maps, rows, targets)
+    assert len(maps) == len(normalizer_maps(rows))
+    assert conjugating_maps(rows, targets, 1) == maps[:1]
+
+
+def semidirect_z4_z4():
+    """Z4 x| Z4 with b a b^-1 = a^-1; a^i b^j has index 4j + i."""
+    return CayleyTableGroup([
+        [4 * ((j + l) % 4) + (i + (-1) ** j * k) % 4 for l in range(4) for k in range(4)]
+        for j in range(4) for i in range(4)
+    ], 0, name="Z4:Z4")
+
+
+def s4_on(points):
+    """S4 acting on ``points``: digits 0..3, or sets of them, nested."""
+    def image(p, x):
+        return p[x] if isinstance(x, int) else frozenset(image(p, y) for y in x)
+
+    where = {x: i for i, x in enumerate(points)}
+    perms = sorted(itertools.permutations(range(4)))  # symmetric(4)'s element order
+    rows = [[where[image(p, x)] for x in points] for p in perms]
+    return TableAction(symmetric(4), range(len(points)), rows)
+
+
+EDGES = [frozenset(e) for e in itertools.combinations(range(4), 2)]
+PAIRINGS = [frozenset({e, frozenset(range(4)) - e}) for e in EDGES if 0 in e]
+
+
+def count_families(monkeypatch):
+    """The point counts of the configuration families built from now on."""
+    built = []
+    real = cf._configuration_family
+
+    def spy(compiled, *args):
+        built.append(len(compiled[0]))
+        return real(compiled, *args)
+
+    monkeypatch.setattr(cf, "_configuration_family", spy)
+    return built
+
+
+def test_equal_cycle_types_without_a_conjugator_build_both_families(monkeypatch):
+    first = LeftTranslation(direct_product(cyclic(4), cyclic(4)))
+    other = LeftTranslation(semidirect_z4_z4())
+    rows1, rows2 = compiled_rows(first), compiled_rows(other)
+    assert sorted(map(cf._cycle_type, set(rows1))) == sorted(map(cf._cycle_type, set(rows2)))
+    assert conjugating_maps(rows1, rows2, 1) == []
+    built = count_families(monkeypatch)
+    verdict = config_equiv_bounded(first, other, 1, 2)
+    assert verdict == EquivVerdict(True, 1, 2, None, None, (5, 5))
+    assert built == [16, 16]
+    # a relabelled presentation is decided from one family
+    built.clear()
+    perm = list(range(16))
+    random.Random(16).shuffle(perm)
+    assert config_equiv_bounded(first, relabeled(first, perm), 1, 2) == verdict
+    assert built == [16]
+
+
+def test_a_map_from_the_search_is_checked_on_every_row(monkeypatch):
+    # S4 on four digits and three pairings, and on six edges and a fixed
+    # point: equal cycle types, no conjugator, distinguished at (2, 2).  A
+    # search answering the identity must not decide the pair.
+    first, other = s4_on([0, 1, 2, 3, *PAIRINGS]), s4_on([*EDGES, frozenset()])
+    verdict = config_equiv_bounded(first, other, 2, 2)
+    assert not verdict.equivalent and verdict.family_sizes == (30, 27)
+    real = cf.conjugating_maps
+
+    def identity_only(rows, targets, limit=None):
+        if targets is rows:
+            return real(rows, targets, limit)
+        return [tuple(range(len(rows[0])))]
+
+    monkeypatch.setattr(cf, "conjugating_maps", identity_only)
+    assert config_equiv_bounded(first, other, 2, 2) == verdict
+
+
+@pytest.mark.parametrize("first, other, n, m", [
+    (TrivialAction(cyclic(2), points=range(4)),
+     ProductAction(LeftTranslation(cyclic(2)), index_count=2), 1, 2),
+    (ProductAction(LeftTranslation(cyclic(2)), index_count=2),
+     LeftTranslation(FIXTURES["Z2xZ2"]), 2, 2),
+], ids=["trivial-Z2x2", "Z2x2-Z2xZ2"])
+def test_a_subgroup_presentation_is_not_a_conjugate(first, other, n, m):
+    # the first action's rows conjugate into a proper subgroup of the
+    # other's: the search alone finds a map, the distinct-row cycle types
+    # refuse it
+    assert conjugating_maps(compiled_rows(first), compiled_rows(other), 1)
+    for a, b in [(first, other), (other, first)]:
+        verdict = config_equiv_bounded(a, b, n, m)
+        assert not verdict.equivalent
+        assert verdict == naive_verdict(a, b, n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +847,26 @@ def test_equiv_matches_naive_enumerator(first, other, same, n, m, data):
 def test_equiv_matches_naive_enumerator_at_four_blocks(first, other, n, m):
     # all 24 relabelings of four blocks; the property above stops at m = 3
     first = LeftTranslation(FIXTURES[first])
-    other = LeftTranslation(FIXTURES[other])  # distinct instance: no shortcut
+    other = LeftTranslation(FIXTURES[other])  # distinct instance: Z5-Z5 decided by a conjugator
     assert config_equiv_bounded(first, other, n, m) == naive_verdict(first, other, n, m)
+
+
+@pytest.mark.parametrize("first, other, n, m", [
+    (LeftTranslation(FIXTURES["Z5"]), LeftTranslation(FIXTURES["Z5"]), 2, 4),
+    (D4_COSET, relabeled(D4_COSET, [3, 1, 0, 2]), 2, 3),
+], ids=["Z5-Z5-n2", "D4-coset-relabelled-n2"])
+def test_two_family_path_on_conjugate_pairs(monkeypatch, first, other, n, m):
+    # with the conjugation search finding nothing, both families are built
+    # and compared, and the verdict is the one the shortcut gives
+    real = cf.conjugating_maps
+    monkeypatch.setattr(cf, "conjugating_maps", lambda rows, targets, limit=None:
+                        real(rows, targets, limit) if targets is rows else [])
+    built = count_families(monkeypatch)
+    verdict = config_equiv_bounded(first, other, n, m)
+    assert len(built) == 2
+    assert verdict == naive_verdict(first, other, n, m)
+    monkeypatch.undo()
+    assert config_equiv_bounded(first, other, n, m) == verdict
 
 
 @given(small_action(), st.integers(min_value=1, max_value=4), st.data())
