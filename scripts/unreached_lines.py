@@ -8,8 +8,8 @@ that never ran, in file and line order; pytest's report and the count go to
 stderr.  A statement is a line that starts an ``ast`` statement and carries
 bytecode, so ``else:``, docstrings and the continuation lines of a long
 statement are not listed.  Arguments, if any, go to pytest in place of
-``tests/``, to trace part of the suite.  The traced suite runs about four
-times slower than the plain one.  The exit status is pytest's.
+``tests/``, to trace part of the suite.  The tracer makes the suite several
+times slower than a plain run.  The exit status is pytest's.
 
 Usage: ``python3 scripts/unreached_lines.py [pytest arguments]``.
 """

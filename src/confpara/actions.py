@@ -41,7 +41,7 @@ class Action:
 
     def all_window(self):
         pts = tuple(self.points())
-        return Window("all", f"all({len(pts)})", pts)
+        return Window(f"all({len(pts)})", pts)
 
     def window(self, spec):
         """Build a window from a small dict spec: {"all": true}, {"ball": r},
@@ -273,7 +273,7 @@ class ProductAction(Action):
         base_w = self.base.window(spec)
         pts = tuple((y, i) for i in range(lo, hi + 1) for y in base_w.points)
         label = f"{base_w.label}x[{lo}..{hi}]"
-        return Window("product", label, pts)
+        return Window(label, pts)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ search cap where --cap is not given.
 
 ``main(argv)`` may be called repeatedly in one process: the parser is built
 on the first call and reused, so a later call costs its command alone.
-``con`` on the four-point fixture pair takes about 0.25 ms a call in place
-of 1.6-2.5 ms (2-core Xeon, Python 3.11); one parser build takes 1.2-2.1 ms.
+``con`` on the four-point fixture pair takes about 0.25 ms a call, and one
+parser build takes 1.2-2.1 ms (2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
@@ -172,8 +172,8 @@ def _cmd_con(args):
         window = action.all_window()
     else:
         window = _window_for(action, args.window)
-    configs = windowed_configuration_set(action, pair, window)
-    exact = bool(action.is_finite_points) and set(action.points()) <= window.point_set
+    result = countable_config_prefixes(action, pair, len(pair.elements), window)
+    configs, exact = result.prefixes, result.exact
     data = {
         "configurations": [list(c) for c in configs],
         "count": len(configs),

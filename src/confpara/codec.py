@@ -5,6 +5,8 @@ Positions are 0-based here; callers that present 1-based positions shift
 at the boundary.
 """
 
+import math
+
 
 def zigzag_value(pos):
     """Value at 0-based position ``pos`` of the enumeration 0, 1, -1, 2, -2, ..."""
@@ -29,11 +31,7 @@ def cantor_pair(a, b):
 def cantor_unpair(n):
     if n < 0:
         raise ValueError("index must be >= 0")
-    # largest s with s(s+1)/2 <= n
-    s = int(((8 * n + 1) ** 0.5 - 1) // 2)
-    while s * (s + 1) // 2 > n:
-        s -= 1
-    while (s + 1) * (s + 2) // 2 <= n:
-        s += 1
+    # largest s with s(s+1)/2 <= n, in exact integer arithmetic
+    s = (math.isqrt(8 * n + 1) - 1) // 2
     b = n - s * (s + 1) // 2
     return s - b, b

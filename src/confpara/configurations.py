@@ -28,18 +28,18 @@ class Partition:
 
     Build one with ``explicit`` (the blocks are listed; ``blocks`` holds
     them) or ``classifier`` (a total function point -> block index, an
-    optional block count, and optional per-block enumerators, unrank/rank
-    within a block, 0-based, which the singleton-split construction needs
-    for its designated block; ``blocks`` is None).  Either way ``block_of``
-    is one function, built once by the constructor, that checks its answer.
+    optional block count, and an optional ``block_rank(block, x)``, the
+    0-based position of x within its block, which the singleton-split
+    construction needs for its designated block; ``blocks`` is None).
+    Either way ``block_of`` is one function, built once by the constructor,
+    that checks its answer.
     """
 
-    def __init__(self, block_of, blocks, block_count, block_unrank=None, block_rank=None):
+    def __init__(self, block_of, blocks, block_count, block_rank=None):
         self.block_of = block_of
         self.blocks = blocks
         self.block_count = block_count
-        self._block_unrank = block_unrank
-        self._block_rank = block_rank
+        self.block_rank = block_rank
 
     @classmethod
     def explicit(cls, blocks):
@@ -64,7 +64,7 @@ class Partition:
         return cls(block_of, blocks, len(blocks))
 
     @classmethod
-    def classifier(cls, classify, block_count=None, block_unrank=None, block_rank=None):
+    def classifier(cls, classify, block_count=None, block_rank=None):
         def block_of(x):
             b = classify(x)
             if not isinstance(b, int) or b < 1:
@@ -75,25 +75,11 @@ class Partition:
                 )
             return b
 
-        return cls(block_of, None, block_count, block_unrank, block_rank)
+        return cls(block_of, None, block_count, block_rank)
 
     @property
     def is_explicit(self):
         return self.blocks is not None
-
-    def block_unrank(self, block, pos):
-        if self._block_unrank is None:
-            raise InputError("partition carries no per-block enumerator")
-        return self._block_unrank(block, pos)
-
-    def block_rank(self, block, x):
-        if self._block_rank is None:
-            raise InputError("partition carries no per-block enumerator")
-        return self._block_rank(block, x)
-
-    @property
-    def has_enumerators(self):
-        return self._block_unrank is not None and self._block_rank is not None
 
 
 def check_partition_covers(action, partition):
@@ -314,11 +300,12 @@ def singleton_split(action, pair, block_index):
     """Replace one infinite block by singletons and pad the tuple with the
     identity.
 
-    The designated block must carry a per-block enumerator.  It is relabeled
-    to the last finite index m; the m-th, (m+1)-th, ... blocks of the result
-    are the singletons of its members in enumerator order, every tuple entry
-    past the original length is the identity, and the correspondence with the
-    original configuration set is recovered by merge_blocks at cutoff m.
+    The partition must carry a per-block rank.  The designated block is
+    relabeled to the last finite index m; the m-th, (m+1)-th, ... blocks of
+    the result are the singletons of its members in rank order, every tuple
+    entry past the original length is the identity, and the correspondence
+    with the original configuration set is recovered by merge_blocks at
+    cutoff m.
     """
     part = pair.partition
     m = part.block_count
@@ -330,7 +317,7 @@ def singleton_split(action, pair, block_index):
         raise PreconditionError(
             "designated block is finite (explicit partitions have finite blocks)"
         )
-    if not part.has_enumerators:
+    if part.block_rank is None:
         raise PreconditionError("designated block lacks an enumerator")
 
     # swap the designated block with the last index so singles get m, m+1, ...

@@ -37,7 +37,6 @@ class Window:
     """A finite, canonically ordered list of elements (or action points)
     against which semidecidable claims are checked."""
 
-    kind: str
     label: str
     points: tuple
 
@@ -46,7 +45,7 @@ class Window:
         """The first ``count`` points of the iterator ``walk``."""
         if count < 0:
             raise InputError("window size must be >= 0")
-        return cls("prefix", f"prefix({count})", tuple(itertools.islice(walk, count)))
+        return cls(f"prefix({count})", tuple(itertools.islice(walk, count)))
 
     @cached_property
     def point_set(self):
@@ -219,7 +218,7 @@ class CayleyTableGroup(Group):
         return self.labels[a]
 
     def all_window(self):
-        return Window("all", f"all({self._n})", self.elements())
+        return Window(f"all({self._n})", self.elements())
 
 
 def _perm_closure(degree, generators):
@@ -403,7 +402,7 @@ class FreeGroup(Group):
             raise InputError("radius must be >= 0")
         size = sum(self._count_words(l) for l in range(radius + 1))
         pts = tuple(itertools.islice(self.walk(), size))
-        return Window("ball", f"ball({radius})", pts)
+        return Window(f"ball({radius})", pts)
 
     # element syntax ------------------------------------------------------
     def _gen_name(self, k):
@@ -551,7 +550,7 @@ class FreeAbelianGroup(Group):
         if radius < 0:
             raise InputError("radius must be >= 0")
         pts = tuple(itertools.islice(self.walk(), (2 * radius + 1) ** self.rank))
-        return Window("box", f"box({radius})", pts)
+        return Window(f"box({radius})", pts)
 
     def parse(self, token):
         token = token.strip()

@@ -433,12 +433,10 @@ def f2_standard_decomposition(group):
 @dataclass
 class SubgroupWitness:
     """A countable subgroup H of G with a right transversal: every x in G
-    factors uniquely as x = h t, delivered by ``decompose``.  H keeps its own
-    element representation, bridged by to/from_subgroup."""
+    factors uniquely as x = h t, delivered by ``decompose`` with h in H's
+    own element representation; ``from_subgroup`` carries h back into G."""
 
     subgroup: Group
-    contains: Callable[[Any], bool]
-    to_subgroup: Callable[[Any], Any]
     from_subgroup: Callable[[Any], Any]
     decompose: Callable[[Any], tuple]
     label: str = "subgroup"
@@ -453,18 +451,13 @@ def even_integers_witness(group):
         raise PreconditionError("the even-integers witness embeds into Z")
     h = even_integers_enumerated()
 
-    def to_subgroup(v):
-        return codec.zigzag_position(v // 2)
-
     def from_subgroup(i):
         return 2 * codec.zigzag_value(i)
 
     return SubgroupWitness(
         subgroup=h,
-        contains=lambda v: v % 2 == 0,
-        to_subgroup=to_subgroup,
         from_subgroup=from_subgroup,
-        decompose=lambda v: (to_subgroup(v - v % 2), v % 2),
+        decompose=lambda v: (codec.zigzag_position(v // 2), v % 2),
         label="even-integers",
     )
 
@@ -475,14 +468,6 @@ def generator_power_witness(group):
     if not isinstance(group, FreeGroup):
         raise PreconditionError("the generator-power witness lives on free groups")
     h = FreeAbelianGroup(1)
-
-    def contains(w):
-        return all(abs(v) == 1 for v in w)
-
-    def to_subgroup(w):
-        if not contains(w):
-            raise InputError(f"not a power of the first generator: {w!r}")
-        return sum(1 if v > 0 else -1 for v in w)
 
     def from_subgroup(k):
         return (1,) * k if k >= 0 else (-1,) * (-k)
@@ -496,8 +481,6 @@ def generator_power_witness(group):
 
     return SubgroupWitness(
         subgroup=h,
-        contains=contains,
-        to_subgroup=to_subgroup,
         from_subgroup=from_subgroup,
         decompose=decompose,
         label="first-generator-powers",
@@ -508,8 +491,6 @@ def identity_witness(group):
     """The whole group as its own subgroup with the trivial transversal."""
     return SubgroupWitness(
         subgroup=group,
-        contains=lambda x: True,
-        to_subgroup=lambda x: x,
         from_subgroup=lambda x: x,
         decompose=lambda x: (x, group.identity),
         label="whole-group",
@@ -571,7 +552,7 @@ def _detect_range(translator, size, declared, bound):
     cannot conclude the range is finite (a fresh value shows up in the last
     quarter of the scan)."""
     if declared is not None:
-        return tuple(declared), "declared"
+        return tuple(dict.fromkeys(declared)), "declared"
     if size is not None:
         return tuple(dict.fromkeys(map(translator, range(1, size + 1)))), "finite-family"
     first_seen = {}

@@ -120,7 +120,7 @@ def table_from_configurations(action, pair, configurations=None):
     n = len(pair.elements)
     configs = configurations
     if configs is None:
-        window = Window("all", "all", tuple(action.points()))
+        window = Window("all", tuple(action.points()))
         configs = windowed_configuration_set(action, pair, window)
     if len(configs) != n:
         raise PreconditionError(
@@ -274,7 +274,7 @@ def recover_cosets(group, pair, table, configurations=None):
 
     expected = _full_canonical_set(table)
     if configurations is None:
-        window = Window("all", "all", group.elements())
+        window = Window("all", group.elements())
         configurations = windowed_configuration_set(LeftTranslation(group), pair, window)
     got = frozenset(configurations)
     if got != expected:

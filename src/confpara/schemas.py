@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 
-from . import catalog, paradox
+from . import catalog, codec, paradox
 from .actions import LeftTranslation, ProductAction, TableAction, TrivialAction
 from .configurations import ConfigPair, Partition
 from .errors import InputError, MalformedOracleError
@@ -269,22 +269,15 @@ def build_action(payload, path="/payload"):
 
 
 def _residue_partition(modulus):
+    """Block b holds the integers congruent to b-1; a point's rank in its
+    block is the zigzag position of its quotient by the modulus."""
     def classify(v):
         return v % modulus + 1
 
-    def unrank(block, pos):
-        from .codec import zigzag_value
-
-        return (block - 1) + modulus * zigzag_value(pos)
-
     def rank(block, v):
-        from .codec import zigzag_position
+        return codec.zigzag_position((v - (block - 1)) // modulus)
 
-        return zigzag_position((v - (block - 1)) // modulus)
-
-    return Partition.classifier(
-        classify, block_count=modulus, block_unrank=unrank, block_rank=rank
-    )
+    return Partition.classifier(classify, block_count=modulus, block_rank=rank)
 
 
 def _first_letter_partition(group):

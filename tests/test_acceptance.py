@@ -18,7 +18,6 @@ import time
 import oracles
 from confpara.actions import LeftTranslation, ProductAction, TrivialAction
 from confpara.catalog import fixture_groups, reconstruction_groups
-from confpara.codec import zigzag_position, zigzag_value
 from confpara.configurations import (
     ConfigPair,
     Partition,
@@ -48,7 +47,7 @@ from confpara.paradox import (
     verify_paradoxical,
 )
 from confpara.reconstruction import quotient_recovery_roundtrip
-from confpara.schemas import dumps_canonical
+from confpara.schemas import build_partition, dumps_canonical
 
 Z = FreeAbelianGroup(1)
 F2 = FreeGroup(2)
@@ -347,16 +346,6 @@ def check_coset_recovery():
 # 5. split then merge reproduces windowed configuration sets
 
 
-def _residue_partition(modulus):
-    # block b holds b-1 mod modulus; enumerators walk b-1, b-1+m, b-1-m, ...
-    return Partition.classifier(
-        lambda v: v % modulus + 1,
-        block_count=modulus,
-        block_unrank=lambda b, pos: (b - 1) + modulus * zigzag_value(pos),
-        block_rank=lambda b, v: zigzag_position((v - (b - 1)) // modulus),
-    )
-
-
 def build_split_merge():
     act = LeftTranslation(Z)
     rng = random.Random(5050)
@@ -366,7 +355,8 @@ def build_split_merge():
         modulus = rng.randint(2, 6)
         elems = tuple(rng.randint(-8, 8) for _ in range(rng.randint(1, 3)))
         window = act.window({"box": rng.randint(10, 40)})
-        pair = ConfigPair(elems, _residue_partition(modulus))
+        partition = build_partition({"kind": "residue", "modulus": modulus}, act)
+        pair = ConfigPair(elems, partition)
         original = windowed_configuration_set(act, pair, window)
         split = singleton_split(act, pair, rng.randint(1, modulus))
         merged = merge_blocks(split.pair, modulus)

@@ -385,6 +385,24 @@ def test_prefixes_depth_error(files, capsys):
     assert "depth exceeds" in stderr
 
 
+@pytest.mark.parametrize("fixture,depth,window", [
+    ("pair_z4_parity.json", 2, "all"),
+    ("pair_z4_parity.json", 2, "prefix=2"),
+    ("pair_z_residue2.json", 1, "box=5"),
+])
+def test_con_and_full_depth_prefixes_agree(capsys, fixture, depth, window):
+    path = str(FIXTURES / fixture)
+    code, con, _ = run_json(capsys, ["con", path, "--window", window], "report")
+    assert code == 0
+    code, pre, _ = run_json(
+        capsys, ["prefixes", path, "--depth", str(depth), "--window", window], "report"
+    )
+    assert code == 0
+    assert con["payload"]["configurations"] == pre["payload"]["prefixes"]
+    assert con["payload"]["exact"] == pre["payload"]["exact"]
+    assert con["payload"]["window"] == pre["payload"]["window"]
+
+
 # ---------------------------------------------------------------------------
 # recover
 

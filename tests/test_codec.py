@@ -30,6 +30,13 @@ def test_zigzag_rejects_negative_position():
         zigzag_value(-1)
 
 
+def test_cantor_rejects_negative_arguments():
+    with pytest.raises(ValueError, match="pair components must be >= 0"):
+        cantor_pair(0, -1)
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        cantor_unpair(-1)
+
+
 def test_cantor_first_diagonals():
     # (0,0) (1,0) (0,1) (2,0) (1,1) (0,2)
     assert [cantor_pair(*p) for p in
@@ -53,3 +60,11 @@ def test_cantor_roundtrip(a, b):
 def test_cantor_surjective(n):
     a, b = cantor_unpair(n)
     assert cantor_pair(a, b) == n
+
+
+@pytest.mark.parametrize("n", [10**46, 10**400], ids=["1e46", "1e400"])
+def test_cantor_roundtrip_at_large_indices(n):
+    # beyond float precision (10**46) and float range (10**400)
+    a, b = cantor_unpair(n)
+    assert cantor_pair(a, b) == n
+    assert cantor_unpair(cantor_pair(a, b + 1)) == (a, b + 1)

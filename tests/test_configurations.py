@@ -11,7 +11,7 @@ import oracles
 from confpara import configurations as cf
 from confpara.actions import LeftTranslation, ProductAction, TableAction, TrivialAction
 from confpara.catalog import cyclic, fixture_groups, reconstruction_groups, symmetric
-from confpara.codec import zigzag_position, zigzag_value
+from confpara.codec import zigzag_value
 from confpara.configurations import (
     ConfigPair,
     EquivVerdict,
@@ -34,18 +34,15 @@ from confpara.configurations import (
 )
 from confpara.errors import InputError, PreconditionError, ResourceCapExceeded
 from confpara.groups import CayleyTableGroup, FreeAbelianGroup, direct_product, subgroups
+from confpara.schemas import build_partition
 
 FIXTURES = fixture_groups()
 
 
 def residue_partition(modulus):
-    """Z split by residue; block b enumerates b-1, b-1+m, b-1-m, ... by zigzag."""
-    return Partition.classifier(
-        lambda v: v % modulus + 1,
-        block_count=modulus,
-        block_unrank=lambda b, pos: (b - 1) + modulus * zigzag_value(pos),
-        block_rank=lambda b, v: zigzag_position((v - (b - 1)) // modulus),
-    )
+    """Z split by residue, as a residue partition manifest builds it."""
+    return build_partition({"kind": "residue", "modulus": modulus},
+                           LeftTranslation(FreeAbelianGroup(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +78,6 @@ def test_partition_messages():
          "classifier returned bad block index '1'"),
         (lambda: Partition.classifier(lambda x: 3, block_count=2).block_of(1),
          "classifier returned block 3 beyond the declared count 2"),
-        (lambda: Partition.classifier(lambda x: 1).block_unrank(1, 0),
-         "partition carries no per-block enumerator"),
-        (lambda: Partition.explicit([[0]]).block_rank(1, 0),
-         "partition carries no per-block enumerator"),
     ]
     for call, message in cases:
         with pytest.raises(InputError) as err:
@@ -96,12 +89,11 @@ def test_partition_kinds_and_enumerators():
     explicit = Partition.explicit([[0], [1, 2]])
     assert explicit.blocks == (frozenset({0}), frozenset({1, 2}))
     assert [explicit.block_of(x) for x in (0, 1, 2)] == [1, 2, 2]
-    assert not explicit.has_enumerators
+    assert explicit.block_rank is None
     open_ended = Partition.classifier(lambda x: x + 1)
     assert not open_ended.is_explicit and open_ended.blocks is None
     assert open_ended.block_count is None and open_ended.block_of(41) == 42
-    half = Partition.classifier(lambda x: 1, block_unrank=lambda b, pos: pos)
-    assert half.block_unrank(1, 7) == 7 and not half.has_enumerators
+    assert open_ended.block_rank is None
 
 
 def test_partition_cover_check():
@@ -112,11 +104,12 @@ def test_partition_cover_check():
 
 
 def test_residue_partition_enumerators():
-    p = residue_partition(3)
-    assert p.has_enumerators
+    # block b enumerates b-1, b-1+m, b-1-m, ... by zigzag; rank inverts that
+    m = 3
+    p = residue_partition(m)
     for b in (1, 2, 3):
         for pos in range(6):
-            v = p.block_unrank(b, pos)
+            v = (b - 1) + m * zigzag_value(pos)
             assert p.block_of(v) == b
             assert p.block_rank(b, v) == pos
 
@@ -194,7 +187,7 @@ def test_windowed_subset_of_full(data):
     half = g.elements()[: max(1, g.order() // 2)]
     from confpara.groups import Window
 
-    window = Window("part", f"part({len(half)})", tuple(half))
+    window = Window(f"part({len(half)})", tuple(half))
     assert set(windowed_configuration_set(act, pair, window)) <= full
 
 
@@ -370,7 +363,7 @@ def test_split_rejects_explicit_partition():
 def test_split_rejects_partition_without_enumerators():
     act = LeftTranslation(FreeAbelianGroup(1))
     pair = ConfigPair((1,), Partition.classifier(lambda v: v % 2 + 1, block_count=2))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="designated block lacks an enumerator"):
         singleton_split(act, pair, 1)
 
 
