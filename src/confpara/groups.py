@@ -24,6 +24,7 @@ O(word length).
 from __future__ import annotations
 
 import itertools
+import operator
 import string
 from dataclasses import dataclass
 from functools import cached_property
@@ -186,7 +187,7 @@ class CayleyTableGroup(Group):
         return self._inv[a]
 
     def contains(self, a):
-        return isinstance(a, int) and 0 <= a < self._n
+        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self._n
 
     def element_at(self, pos):
         if not (1 <= pos <= self._n):
@@ -313,15 +314,21 @@ class FreeGroup(Group):
         if not isinstance(w, tuple):
             return False
         for i, v in enumerate(w):
-            if not isinstance(v, int) or v == 0 or abs(v) > self.rank:
+            if (type(v) is not int and (not isinstance(v, int) or isinstance(v, bool))
+                    or v == 0 or abs(v) > self.rank):
                 return False
             if i and w[i - 1] == -v:
                 return False
         return True
 
     def mul(self, a, b):
+        """The reduced product.  When either word is empty, or a's last
+        letter does not cancel b's first, it is the concatenation; only a
+        cancelling junction runs the cancellation loop."""
         if not a:
             return b
+        if not b or a[-1] != -b[0]:
+            return a + b
         i = len(a)
         j = 0
         while i > 0 and j < len(b) and a[i - 1] == -b[j]:
@@ -449,6 +456,10 @@ class FreeAbelianGroup(Group):
     Canonical enumeration orders elements by box shell (max-norm), breaking
     ties coordinatewise by the zigzag order 0 < 1 < -1 < 2 < ...; for rank 1
     this is exactly 0, 1, -1, 2, -2, ...
+
+    For rank 1, ``position_of`` and ``element_at`` compute the zigzag index
+    inline, and ``position_of`` asks ``contains`` only about an argument
+    whose type is not exactly ``int``.
     """
 
     def __init__(self, rank):
@@ -476,12 +487,12 @@ class FreeAbelianGroup(Group):
     def mul(self, a, b):
         if self.rank == 1:
             return a + b
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def inv(self, a):
         if self.rank == 1:
             return -a
-        return tuple(-x for x in a)
+        return tuple(map(operator.neg, a))
 
     def generator(self, k):
         if not (1 <= k <= self.rank):
@@ -530,19 +541,21 @@ class FreeAbelianGroup(Group):
         if pos < 1:
             raise InputError("enumeration position must be >= 1")
         if self.rank == 1:
-            return codec.zigzag_value(pos - 1)
+            half = pos // 2
+            return -half if pos % 2 else half
         n = pos - 1
         # the least r with n < (2r + 1)^k
         r = (_iroot(n, self.rank) + 1) // 2
         return self._shell(r)[n - self._inside(r)]
 
     def position_of(self, v):
-        if not self.contains(v):
-            raise InputError(f"not an element of {self.name}: {v!r}")
         if self.rank == 1:
-            return codec.zigzag_position(v) + 1
-        r = max(abs(c) for c in v)
-        return self._inside(r) + self._shell_index(r)[v] + 1
+            if type(v) is int or self.contains(v):
+                return 2 * v if v > 0 else 1 - 2 * v
+        elif self.contains(v):
+            r = max(map(abs, v))
+            return self._inside(r) + self._shell_index(r)[v] + 1
+        raise InputError(f"not an element of {self.name}: {v!r}")
 
     def box(self, radius):
         """Window of all vectors with every coordinate in [-radius, radius],

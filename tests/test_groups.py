@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from confpara import codec
 from confpara.catalog import alternating4, cyclic, dihedral, fixture_groups, quaternion8, symmetric
 from confpara.errors import InputError, PreconditionError, UnsupportedOperationError
 from confpara.groups import (
@@ -159,6 +160,21 @@ def test_free_group_mul_matches_stack_reduction(u, v):
     assert f2.mul(a, b) == oracles.reduce_word(list(a) + list(b))
 
 
+@pytest.mark.parametrize("a,b", [
+    ((1, 2), ()),
+    ((), ()),
+    ((), (2, -1)),
+    ((1, 2), (1, -2)),
+    ((1, 2), (-2,)),
+    ((1, 2, 1), (-1, -2, 2)),
+    ((1, -2, 1), (-1, 2, -1)),
+], ids=["right-empty", "both-empty", "left-empty", "no-cancellation", "right-absorbed",
+        "partial", "full"])
+def test_free_group_mul_at_the_junction(a, b):
+    # concatenation when nothing cancels, the cancellation loop otherwise
+    assert FreeGroup(2).mul(a, b) == oracles.reduce_word(a + b)
+
+
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=10))
 def test_free_group_inverse_cancels(u):
     f2 = FreeGroup(2)
@@ -191,6 +207,58 @@ def test_integers_zigzag_enumeration():
 def test_integers_enumeration_roundtrip(v):
     z = FreeAbelianGroup(1)
     assert z.element_at(z.position_of(v)) == v
+
+
+class Index(int):
+    """An int subclass other than bool; groups accept it as an int."""
+
+
+def test_integer_positions_match_the_zigzag_oracle():
+    z = FreeAbelianGroup(1)
+    for pos in range(1, 122):
+        assert z.element_at(pos) == oracles.zigzag(pos - 1)
+    for v in range(-30, 31):
+        assert z.position_of(v) == oracles.zigzag_inverse(v) + 1
+
+
+@pytest.mark.parametrize("pos", [10**30 - 1, 10**30, 10**30 + 1])
+def test_far_integer_positions_match_the_codec(pos):
+    # the oracle walks the order one step at a time; this far out the codec
+    # is the reference
+    z = FreeAbelianGroup(1)
+    v = z.element_at(pos)
+    assert type(v) is int and v == codec.zigzag_value(pos - 1)
+    assert z.position_of(v) == codec.zigzag_position(v) + 1 == pos
+    assert z.element_at(Index(pos)) == v
+    assert z.position_of(Index(v)) == pos
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@given(data=st.data())
+def test_free_abelian_mul_and_inv_are_componentwise(rank, data):
+    vector = st.tuples(*[st.integers()] * rank)
+    a, b = data.draw(vector), data.draw(vector)
+    g = FreeAbelianGroup(rank)
+    assert g.mul(a, b) == tuple(a[i] + b[i] for i in range(rank))
+    assert g.inv(a) == tuple(-a[i] for i in range(rank))
+    assert g.mul(a, g.inv(a)) == g.identity
+
+
+@pytest.mark.parametrize("group,boolean,index,plain", [
+    (FreeGroup(2), (True, -2), (Index(1), -2), (1, -2)),
+    (cyclic(4), True, Index(1), 1),
+    (FreeAbelianGroup(1), True, Index(1), 1),
+    (FreeAbelianGroup(2), (True, 0), (Index(1), 0), (1, 0)),
+    (integers_enumerated(), True, Index(1), 1),
+], ids=["free", "table", "free-abelian-1", "free-abelian-2", "enumerated"])
+def test_bools_are_not_group_elements(group, boolean, index, plain):
+    # every kind rejects a bool where it takes an int, and keeps other int
+    # subclasses
+    assert not group.contains(boolean)
+    with pytest.raises(InputError):
+        group.position_of(boolean)
+    assert group.contains(index)
+    assert group.position_of(index) == group.position_of(plain)
 
 
 def test_integer_pairs_box():
@@ -313,6 +381,13 @@ def test_windows_walk_the_enumeration_without_unranking(make, build):
     (lambda: FreeGroup(2).position_of((1, -1)), "not a reduced word: (1, -1)"),
     (lambda: FreeAbelianGroup(2).position_of((1,)), "not an element of free-abelian(2): (1,)"),
     (lambda: FreeAbelianGroup(1).position_of(True), "not an element of free-abelian(1): True"),
+    (lambda: FreeAbelianGroup(1).position_of(1.0), "not an element of free-abelian(1): 1.0"),
+    (lambda: FreeAbelianGroup(1).position_of((1, True)),
+     "not an element of free-abelian(1): (1, True)"),
+    (lambda: FreeAbelianGroup(2).position_of((1, True)),
+     "not an element of free-abelian(2): (1, True)"),
+    (lambda: FreeGroup(2).position_of((True, -2)), "not a reduced word: (True, -2)"),
+    (lambda: cyclic(4).position_of(True), "not an element index: True"),
     (lambda: FreeGroup(2).ball(-1), "radius must be >= 0"),
     (lambda: FreeAbelianGroup(2).box(-1), "radius must be >= 0"),
     (lambda: FreeGroup(2).prefix_window(-1), "window size must be >= 0"),
@@ -320,6 +395,7 @@ def test_windows_walk_the_enumeration_without_unranking(make, build):
     (lambda: cyclic(4).prefix_window(5),
      "prefix window of 5 elements is longer than Z4, of order 4"),
 ], ids=["free-at-0", "z-at-0", "z2-at-0", "free-unreduced", "z2-short", "z-bool",
+        "z-float", "z-tuple", "z2-bool-coordinate", "free-bool-letter", "table-bool",
         "ball-negative", "box-negative", "free-prefix-negative", "z2-prefix-negative",
         "finite-prefix-too-long"])
 def test_enumeration_input_errors_keep_their_messages(call, message):

@@ -4,6 +4,7 @@ transformations between presentations (lift, compress, refine, glue)."""
 import dataclasses
 import itertools
 import pathlib
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +126,17 @@ def test_f2_piece_classification():
     assert bcl((-2, 1)) == 2
     assert acl((2,)) is None
     assert bcl(()) is None
+
+
+def test_f2_cover_and_claimants_agree_with_the_classifier():
+    # they read the first letter themselves: piece 1 where the classifier
+    # says 1, piece 2 everywhere else
+    dec = f2_standard_decomposition(F2)
+    for fam, cover in ((dec.a_pieces, dec.a_cover), (dec.b_pieces, dec.b_cover)):
+        for w in F2.ball(5):
+            piece = 1 if fam.classifier(w) == 1 else 2
+            assert cover(w) == piece
+            assert fam.claimants(w) == (piece,)
 
 
 def test_f2_verifies_on_balls():
@@ -950,6 +962,45 @@ def test_claimants_cost_four_classifier_calls_per_point(kind, bound):
     verdict = verify_paradoxical(dec, window, bound)
     assert verdict.verified and verdict.points_checked == len(window.points)
     assert calls[0] == 4 * verdict.points_checked
+
+
+def counted_oracles(dec):
+    """The decomposition with ``act`` and both sides' cover and claimants
+    counting their calls."""
+    calls = {"act": 0, "cover": 0, "claimants": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    action = types.SimpleNamespace(group=dec.action.group,
+                                   act=counting("act", dec.action.act))
+    return dataclasses.replace(
+        dec, action=action,
+        a_cover=counting("cover", dec.a_cover), b_cover=counting("cover", dec.b_cover),
+        a_pieces=dataclasses.replace(
+            dec.a_pieces, claimants=counting("claimants", dec.a_pieces.claimants)),
+        b_pieces=dataclasses.replace(
+            dec.b_pieces, claimants=counting("claimants", dec.b_pieces.claimants)),
+    ), calls
+
+
+@pytest.mark.parametrize(
+    "kind", ["singleton-z", "even-lift", "powers-lift", "f2-standard", "refined-f2"]
+)
+def test_claimants_cost_two_acts_covers_and_claimants_per_point(kind):
+    # one cover call, one act on the cover's preimage and one claimants call
+    # per side: no fast path may skip an oracle
+    dec, box, _member = claimed_decomposition(kind)
+    dec, calls = counted_oracles(dec)
+    window = box(4 if kind in F2_KINDS else 50)
+    verdict = verify_paradoxical(dec, window, 50)
+    assert verdict.verified and verdict.points_checked == len(window.points)
+    n = verdict.points_checked
+    assert calls == {"act": 2 * n, "cover": 2 * n, "claimants": 2 * n}
 
 
 def test_scan_cost_without_member_lists():
