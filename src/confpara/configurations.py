@@ -383,9 +383,9 @@ def merge_blocks(pair, cutoff):
 
 def set_partitions(n, max_blocks, maps=()):
     """Labeled set partitions of range(n) in restricted-growth order: yields
-    (labels, block_count) with labels a tuple of 1-based block indices whose
-    first occurrences are increasing.  The enumeration is iterative, so n is
-    not limited by the recursion depth.
+    (labels, block_count, fixing) with labels a tuple of 1-based block
+    indices whose first occurrences are increasing.  The enumeration is
+    iterative, so n is not limited by the recursion depth.
 
     ``maps`` are permutations phi of range(n), as tuples.  A partition is
     skipped when some phi reads it earlier: the labels[phi[0]],
@@ -394,7 +394,9 @@ def set_partitions(n, max_blocks, maps=()):
     pending map waits on the first index whose label its next comparison
     needs.  A map that reads earlier there cuts the subtree, one that reads
     later is dropped for the subtree, and one that reads the same moves on
-    to its next index."""
+    to its next index.  The maps that read the same up to the last index
+    carry the partition onto itself up to relabeling; ``fixing`` lists
+    them, once per occurrence in ``maps``."""
     if n == 0 or max_blocks < 1:
         return
     labels = [0] * n
@@ -418,6 +420,7 @@ def set_partitions(n, max_blocks, maps=()):
             continue
         labels[i] = v
         cut = False
+        fixing = []  # only the last index completes a comparison
         for phi, y, renumber in waiting[i]:
             while True:
                 u = labels[phi[y]]
@@ -430,6 +433,7 @@ def set_partitions(n, max_blocks, maps=()):
                     break
                 y += 1
                 if y == n:
+                    fixing.append(phi)
                     break
                 w = phi[y] if phi[y] > y else y
                 if w > i:
@@ -442,7 +446,7 @@ def set_partitions(n, max_blocks, maps=()):
             continue
         top = v if v > tops[i] else tops[i]
         if i + 1 == n:
-            yield tuple(labels), top
+            yield tuple(labels), top, fixing
         else:
             i += 1
             tops[i] = top
@@ -461,6 +465,13 @@ def _partition_count(n, m, cap):
         if sum(row) > cap:
             return cap + 1
     return sum(row) if n else 0
+
+
+def _power_exceeds(base, exponent, cap):
+    """Whether base ** exponent > cap, without computing a power much
+    larger than cap: with base >= 2, an exponent of cap's bit length or
+    more exceeds it."""
+    return base > 1 and (exponent >= cap.bit_length() or base ** exponent > cap)
 
 
 def _cycle_type(perm):
@@ -634,23 +645,95 @@ def _compile(action):
     return pts, gels, [tuple(idx[action.act(g, p)] for p in pts) for g in gels]
 
 
-def _tuple_codes(labels, rows, n, m):
-    """(t, code set) for every tuple t of length n in product order, under
-    the partition with block labels ``labels`` of a compiled action's points;
+def _row_lookup(rows):
+    """(base, columns, index) for a compiled action: ``columns[x][g]`` is
+    the image of point x under element g, ``base`` lists points whose
+    images tell the distinct rows apart, and ``index`` maps the images of
+    the base points under a row to the first element with that row.  A
+    single distinct row, as in a trivial action, needs no base point."""
+    columns = list(zip(*rows))
+    classes = len(set(rows))
+    base, keys = [], [()] * len(rows)
+    for p, column in enumerate(columns):
+        if len(set(keys)) == classes:
+            break
+        refined = list(zip(*[columns[q] for q in base], column))
+        if len(set(refined)) > len(set(keys)):
+            base.append(p)
+            keys = refined
+    # built backwards, so the first element with each key is the one kept
+    return base, columns, dict(zip(reversed(keys), reversed(range(len(rows)))))
+
+
+def _induced(phi, base, columns, index):
+    """(perm, lower) for a point map phi that conjugates every row to a row:
+    phi r_g phi^-1 is the row of element perm[g], the first element with
+    that row, and ``lower`` holds the elements g with perm[g] < g.  The row
+    of g sends phi^-1(p) to columns[phi^-1(p)][g], so the conjugate sends p
+    to phi of that."""
+    image = phi.__getitem__
+    if base:
+        keys = zip(*[map(image, columns[phi.index(p)]) for p in base])
+    else:
+        keys = [()] * len(columns[0])
+    perm = list(map(index.__getitem__, keys))
+    return perm, frozenset([g for g, h in enumerate(perm) if h < g])
+
+
+def _tuple_codes(labels, rows, n, m, fixing):
+    """(t, code set) for tuples t of length n in product order, under the
+    partition with block labels ``labels`` of a compiled action's points;
     codes are base m (see _code_maps).  ``base`` holds the position-0 term of
     each point's code, and the term at position j when the tuple's j-th
-    entry is group element g is precomputed from row g."""
-    base = [(v - 1) * m ** n for v in labels]
-    *inner, last = [
-        [[(labels[x] - 1) * m ** (n - j) for x in row] for row in rows]
-        for j in range(1, n + 1)
-    ]
-    for head in itertools.product(range(len(last)), repeat=len(inner)):
-        acc = base
-        for col, g in zip(inner, head):
-            acc = list(map(add, acc, col[g]))
-        for g, col in enumerate(last):
-            yield head + (g,), frozenset(map(add, acc, col))
+    entry is group element g is m^(n-j) times g's labeled row: the block
+    labels, less one, of the images of the points under g.
+
+    Two rules skip tuples whose configuration set an earlier tuple under the
+    same partition realizes up to block relabeling; by induction on product
+    order, the first tuple of each class is never skipped.  An entry is
+    offered only when it is the first element with its labeled row, since
+    elements with one labeled row give one configuration set.  ``fixing``
+    holds the (perm, lower) pairs (see _induced) of point maps phi that
+    carry the partition onto itself up to a relabeling sigma: the tuple
+    perm(t) then realizes sigma of the set t realizes, as phi sends each
+    configuration of t at x to its sigma-image at phi(x).  A map is alive
+    while perm fixes the entries chosen so far, and no alive map's
+    ``lower`` may hold the next entry, since perm(t) would then be
+    earlier."""
+    lab = [v - 1 for v in labels]
+    first = {}  # labeled row, 0-based -> the first element with it
+    for g, row in enumerate(rows):
+        first.setdefault(tuple(map(lab.__getitem__, row)), g)
+    labeled = {g: key for key, g in first.items()}
+    offered = list(labeled)
+    base = [v * m ** n for v in lab]
+    depth = n - 1  # the entries before the last
+
+    def offer(alive):
+        if not alive:
+            return offered
+        barred = set().union(*[lower for _perm, lower in alive])
+        return [g for g in offered if g not in barred]
+
+    # depth first in product order: (entries so far, their codes' terms
+    # summed per point, the alive maps, the entries still to offer)
+    stack = [((), base, fixing, iter(offer(fixing)))]
+    while stack:
+        head, acc, alive, pending = stack[-1]
+        if len(head) == depth:
+            stack.pop()
+            for g in pending:
+                yield head + (g,), frozenset(map(add, acc, labeled[g]))
+            continue
+        g = next(pending, None)
+        if g is None:
+            stack.pop()
+            continue
+        if alive:
+            alive = [f for f in alive if f[0][g] == g]
+        weight = m ** (depth - len(head))
+        stack.append((head + (g,), list(map(add, acc, map(weight.__mul__, labeled[g]))),
+                      alive, iter(offer(alive))))
 
 
 def _relabeled(codes, relabelings):
@@ -664,7 +747,9 @@ def _configuration_family(compiled, n, m, cap, code_maps):
     first witness, for a compiled action (see _compile).
 
     Every partition counts against ``cap``, and the count, S(N, 1) + ... +
-    S(N, m) for N points, is checked before any is enumerated.  A partition
+    S(N, m) for N points, is checked before any is enumerated; then the
+    |G|^n tuples under one partition and the m^(n+1) codes of one
+    relabeling map (see _code_maps) are, before either is built.  A partition
     is skipped when a map of the points that conjugates every row to a row
     (see normalizer_maps) carries it to an earlier partition.  The two
     realize the same configuration sets up to block relabeling, the tuple
@@ -672,7 +757,10 @@ def _configuration_family(compiled, n, m, cap, code_maps):
     already opened every class the skipped one would.  Any such maps are
     sound; at most |G|^n are used (the tuples under one partition), and
     fewer than the partitions, so the symmetry work per partition stays
-    within the tuple work.
+    within the tuple work.  For n > 1, the maps that carry a kept
+    partition onto itself skip tuples under it (see _tuple_codes); the
+    permutation each induces on the elements is computed once, at its first
+    such partition, and the base points it is read from at the first map.
 
     A configuration set is a set of integer codes (see _code_maps), and
     ``seen`` holds every one met.  A new one opens a class unless an image
@@ -685,15 +773,36 @@ def _configuration_family(compiled, n, m, cap, code_maps):
         raise ResourceCapExceeded(
             f"partition enumeration exceeded the cap of {cap}", cap=cap
         )
+    if _power_exceeds(len(rows), n, cap):
+        raise ResourceCapExceeded(
+            f"tuples per partition ({len(rows)}^{n}) exceed the cap of {cap}", cap=cap
+        )
+    if _power_exceeds(m, n + 1, cap):
+        raise ResourceCapExceeded(
+            f"codes per relabeling map ({m}^{n + 1}) exceed the cap of {cap}", cap=cap
+        )
     limit = min(len(rows) ** n, total - 1)
     symmetries = normalizer_maps(rows, limit + 1)[1:] if limit > 0 else ()
+    lookup = None  # built at the first fixing map, see _row_lookup
+    induced = {}  # id(phi) -> _induced(phi, ...); symmetries keeps each phi alive
     seen = set()
     family = {}
-    for labels, b in set_partitions(len(pts), m, symmetries):
+    for labels, b, fixing in set_partitions(len(pts), m, symmetries):
         if b not in code_maps:
             code_maps[b] = _code_maps(b, m, n)
         others = code_maps[b][1:]  # the first map is the identity
-        for t, codes in _tuple_codes(labels, rows, n, m):
+        moving = []
+        # at n = 1 a skipped tuple saves one code set, which costs less
+        # than the permutations the maps need on the small actions it runs on
+        for phi in fixing if n > 1 else ():
+            f = induced.get(id(phi))
+            if f is None:
+                if lookup is None:
+                    lookup = _row_lookup(rows)
+                f = induced[id(phi)] = _induced(phi, *lookup)
+            if f[1]:  # a map that sends no element lower never skips a tuple
+                moving.append(f)
+        for t, codes in _tuple_codes(labels, rows, n, m, moving):
             if codes in seen:
                 continue
             if seen.isdisjoint(_relabeled(codes, others)):

@@ -33,6 +33,22 @@ from . import codec
 from .errors import InputError, PreconditionError, UnsupportedOperationError
 
 
+def _position(pos, last=None):
+    """``pos`` as an int when it is a 1-based enumeration position, at most
+    ``last`` when that is given; otherwise an InputError.  As everywhere a
+    group takes an int, a bool is refused and other int subclasses are
+    kept.  Callers test ``type(pos) is not int`` with their range first, so
+    a plain int in range never calls this."""
+    if isinstance(pos, bool) or not isinstance(pos, int):
+        raise InputError(f"enumeration position must be an integer, got {pos!r}")
+    if last is None:
+        if pos < 1:
+            raise InputError("enumeration position must be >= 1")
+    elif not 1 <= pos <= last:
+        raise InputError(f"enumeration position {pos} out of range 1..{last}")
+    return int(pos)
+
+
 @dataclass(frozen=True)
 class Window:
     """A finite, canonically ordered list of elements (or action points)
@@ -90,6 +106,8 @@ class Group:
 
     # 1-based canonical enumeration, defined for every built-in kind.
     def element_at(self, pos):
+        if type(pos) is not int:
+            _position(pos)  # a bad position is an input error on every group
         raise UnsupportedOperationError(f"{self.name} has no canonical enumeration")
 
     def position_of(self, a):
@@ -190,8 +208,8 @@ class CayleyTableGroup(Group):
         return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self._n
 
     def element_at(self, pos):
-        if not (1 <= pos <= self._n):
-            raise InputError(f"enumeration position {pos} out of range 1..{self._n}")
+        if type(pos) is not int or not (1 <= pos <= self._n):
+            pos = _position(pos, self._n)
         return pos - 1
 
     def position_of(self, a):
@@ -387,8 +405,8 @@ class FreeGroup(Group):
         return n + 1
 
     def element_at(self, pos):
-        if pos < 1:
-            raise InputError("enumeration position must be >= 1")
+        if type(pos) is not int or pos < 1:
+            pos = _position(pos)
         n = pos - 1
         q = 2 * self.rank - 1
         orders = []
@@ -538,8 +556,8 @@ class FreeAbelianGroup(Group):
         return itertools.chain.from_iterable(map(self._shell, itertools.count()))
 
     def element_at(self, pos):
-        if pos < 1:
-            raise InputError("enumeration position must be >= 1")
+        if type(pos) is not int or pos < 1:
+            pos = _position(pos)
         if self.rank == 1:
             half = pos // 2
             return -half if pos % 2 else half
@@ -615,8 +633,8 @@ class EnumeratedGroup(Group):
         return self._inv(a)
 
     def element_at(self, pos):
-        if pos < 1:
-            raise InputError("enumeration position must be >= 1")
+        if type(pos) is not int or pos < 1:
+            pos = _position(pos)
         return pos - 1
 
     def position_of(self, a):

@@ -338,7 +338,9 @@ def singleton_decomposition(group):
             return (p + odd) // 2 if p % 2 == odd else None
 
         def translator(i):
-            return mul(at(i), inv(at(2 * i - odd)))
+            # +i: a bool piece index (True, which the verifier accepts as
+            # piece 1) becomes the int position element_at requires
+            return mul(at(+i), inv(at(2 * i - odd)))
 
         # every translate is the singleton {at(i)}
         return PieceFamily(classifier, claimants=lambda x: (pos(x),)), translator, pos, None

@@ -112,6 +112,14 @@ def least_in_orbit(labels, maps):
     return True
 
 
+def fixes(labels, phi):
+    """True when phi carries the partition onto itself: the labels
+    labels[phi[0]], labels[phi[1]], ... renumbered in order of first
+    occurrence are ``labels`` again."""
+    first = {}
+    return tuple(first.setdefault(labels[x], len(first) + 1) for x in phi) == tuple(labels)
+
+
 def stirling2(n, k):
     if n == 0:
         return 1 if k == 0 else 0

@@ -328,6 +328,18 @@ def test_equiv_cap_exit(files, capsys):
     assert "resource cap exceeded" in stderr
 
 
+def test_equiv_tuple_cap_exit(files, capsys, monkeypatch):
+    # Z4 has 15 partitions into at most 4 blocks, within the default cap;
+    # its 4^12 tuples per partition are not
+    monkeypatch.delenv("CONFPARA_CAP", raising=False)
+    code, stdout, stderr = run(
+        capsys, ["equiv", files["g_z4"], files["g_z4"], "-n", "12", "-m", "4"]
+    )
+    assert (code, stdout) == (3, "")
+    assert stderr == ("resource cap exceeded: tuples per partition (4^12) "
+                      "exceed the cap of 500000\n")
+
+
 def test_equiv_cap_from_environment(files, capsys, monkeypatch):
     monkeypatch.setenv("CONFPARA_CAP", "5")
     code, _, stderr = run(

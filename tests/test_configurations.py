@@ -406,11 +406,12 @@ def test_merge_requires_countable_pair():
 def test_set_partition_counts(n, m):
     got = list(set_partitions(n, m))
     assert len(got) == oracles.partitions_up_to(n, m)
-    assert len({labels for labels, _ in got}) == len(got)
+    assert len({labels for labels, _, _ in got}) == len(got)
+    assert all(fixing == [] for _, _, fixing in got)  # no maps given
 
 
 def test_set_partitions_are_restricted_growth():
-    for labels, b in set_partitions(5, 4):
+    for labels, b, _ in set_partitions(5, 4):
         assert labels[0] == 1
         assert max(labels) == b
         for i in range(1, 5):
@@ -425,7 +426,7 @@ def test_bell_numbers():
 
 def test_large_point_sets_stay_within_the_recursion_limit():
     # the enumeration is iterative: a single-block partition of 1200 points
-    assert next(set_partitions(1200, 2)) == ((1,) * 1200, 1)
+    assert next(set_partitions(1200, 2)) == ((1,) * 1200, 1, [])
     trivial = TrivialAction(cyclic(2), points=range(1200))
     verdict = config_equiv_bounded(trivial, TrivialAction(cyclic(2), points=range(1200)), 1, 1)
     assert verdict.equivalent and verdict.family_sizes == (1, 1)
@@ -507,6 +508,36 @@ def test_cap_is_checked_before_any_tuple(monkeypatch):
     z3 = LeftTranslation(cyclic(3))
     with pytest.raises(ResourceCapExceeded, match="partition enumeration exceeded the cap of 3$"):
         config_equiv_bounded(z3, LeftTranslation(cyclic(3)), 30, 2, cap=3)
+
+
+@pytest.mark.parametrize("order, n, m, message", [
+    (3, 30, 2, "tuples per partition (3^30) exceed the cap of 500000"),
+    (2, 10, 4, "codes per relabeling map (4^11) exceed the cap of 500000"),
+    (2, 10 ** 9, 2, "tuples per partition (2^1000000000) exceed the cap of 500000"),
+], ids=["tuples", "codes", "huge-n"])
+def test_tuples_and_codes_are_bounded_before_any_is_built(monkeypatch, order, n, m, message):
+    # the partitions fit the default cap (4 on Z3, 2 on Z2); one partition's
+    # tuples or one code map does not, and nothing is built before it raises
+    def no_work(*args):
+        raise AssertionError("work done before the cap check")
+
+    for name in ("_tuple_codes", "_code_maps", "normalizer_maps", "set_partitions"):
+        monkeypatch.setattr(cf, name, no_work)
+    monkeypatch.delenv("CONFPARA_CAP", raising=False)
+    group = cyclic(order)
+    with pytest.raises(ResourceCapExceeded) as info:
+        config_equiv_bounded(LeftTranslation(group), LeftTranslation(group), n, m)
+    assert str(info.value) == message and info.value.cap == 500_000
+
+
+def test_tuple_and_code_bounds_admit_their_cap():
+    # |G|^n = cap and m^(n+1) = cap are within it
+    z2 = LeftTranslation(cyclic(2))
+    assert config_equiv_bounded(z2, z2, 3, 2, cap=16).equivalent
+    with pytest.raises(ResourceCapExceeded, match=r"^codes per relabeling map \(2\^4\)"):
+        config_equiv_bounded(z2, z2, 3, 2, cap=15)
+    with pytest.raises(ResourceCapExceeded, match=r"^tuples per partition \(2\^3\)"):
+        config_equiv_bounded(z2, z2, 3, 2, cap=7)
 
 
 def test_cap_counts_skipped_partitions():
@@ -832,16 +863,124 @@ def test_equiv_matches_naive_enumerator(first, other, same, n, m, data):
     assert config_equiv_bounded(first, other, n, m) == naive_verdict(first, other, n, m)
 
 
+# two copies of Z4 on its cosets of {0, 2}: four points, and elements 0 and
+# 2 (1 and 3) share a row, so each induced permutation picks the first
+Z4_HALVES_TWICE = ProductAction(coset_action(FIXTURES["Z4"], {0, 2}), index_count=2)
+
+
 @pytest.mark.parametrize("first, other, n, m", [
-    ("Z4", "Z2xZ2", 2, 4),
-    ("Z6", "S3", 1, 4),
-    ("Z5", "Z5", 2, 4),
-], ids=["Z4-Z2xZ2-n2", "Z6-S3-n1", "Z5-Z5-n2"])
+    (LeftTranslation(FIXTURES["Z4"]), LeftTranslation(FIXTURES["Z2xZ2"]), 2, 4),
+    (LeftTranslation(FIXTURES["Z6"]), LeftTranslation(FIXTURES["S3"]), 1, 4),
+    # distinct instances: Z5-Z5 is decided by a conjugator
+    (LeftTranslation(FIXTURES["Z5"]), LeftTranslation(FIXTURES["Z5"]), 2, 4),
+    (Z4_HALVES_TWICE, LeftTranslation(FIXTURES["Z4"]), 2, 4),
+], ids=["Z4-Z2xZ2-n2", "Z6-S3-n1", "Z5-Z5-n2", "Z4-halves-twice-vs-Z4-n2"])
 def test_equiv_matches_naive_enumerator_at_four_blocks(first, other, n, m):
     # all 24 relabelings of four blocks; the property above stops at m = 3
-    first = LeftTranslation(FIXTURES[first])
-    other = LeftTranslation(FIXTURES[other])  # distinct instance: Z5-Z5 decided by a conjugator
     assert config_equiv_bounded(first, other, n, m) == naive_verdict(first, other, n, m)
+
+
+def naive_class(action, labels, t):
+    """The configuration set of (t, labels) up to block relabeling, as its
+    least relabeled sorted list."""
+    pts = list(action.points())
+    block = dict(zip(pts, labels))
+    elements = action.group.elements()
+    configs = oracles.naive_configurations(
+        pts, action.act, [elements[g] for g in t], block.__getitem__)
+    return min(tuple(sorted(tuple(sigma[c - 1] for c in cfg) for cfg in configs))
+               for sigma in itertools.permutations(range(1, max(labels) + 1)))
+
+
+def induced_pairs(rows, maps):
+    lookup = cf._row_lookup(rows)
+    return [f for f in (cf._induced(phi, *lookup) for phi in maps) if f[1]]
+
+
+@given(small_action(), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=1, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_skipped_tuples_never_hold_the_first_of_a_class(action, n, m):
+    # under each kept partition, the tuples evaluated are in product order
+    # and include the first tuple of every class the full product realizes
+    rows = compiled_rows(action)
+    maps = normalizer_maps(rows)[1:]
+    for labels, b, fixing in set_partitions(len(rows[0]), m, maps):
+        got = [t for t, _codes in cf._tuple_codes(labels, rows, n, m, induced_pairs(rows, fixing))]
+        assert got == sorted(got)
+        firsts = {}
+        for t in itertools.product(range(len(rows)), repeat=n):
+            firsts.setdefault(naive_class(action, labels, t), t)
+        assert set(firsts.values()) <= set(got)
+        assert {naive_class(action, labels, t) for t in got} == firsts.keys()
+
+
+@pytest.mark.parametrize("action", [
+    LeftTranslation(FIXTURES["D4"]),
+    D4_COSET,
+    Z4_HALVES_TWICE,
+    TrivialAction(cyclic(3), points=[0, 1, 2]),
+], ids=["D4", "D4-coset", "Z4-halves-twice", "trivial"])
+def test_induced_permutations_conjugate_rows(action):
+    # phi r_g phi^-1 is the row of perm[g], the first element with that row
+    rows = compiled_rows(action)
+    lookup = base, _columns, _index = cf._row_lookup(rows)
+    assert len({tuple(r[q] for q in base) for r in rows}) == len(set(rows))
+    for phi in normalizer_maps(rows):
+        perm, lower = cf._induced(phi, *lookup)
+        inverse = sorted(range(len(phi)), key=phi.__getitem__)
+        for g, r in enumerate(rows):
+            conjugate = tuple(phi[r[x]] for x in inverse)
+            assert perm[g] == rows.index(conjugate)
+        assert lower == {g for g in range(len(rows)) if perm[g] < g}
+
+
+def test_trivial_action_needs_no_base_point(monkeypatch):
+    trivial = TrivialAction(cyclic(3), points=[0, 1, 2])
+    base, _columns, index = cf._row_lookup(compiled_rows(trivial))
+    assert (base, index) == ([], {(): 0})
+    # each family builds its base at its first fixing map: none for the
+    # trivial action, one point for the translations
+    bases = []
+    real = cf._row_lookup
+    monkeypatch.setattr(cf, "_row_lookup", lambda rows: bases.append(real(rows)[0]) or real(rows))
+    translation = LeftTranslation(cyclic(3))
+    verdict = config_equiv_bounded(trivial, translation, 2, 3)
+    assert bases == [[], [0]]
+    monkeypatch.undo()
+    assert verdict == naive_verdict(trivial, translation, 2, 3)
+
+
+def test_tuple_work_on_z8(monkeypatch):
+    # Z8 with itself at (2, 3): 66 kept partitions of 64 tuples each are
+    # 4,224 tuples; the two skip rules leave 2,473
+    evaluated = []
+    real = cf._tuple_codes
+
+    def spy(*args):
+        for item in real(*args):
+            evaluated.append(item[0])
+            yield item
+
+    monkeypatch.setattr(cf, "_tuple_codes", spy)
+    z8 = LeftTranslation(FIXTURES["Z8"])
+    assert config_equiv_bounded(z8, z8, 2, 3).family_sizes == (966, 966)
+    assert len(evaluated) == 2473
+
+
+@pytest.mark.parametrize("first, other, n, m", [
+    (TrivialAction(cyclic(2), points=[0]), TrivialAction(cyclic(2), points=[0]), 2, 1),
+    (LeftTranslation(FIXTURES["Z4"]), LeftTranslation(FIXTURES["Z2xZ2"]), 1, 2),
+], ids=["one-point", "n1"])
+def test_no_base_without_a_map_to_resolve(monkeypatch, first, other, n, m):
+    # one point keeps no map; at n = 1 the fixing maps are not resolved
+    def no_lookup(rows):
+        raise AssertionError("base built with no map to resolve")
+
+    monkeypatch.setattr(cf, "_row_lookup", no_lookup)
+    verdict = config_equiv_bounded(first, other, n, m)
+    monkeypatch.undo()
+    assert verdict == naive_verdict(first, other, n, m)
 
 
 @pytest.mark.parametrize("first, other, n, m", [
@@ -869,7 +1008,9 @@ def test_pruned_partitions_match_the_orbit_filter(action, m, data):
     maps = normalizer_maps(compiled_rows(action))
     chosen = data.draw(st.lists(st.sampled_from(maps), max_size=12))
     n = len(action.points())
-    assert list(set_partitions(n, m, chosen)) == [
-        (labels, b) for labels, b in set_partitions(n, m)
+    got = [(labels, b, sorted(fixing)) for labels, b, fixing in set_partitions(n, m, chosen)]
+    assert got == [
+        (labels, b, sorted(phi for phi in chosen if oracles.fixes(labels, phi)))
+        for labels, b, _ in set_partitions(n, m)
         if oracles.least_in_orbit(labels, chosen)
     ]

@@ -15,6 +15,7 @@ from confpara.groups import (
     CayleyTableGroup,
     FreeAbelianGroup,
     FreeGroup,
+    Group,
     closure,
     direct_product,
     even_integers_enumerated,
@@ -402,6 +403,52 @@ def test_enumeration_input_errors_keep_their_messages(call, message):
     with pytest.raises(InputError) as exc:
         call()
     assert str(exc.value) == message
+
+
+class Unenumerated(FreeGroup):
+    """A group with the interface's default enumeration: none."""
+
+    element_at = Group.element_at
+
+
+EVERY_FAMILY = {
+    "table": cyclic(4),
+    "product": direct_product(cyclic(2), cyclic(3)),
+    "quotient": quotient_group(cyclic(4), {0, 2})[0],
+    "free": FreeGroup(2),
+    "free-abelian-1": FreeAbelianGroup(1),
+    "free-abelian-2": FreeAbelianGroup(2),
+    "free-abelian-3": FreeAbelianGroup(3),
+    "enumerated": integers_enumerated(),
+    "enumerated-even": even_integers_enumerated(),
+    "enumerated-pairs": integer_pairs_enumerated(),
+    "unenumerated": Unenumerated(2),
+}
+
+
+@pytest.mark.parametrize("name", EVERY_FAMILY)
+@pytest.mark.parametrize("pos", [2.5, 2.0, True, False, "2", None, (2,)],
+                         ids=["float", "integral-float", "true", "false", "str", "none", "tuple"])
+def test_element_at_rejects_a_position_that_is_not_an_int(name, pos):
+    with pytest.raises(InputError) as exc:
+        EVERY_FAMILY[name].element_at(pos)
+    assert str(exc.value) == f"enumeration position must be an integer, got {pos!r}"
+
+
+@pytest.mark.parametrize("name", EVERY_FAMILY)
+def test_element_at_keeps_int_subclasses_and_range_messages(name):
+    group = EVERY_FAMILY[name]
+    if name == "unenumerated":
+        with pytest.raises(UnsupportedOperationError):
+            group.element_at(Index(2))
+        return
+    assert group.element_at(Index(2)) == group.element_at(2)
+    with pytest.raises(InputError) as exc:
+        group.element_at(Index(0))
+    if group.is_finite:
+        assert str(exc.value) == f"enumeration position 0 out of range 1..{group.order()}"
+    else:
+        assert str(exc.value) == "enumeration position must be >= 1"
 
 
 # ---------------------------------------------------------------------------

@@ -1003,6 +1003,17 @@ def test_claimants_cost_two_acts_covers_and_claimants_per_point(kind):
     assert calls == {"act": 2 * n, "cover": 2 * n, "claimants": 2 * n}
 
 
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_a_bool_cover_index_names_piece_one(side):
+    # the verifier takes True as piece index 1; the singleton translator
+    # hands element_at an int, which refuses a bool position
+    dec = singleton_decomposition(Z)
+    cover = getattr(dec, f"{side}_cover")
+    bool_dec = dataclasses.replace(dec, **{f"{side}_cover": lambda x: cover(x) == 1 or cover(x)})
+    assert bool_dec.a_translator(True) == dec.a_translator(1)
+    assert verify_paradoxical(bool_dec, zwin(5), 10) == verify_paradoxical(dec, zwin(5), 10)
+
+
 def test_scan_cost_without_member_lists():
     r = 50
     dec, calls = counted(singleton_decomposition(Z))
