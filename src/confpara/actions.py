@@ -1,5 +1,5 @@
-"""Left actions of groups on point sets, with orbit/stabilizer search and
-window plumbing for countable point sets.
+"""Left actions of groups on point sets, with window plumbing for countable
+point sets.
 
 Supported kinds: left translation of a group on itself, finite explicit
 tables, trivial actions (finite or countable point sets), and product
@@ -9,7 +9,6 @@ actions X x I with the group acting on the first coordinate only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InputError, UnsupportedOperationError
 from .groups import (
@@ -274,40 +273,3 @@ class ProductAction(Action):
         pts = tuple((y, i) for i in range(lo, hi + 1) for y in base_w.points)
         label = f"{base_w.label}x[{lo}..{hi}]"
         return Window(label, pts)
-
-
-@dataclass(frozen=True)
-class OrbitResult:
-    orbit: tuple
-    stabilizer: tuple
-    exact: bool
-    searched: int
-
-
-def orbit_and_stabilizer(action, x, bound=None):
-    """Orbit and stabilizer of ``x``.
-
-    Exact for finite groups (the whole group is enumerated); for countable
-    groups the first ``bound`` elements of the canonical enumeration are
-    used and the result is labeled inexact.
-    """
-    g = action.group
-    if g.is_finite:
-        elems = g.elements()
-        exact = True
-    else:
-        if bound is None:
-            raise InputError("countable groups need an explicit search bound")
-        elems = g.prefix_window(bound).points
-        exact = False
-    orbit = []
-    seen = set()
-    stab = []
-    for h in elems:
-        y = action.act(h, x)
-        if y not in seen:
-            seen.add(y)
-            orbit.append(y)
-        if y == x:
-            stab.append(h)
-    return OrbitResult(tuple(orbit), tuple(stab), exact, len(elems))

@@ -167,21 +167,11 @@ def _cells(action, elements, base):
     return (frozenset(base), *(frozenset(action.act(g, x) for x in base) for g in elements))
 
 
-def configuration_cells(action, pair, config, window=None):
-    """Cells of one configuration: position 0 is the base cell (its realizer
-    set), position j its translate under g_j.  Over a window the base cell is
-    computed from window points only.  An unrealized configuration has empty
-    cells."""
-    config = tuple(config)
-    if len(config) != len(pair.elements) + 1:
-        raise InputError("configuration length must be tuple length + 1")
-    pts = action.points() if window is None else window.points
-    base = _realizers(pair.partition.block_of, action.act, pair.elements, pts).get(config, ())
-    return _cells(action, pair.elements, base)
-
-
 def configurations_with_cells(action, pair, window=None):
-    """Mapping configuration -> cells, for every realized configuration."""
+    """Mapping configuration -> cells, for every realized configuration.
+    Position 0 of a configuration's cells is the base cell (its realizer
+    set), position j its translate under g_j.  Over a window the base cell
+    is computed from window points only."""
     pts = _checked_points(action, pair) if window is None else window.points
     by_config = _realizers(pair.partition.block_of, action.act, pair.elements, pts)
     return {c: _cells(action, pair.elements, by_config[c]) for c in sorted(by_config)}

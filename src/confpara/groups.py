@@ -3,7 +3,9 @@
 Element conventions:
 
 * table-backed and oracle-backed (enumerated) groups: elements are 0-based
-  integer indices into a fixed enumeration;
+  integer indices into a fixed enumeration (the one built-in enumerated
+  group is ``even_integers_enumerated``, the subgroup 2Z of Z that
+  ``paradox.even_integers_witness`` lifts a paradox from);
 * free groups: reduced words stored as tuples of signed generator numbers
   (``1`` = first generator, ``-1`` = its inverse, ``2`` = second, ...);
 * free-abelian groups: plain integers for rank 1, integer tuples otherwise.
@@ -131,17 +133,6 @@ class Group:
                 f"of order {self.order()}"
             )
         return Window.prefix(self.walk(), count)
-
-    def power(self, a, n):
-        if n < 0:
-            return self.power(self.inv(a), -n)
-        acc = self.identity
-        while n:
-            if n & 1:
-                acc = self.mul(acc, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return acc
 
 
 class CayleyTableGroup(Group):
@@ -606,17 +597,16 @@ class FreeAbelianGroup(Group):
 class EnumeratedGroup(Group):
     """Countable group given by oracles over 0-based natural indices.
 
-    ``mul_index`` and ``inv_index`` are pure functions on indices; ``namer``
-    renders an index as a human-readable label.  The identity's index must
-    be a fixed point of the oracles in the usual way; windows of tests
-    enforce mul(i, identity) = i and mul(inv(i), i) = identity.
+    ``mul_index`` and ``inv_index`` are pure functions on indices, and an
+    element is formatted as its index.  The identity's index must be a fixed
+    point of the oracles in the usual way; windows of tests enforce
+    mul(i, identity) = i and mul(inv(i), i) = identity.
     """
 
-    def __init__(self, mul_index, inv_index, identity_index=0, namer=None, name="enumerated"):
+    def __init__(self, mul_index, inv_index, identity_index=0, name="enumerated"):
         self._mul = mul_index
         self._inv = inv_index
         self._identity = identity_index
-        self._namer = namer or str
         self.name = name
 
     @property
@@ -654,23 +644,6 @@ class EnumeratedGroup(Group):
     def format(self, a):
         return str(a)
 
-    def label(self, a):
-        return self._namer(a)
-
-
-def integers_enumerated():
-    """The integers as an oracle-backed enumerated group, indexed by the
-    zigzag enumeration 0, 1, -1, 2, -2, ..."""
-
-    def mul(a, b):
-        return codec.zigzag_position(codec.zigzag_value(a) + codec.zigzag_value(b))
-
-    def inv(a):
-        return codec.zigzag_position(-codec.zigzag_value(a))
-
-    return EnumeratedGroup(mul, inv, 0, namer=lambda a: str(codec.zigzag_value(a)),
-                           name="enumerated-integers")
-
 
 def even_integers_enumerated():
     """The even integers under addition, indexed 0, 2, -2, 4, -4, ..."""
@@ -684,34 +657,7 @@ def even_integers_enumerated():
     def inv(a):
         return codec.zigzag_position(-codec.zigzag_value(a))
 
-    return EnumeratedGroup(mul, inv, 0, namer=lambda a: str(value(a)),
-                           name="enumerated-even-integers")
-
-
-def integer_pairs_enumerated():
-    """Z^2 under addition, indexed by the Cantor pairing of two zigzag codes."""
-
-    def value(a):
-        i, j = codec.cantor_unpair(a)
-        return codec.zigzag_value(i), codec.zigzag_value(j)
-
-    def index(v):
-        return codec.cantor_pair(codec.zigzag_position(v[0]), codec.zigzag_position(v[1]))
-
-    def mul(a, b):
-        (x1, y1), (x2, y2) = value(a), value(b)
-        return index((x1 + x2, y1 + y2))
-
-    def inv(a):
-        x, y = value(a)
-        return index((-x, -y))
-
-    g = EnumeratedGroup(mul, inv, index((0, 0)),
-                        namer=lambda a: "[%d,%d]" % value(a),
-                        name="enumerated-integer-pairs")
-    g.value = value
-    g.index = index
-    return g
+    return EnumeratedGroup(mul, inv, 0, name="enumerated-even-integers")
 
 
 # ---------------------------------------------------------------------------

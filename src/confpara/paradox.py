@@ -36,8 +36,9 @@ from .groups import FreeAbelianGroup, FreeGroup, Group
 def _checked_index(who, i, size):
     """``i`` when it is a piece index of a family with ``size`` pieces (None
     for countably many); otherwise the ``MalformedOracleError`` naming
-    ``who``, the oracle that returned it."""
-    if not isinstance(i, int) or i < 1:
+    ``who``, the oracle that returned it.  A bool is refused, as everywhere
+    the package takes an int."""
+    if isinstance(i, bool) or not isinstance(i, int) or i < 1:
         raise MalformedOracleError(f"{who} returned bad index {i!r}")
     if size is not None and i > size:
         raise MalformedOracleError(
@@ -338,9 +339,7 @@ def singleton_decomposition(group):
             return (p + odd) // 2 if p % 2 == odd else None
 
         def translator(i):
-            # +i: a bool piece index (True, which the verifier accepts as
-            # piece 1) becomes the int position element_at requires
-            return mul(at(+i), inv(at(2 * i - odd)))
+            return mul(at(i), inv(at(2 * i - odd)))
 
         # every translate is the singleton {at(i)}
         return PieceFamily(classifier, claimants=lambda x: (pos(x),)), translator, pos, None

@@ -2,10 +2,10 @@
 
 Enumerate a group with the identity first, g_1 = e.  The multiplication
 index table stores pi(i, j) = k whenever g_i g_j = g_k with all three inside
-the enumerated range.  The canonical configuration attached to index j is
-C_j = (j, pi(2, j), ..., pi(depth, j)): on a finite group with its full
-enumeration these are exactly the configurations of the left translation
-action partitioned into singletons.
+the enumerated range.  The canonical configuration attached to index j of
+an n-element enumeration is C_j = (j, pi(2, j), ..., pi(n, j)): on a finite
+group these are exactly the configurations of the left translation action
+partitioned into singletons.
 
 Conversely, when a pair (h_1, ..., h_N) with an N-block partition of a group
 H realizes exactly the canonical configuration set of a finite group G, the
@@ -196,26 +196,6 @@ def validate_table(table):
                 out.append({"kind": "associativity", "at": (i, j, k),
                             "left": left, "right": right})
     return out
-
-
-def canonical_configurations(table, depth):
-    """The family (C_j)_{j <= bound} with C_j = (j, pi(2,j), ..., pi(depth,j)).
-
-    Raises when a required entry is unknown at the requested depth."""
-    if depth < 1:
-        raise InputError("depth must be >= 1")
-    if depth > table.bound:
-        raise InputError(f"depth {depth} exceeds the table bound {table.bound}")
-    out = []
-    for j in range(1, table.bound + 1):
-        row = [j]
-        for i in range(2, depth + 1):
-            v = table.entry(i, j)
-            if v is None:
-                raise InputError(f"unknown table entry at ({i},{j}) for depth {depth}")
-            row.append(v)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _full_canonical_set(table):

@@ -380,7 +380,7 @@ def naive_verify_paradoxical(dec, points, index_bound):
     act, inv = dec.action.act, dec.action.group.inv
 
     def index(who, i, size):
-        if not isinstance(i, int) or i < 1:
+        if isinstance(i, bool) or not isinstance(i, int) or i < 1:
             raise Refusal("MalformedOracleError", f"{who} returned bad index {i!r}")
         if size is not None and i > size:
             raise Refusal("MalformedOracleError",

@@ -1,15 +1,12 @@
 """Actions and their windows."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from confpara.actions import (
     LeftTranslation,
     ProductAction,
     TableAction,
     TrivialAction,
-    orbit_and_stabilizer,
 )
 from confpara.catalog import cyclic, symmetric
 from confpara.errors import InputError, UnsupportedOperationError
@@ -138,33 +135,3 @@ def test_product_action_point_tokens():
     assert prod.format_point((5, 2)) == "(5;2)"
     with pytest.raises(InputError):
         prod.parse_point("5,2")
-
-
-@given(st.integers(min_value=0, max_value=5))
-def test_orbit_stabilizer_s3_on_itself(pos):
-    s3 = symmetric(3)
-    act = LeftTranslation(s3)
-    x = s3.element_at(pos + 1)
-    res = orbit_and_stabilizer(act, x)
-    assert res.exact
-    assert len(res.orbit) == 6  # translation is transitive
-    assert res.stabilizer == (s3.identity,)
-    assert len(res.orbit) * len(res.stabilizer) == s3.order()
-
-
-def test_orbit_stabilizer_trivial_action():
-    g = symmetric(3)
-    act = TrivialAction(g, points=["x", "y"])
-    res = orbit_and_stabilizer(act, "x")
-    assert res.orbit == ("x",)
-    assert len(res.stabilizer) == 6
-
-
-def test_orbit_stabilizer_countable_needs_bound():
-    act = LeftTranslation(FreeAbelianGroup(1))
-    with pytest.raises(InputError):
-        orbit_and_stabilizer(act, 0)
-    res = orbit_and_stabilizer(act, 0, bound=9)
-    assert not res.exact
-    assert res.searched == 9
-    assert set(res.orbit) == {-4, -3, -2, -1, 0, 1, 2, 3, 4}

@@ -19,7 +19,6 @@ from confpara.configurations import (
     Partition,
     check_partition_covers,
     config_equiv_bounded,
-    configuration_cells,
     conjugating_maps,
     configurations_finite,
     configurations_with_cells,
@@ -198,8 +197,10 @@ def test_windowed_subset_of_full(data):
 def test_z4_cells():
     act = LeftTranslation(cyclic(4))
     pair = ConfigPair((1,), Partition.explicit([[0, 2], [1, 3]]))
-    cells = configuration_cells(act, pair, (1, 2))
-    assert cells == (frozenset({0, 2}), frozenset({1, 3}))
+    assert configurations_with_cells(act, pair) == {
+        (1, 2): (frozenset({0, 2}), frozenset({1, 3})),
+        (2, 1): (frozenset({1, 3}), frozenset({0, 2})),
+    }
 
 
 def test_cells_partition_block():
@@ -275,20 +276,10 @@ def test_windowed_cells_match_naive_blocks(kind):
         pair.partition.block_of, list(cells),
     )
     assert cells == {c: tuple(map(frozenset, naive[c])) for c in naive}
-    for c in cells:
-        assert configuration_cells(act, pair, c, window) == cells[c]
     # translates leave the window; only points with a windowed preimage count
     assert any(not cell[1] <= window.point_set for cell in cells.values())
     report = verify_refinement(act, pair, cells, window)
     assert report.ok, report.violation
-
-
-@pytest.mark.parametrize("kind", ["z-box", "product"])
-def test_unrealized_configuration_has_empty_cells(kind):
-    act, pair, window = _windowed_case(kind)
-    config = (1, 1, 1)
-    assert config not in windowed_configuration_set(act, pair, window)
-    assert configuration_cells(act, pair, config, window) == (frozenset(),) * 3
 
 
 # ---------------------------------------------------------------------------

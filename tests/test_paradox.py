@@ -1005,13 +1005,14 @@ def test_claimants_cost_two_acts_covers_and_claimants_per_point(kind):
 
 @pytest.mark.parametrize("side", ["a", "b"])
 def test_a_bool_cover_index_names_piece_one(side):
-    # the verifier takes True as piece index 1; the singleton translator
-    # hands element_at an int, which refuses a bool position
+    # True is refused, not read as piece 1: no group takes a bool for an int
     dec = singleton_decomposition(Z)
     cover = getattr(dec, f"{side}_cover")
     bool_dec = dataclasses.replace(dec, **{f"{side}_cover": lambda x: cover(x) == 1 or cover(x)})
-    assert bool_dec.a_translator(True) == dec.a_translator(1)
-    assert verify_paradoxical(bool_dec, zwin(5), 10) == verify_paradoxical(dec, zwin(5), 10)
+    with pytest.raises(MalformedOracleError, match=f"^{side}-cover returned bad index True$"):
+        verify_paradoxical(bool_dec, zwin(5), 10)
+    with pytest.raises(InputError):
+        dec.a_translator(True)
 
 
 def test_scan_cost_without_member_lists():
@@ -1248,12 +1249,16 @@ def test_uniform_glue_scan_probe_reads_the_inner_index_through_the_contract(bad,
 
 
 def test_a_classifier_returning_true_names_piece_1():
-    assert PieceFamily(lambda x: True, size=2).classify_checked(7) is True
+    # True is refused, not read as piece 1, as a cover's True is
+    message = "^classifier returned bad index True$"
+    with pytest.raises(MalformedOracleError, match=message):
+        PieceFamily(lambda x: True, size=2).classify_checked(7)
     dec = f2_standard_decomposition(F2)
     base = dec.a_pieces.classifier
     truthy = dataclasses.replace(dec, a_pieces=dataclasses.replace(
         dec.a_pieces, classifier=lambda w: True if base(w) == 1 else base(w)))
-    assert verify_paradoxical(truthy, fwin(3), 2) == verify_paradoxical(dec, fwin(3), 2)
+    with pytest.raises(MalformedOracleError, match=message):
+        verify_paradoxical(truthy, fwin(3), 2)
 
 
 def test_equidecomposition_bound_and_source_checks():

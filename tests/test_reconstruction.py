@@ -23,7 +23,6 @@ from confpara.groups import (
 from confpara.reconstruction import (
     CosetFamily,
     MultiplicationIndexTable,
-    canonical_configurations,
     multiplication_index_table,
     q_group_refinement_check,
     quotient_recovery_roundtrip,
@@ -82,42 +81,6 @@ def test_validate_table_flags_corruption():
     t = MultiplicationIndexTable(2, rows, ("e", "g"))
     kinds = {p["kind"] for p in validate_table(t)}
     assert "identity-column" in kinds
-
-
-# ---------------------------------------------------------------------------
-# canonical configurations
-
-
-def test_canonical_configurations_z2():
-    z2 = cyclic(2)
-    t = multiplication_index_table(z2, z2.elements())
-    assert canonical_configurations(t, 2) == ((1, 2), (2, 1))
-
-
-def test_canonical_configurations_z4():
-    z4 = cyclic(4)
-    t = multiplication_index_table(z4, z4.elements())
-    cfgs = canonical_configurations(t, 4)
-    assert cfgs[1] == (2, 3, 4, 1)
-    assert cfgs[0] == (1, 2, 3, 4)
-
-
-def test_canonical_configurations_need_known_entries():
-    z = FreeAbelianGroup(1)
-    t = table_from_canonical_enumeration(z, 5)
-    # 1 + 2 = 3 falls outside the enumerated window, so C_4 is incomplete
-    assert t.entry(2, 4) is None
-    with pytest.raises(InputError):
-        canonical_configurations(t, 2)
-
-
-def test_canonical_depth_bounds():
-    z2 = cyclic(2)
-    t = multiplication_index_table(z2, z2.elements())
-    with pytest.raises(InputError):
-        canonical_configurations(t, 0)
-    with pytest.raises(InputError):
-        canonical_configurations(t, 3)
 
 
 # ---------------------------------------------------------------------------
