@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""Run the checked-in mutants of src/confpara and report any that survive.
+
+Each mutant in ``MUTANTS`` names a file under ``src/``, an exact source
+snippet that occurs once in it, the snippet's replacement, and the pytest
+node ids expected to kill it.  For each mutant the script copies ``src/``
+to a temporary directory, applies the replacement there, and runs the
+named tests against the copy (``-o pythonpath=`` points pytest at it; the
+tests themselves are read from ``tests/`` in place).  All the named tests
+are first run once on an unmutated copy, and must pass.  A mutant is killed
+when pytest reports a failing test (exit status 1).  It survives when the
+named tests all pass, and any other status (a node id not found, a
+collection error) is reported as an error.
+
+The script prints one line per mutant and exits 1 if any mutant survived
+or erred, 2 if a snippet does not occur exactly once in its file, else 0.
+``tests/test_mutants.py`` checks the snippets and node ids in Tier-1; the
+full run is kept out of Tier-1, since each mutant costs a pytest start-up
+and its tests.  Standard library only.
+
+Usage: ``python3 scripts/mutants.py [mutant name ...]`` (all by default).
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root, under src/
+    snippet: str
+    replacement: str
+    tests: tuple  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    # table reads of the coset layer
+    Mutant(
+        "is-normal-conjugates-s-x",
+        "src/confpara/groups.py",
+        "if not all(t[row[s]][xi] in sub for s in sub):",
+        "if not all(t[t[s][x]][xi] in sub for s in sub):",
+        ("tests/test_groups.py::test_is_normal_picks_a3",
+         "tests/test_reconstruction.py::test_coset_arithmetic_matches_its_slow_reference"),
+    ),
+    Mutant(
+        "cosets-without-subgroup-check",
+        "src/confpara/groups.py",
+        "    if group.identity not in normal or not all(\n"
+        "        normal.issuperset(map(t[a].__getitem__, normal)) for a in normal\n"
+        "    ):\n",
+        "    if False:\n",
+        ("tests/test_groups.py::test_quotient_rejects_a_conjugation_closed_non_subgroup",
+         "tests/test_reconstruction.py::test_coset_arithmetic_matches_its_slow_reference"),
+    ),
+    Mutant(
+        "coset-law-reads-the-wrong-row",
+        "src/confpara/reconstruction.py",
+        "        products = t[hj]\n",
+        "        products = t[j - 1]\n",
+        ("tests/test_reconstruction.py::test_recover_accepts_non_generating_tuple",),
+    ),
+    Mutant(
+        "certificate-reads-the-table-before-elements",
+        "src/confpara/reconstruction.py",
+        "    elements = group.elements()  # an infinite group raises here\n"
+        "    t = group.table\n",
+        "    t = group.table\n"
+        "    elements = group.elements()\n",
+        ("tests/test_reconstruction.py::test_coset_routines_refuse_an_infinite_group",),
+    ),
+    Mutant(
+        "coset-law-names-the-greatest-block",
+        "src/confpara/reconstruction.py",
+        "            l = min(failing)\n",
+        "            l = max(failing)\n",
+        ("tests/test_reconstruction.py::test_coset_law_failure_names_the_least_block",),
+    ),
+    # earlier fast paths
+    Mutant(
+        "free-mul-junction-sign",
+        "src/confpara/groups.py",
+        "if not b or a[-1] != -b[0]:",
+        "if not b or a[-1] != b[0]:",
+        ("tests/test_groups.py::test_free_group_mul_at_the_junction",),
+    ),
+    Mutant(
+        "cover-scan-starts-at-2",
+        "src/confpara/paradox.py",
+        "for j in range(1, self.limit + 1):",
+        "for j in range(2, self.limit + 1):",
+        ("tests/test_paradox.py::test_claimed_point_is_refuted_by_the_table_as_by_the_scan",),
+    ),
+    Mutant(
+        "conjugate-skips-its-final-check",
+        "src/confpara/configurations.py",
+        "    return all(tuple(phi[r[x]] for x in inverse) in targets for r in distinct1)\n",
+        "    return True\n",
+        ("tests/test_configurations.py::test_a_map_from_the_search_is_checked_on_every_row",),
+    ),
+)
+
+
+def stale(mutants):
+    """(mutant name, count) for every snippet that does not occur exactly
+    once in its file."""
+    out = []
+    for m in mutants:
+        count = (ROOT / m.path).read_text(encoding="utf-8").count(m.snippet)
+        if count != 1:
+            out.append((m.name, count))
+    return out
+
+
+def pytest_on_a_copy(tests, mutant=None):
+    """pytest's exit status on ``tests``, run against a copy of ``src/``
+    with ``mutant`` applied (none: the copy is unchanged)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            target = Path(tmp) / mutant.path
+            text = target.read_text(encoding="utf-8")
+            target.write_text(text.replace(mutant.snippet, mutant.replacement),
+                              encoding="utf-8")
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-o", f"pythonpath={src}", *tests],
+            cwd=ROOT, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+
+
+def verdict(mutant):
+    """'killed', 'SURVIVED' or 'ERROR (pytest exit status N)'."""
+    status = pytest_on_a_copy(mutant.tests, mutant)
+    if status == 1:
+        return "killed"
+    return "SURVIVED" if status == 0 else f"ERROR (pytest exit status {status})"
+
+
+def main(argv):
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        raise SystemExit(f"unknown mutant(s): {', '.join(unknown)}")
+    mutants = [by_name[name] for name in argv] if argv else list(MUTANTS)
+    problems = stale(mutants)
+    for name, count in problems:
+        print(f"{name}: snippet occurs {count} times, not once")
+    if problems:
+        return 2
+    tests = list(dict.fromkeys(t for m in mutants for t in m.tests))
+    status = pytest_on_a_copy(tests)
+    if status != 0:  # a kill means nothing if the tests fail unmutated
+        print(f"the named tests fail on an unmutated copy (pytest exit status {status})")
+        return 1
+    bad = 0
+    for m in mutants:
+        start = time.monotonic()
+        result = verdict(m)
+        bad += result != "killed"
+        print(f"{m.name}: {result} ({time.monotonic() - start:.1f} s)", flush=True)
+    print(f"{len(mutants) - bad} of {len(mutants)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -503,13 +503,6 @@ class FreeAbelianGroup(Group):
             return -a
         return tuple(map(operator.neg, a))
 
-    def generator(self, k):
-        if not (1 <= k <= self.rank):
-            raise InputError(f"generator index {k} out of range")
-        if self.rank == 1:
-            return 1
-        return tuple(1 if i == k - 1 else 0 for i in range(self.rank))
-
     def _shell(self, r):
         """Vectors of max-norm exactly r, in zigzag-lex order (rank >= 2).
 
@@ -662,6 +655,11 @@ def even_integers_enumerated():
 
 # ---------------------------------------------------------------------------
 # finite group utilities
+#
+# Every finite group is a CayleyTableGroup, whose mul(a, b) is table[a][b]:
+# the routines below read the table instead, each product one subscript with
+# the row of a fixed left factor read once, and only after their finiteness
+# guard or elements() call, so an infinite group raises as it always has.
 
 
 def closure(group, elements):
@@ -672,11 +670,13 @@ def closure(group, elements):
     gens = set(elements) | {group.inv(x) for x in elements} | {group.identity}
     seen = set(gens)
     frontier = list(gens)
+    t = group.table
     while frontier:
         nxt = []
         for x in frontier:
+            row = t[x]
             for g in gens:
-                y = group.mul(x, g)
+                y = row[g]
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
@@ -724,16 +724,42 @@ def is_normal(group, subset):
     membership tests, no set built per x."""
     sub = frozenset(subset)
     elements = group.elements()
-    mul, inv = group.mul, group.inv
-    return sub.issubset(elements) and all(
-        mul(mul(x, s), xi) in sub
-        for x, xi in zip(elements, map(inv, elements))
-        for s in sub
-    )
+    if not sub.issubset(elements):
+        return False
+    t = group.table
+    for x in elements:
+        row, xi = t[x], group.inv(x)
+        if not all(t[row[s]][xi] in sub for s in sub):
+            return False
+    return True
 
 
 def normal_subgroups(group):
     return [s for s in subgroups(group) if is_normal(group, s)]
+
+
+def _cosets(group, normal):
+    """The left cosets of ``normal`` in a finite group, in order of their
+    least member, and the map from each element to its coset; a
+    PreconditionError unless ``normal`` is a normal subgroup."""
+    normal = frozenset(normal)
+    if not is_normal(group, normal):
+        raise PreconditionError("subgroup is not normal")
+    t = group.table
+    if group.identity not in normal or not all(
+        normal.issuperset(map(t[a].__getitem__, normal)) for a in normal
+    ):
+        raise PreconditionError("conjugation-closed set is not a subgroup")
+    coset_of = {}
+    cosets = []
+    for x in group.elements():
+        if x in coset_of:
+            continue
+        cs = frozenset(map(t[x].__getitem__, normal))
+        for y in cs:
+            coset_of[y] = cs
+        cosets.append(cs)
+    return cosets, coset_of
 
 
 def quotient_group(group, normal):
@@ -745,29 +771,14 @@ def quotient_group(group, normal):
     and the smallest member otherwise.  The quotient is table-backed with
     indices aligned to the coset order.
     """
-    normal = frozenset(normal)
-    if not is_normal(group, normal):
-        raise PreconditionError("subgroup is not normal")
-    mul = group.mul
-    if group.identity not in normal or not all(
-        mul(a, b) in normal for a in normal for b in normal
-    ):
-        raise PreconditionError("conjugation-closed set is not a subgroup")
-    coset_of = {}
-    cosets = []
-    for x in group.elements():
-        if x in coset_of:
-            continue
-        cs = frozenset(group.mul(x, s) for s in normal)
-        for y in cs:
-            coset_of[y] = cs
-        cosets.append(cs)
+    cosets, coset_of = _cosets(group, normal)
     e = group.identity
     cosets.sort(key=lambda c: (e not in c, min(c)))
     index = {c: i for i, c in enumerate(cosets)}
     reps = tuple(e if e in c else min(c) for c in cosets)
+    t = group.table
     table = [
-        [index[coset_of[group.mul(a, b)]] for b in reps] for a in reps
+        [index[coset_of[row[b]]] for b in reps] for row in map(t.__getitem__, reps)
     ]
     labels = ["{" + ",".join(group.format(x) for x in sorted(c)) + "}" for c in cosets]
     q = CayleyTableGroup(table, 0, labels, name=f"{group.name}-quotient")

@@ -16,7 +16,9 @@ isomorphism G -> H / F_1.  ``recover_cosets`` performs the recovery and
 in blocks rather than compare sets, and the certificate multiplies one
 element per coset when the blocks are the cosets of a normal F_1, so a
 certified recovery costs O(|H| (n + |F_1|)) multiplications for n blocks
-in place of O(|H|^2); each docstring gives its cost.  Their outputs are those of the
+in place of O(|H|^2); each docstring gives its cost.  A multiplication is a
+read of H's Cayley table (``group.table``), with the row of a fixed left
+factor read once, not a call of ``mul``.  Their outputs are those of the
 setwise definitions.
 """
 
@@ -33,7 +35,7 @@ from .configurations import (
     windowed_configuration_set,
 )
 from .errors import InputError, PreconditionError, ResourceCapExceeded
-from .groups import Window, quotient_group
+from .groups import Window, _cosets, quotient_group
 
 
 @dataclass(frozen=True)
@@ -239,8 +241,9 @@ def recover_cosets(group, pair, table, configurations=None):
 
     Cost, for |H| elements and a table bound n: the configuration set takes
     n + 1 block lookups per element, and the coset law h_j F_l = F_pi(j,l)
-    takes one multiplication and one block-index lookup per element and
-    tuple entry, about n |H| of each, with no set built per (j, l).
+    takes one table read in the row of h_j and one block-index lookup per
+    element and tuple entry, about n |H| of each, with no set built per
+    (j, l).
     """
     if not group.is_finite:
         raise InputError("coset recovery runs on finite instances")
@@ -291,9 +294,10 @@ def recover_cosets(group, pair, table, configurations=None):
     # block into one block, and h_j permutes H while no block is empty, so
     # h_j F_l is a whole block: the law holds at (j, l) iff h_j x lies in
     # F_pi(j,l) for every x in F_l.  The least failing l is reported.
-    mul = group.mul
+    t = group.table
     for j, (hj, row) in enumerate(zip(pair.elements, rows), start=1):
-        failing = [l for x, l in index_of.items() if index_of[mul(hj, x)] != row[l - 1]]
+        products = t[hj]
+        failing = [l for x, l in index_of.items() if index_of[products[x]] != row[l - 1]]
         if failing:
             l = min(failing)
             raise PreconditionError(
@@ -318,13 +322,16 @@ def _coset_representatives(group, blocks):
     a subgroup: then a F_1 has |F_1| elements, and it is the coset holding a,
     so any one element of a block decides."""
     f1 = blocks[0]
-    mul = group.mul
+    t = group.table
     reps = []
     for block in blocks:
         if not block:
             return None
         a = next(iter(block))
-        if len(block) != len(f1) or not all(mul(a, s) in block for s in f1):
+        if len(block) != len(f1):
+            return None
+        row = t[a]
+        if not all(row[s] in block for s in f1):
             return None
         reps.append(a)
     return reps
@@ -342,12 +349,14 @@ def verify_normal_and_iso(group, family, table):
     each coset product is one multiplication and one membership test: |H|
     multiplications to find the a_k, n**2 for the products.  Otherwise, an
     empty block included, each product is built setwise from |F_k| |F_j|
-    multiplications, about |H|**2 in all."""
+    multiplications, about |H|**2 in all.  Each multiplication is a read of
+    H's Cayley table, made after ``group.elements()``, so an infinite group
+    raises its ``UnsupportedOperationError``."""
     blocks = family.blocks
     f1 = blocks[0]
     n = len(blocks)
     failures = []
-    mul, inv = group.mul, group.inv
+    inv = group.inv
     e = group.identity
     if e not in f1:
         failures.append({"identity": "identity-in-subgroup"})
@@ -355,15 +364,16 @@ def verify_normal_and_iso(group, family, table):
         if inv(a) not in f1:
             failures.append({"identity": "subgroup-inverse", "witness": group.format(a)})
             break
-    closed = all(mul(a, b) in f1 for a in f1 for b in f1)
+    elements = group.elements()  # an infinite group raises here
+    t = group.table
+    closed = all(all(row[b] in f1 for b in f1) for row in map(t.__getitem__, f1))
     if not closed:
         failures.append({"identity": "subgroup-closure"})
-    elements = group.elements()
     # x F_1 x^-1 = F_1 iff every conjugate lies in F_1, for F_1 within H
     within = set(elements).issuperset(f1)
     for x in elements:
-        xi = inv(x)
-        if not (within and all(mul(mul(x, s), xi) in f1 for s in f1)):
+        row, xi = t[x], inv(x)
+        if not (within and all(t[row[s]][xi] in f1 for s in f1)):
             failures.append({"identity": "normality", "witness": group.format(x)})
             break
     reps = None if failures else _coset_representatives(group, blocks)
@@ -371,14 +381,15 @@ def verify_normal_and_iso(group, family, table):
     rows = None if reps is None or table.bound != n else _rows_in_range(table)
     if rows is not None:
         for k, (ak, row) in enumerate(zip(reps, rows), start=1):
+            products = t[ak]
             for j, aj in enumerate(reps, start=1):
-                if mul(ak, aj) not in blocks[row[j - 1] - 1]:
+                if products[aj] not in blocks[row[j - 1] - 1]:
                     failures.append({"identity": "coset-product", "witness": (k, j)})
     else:
         for k in range(1, n + 1):
             for j in range(1, n + 1):
                 prod = frozenset(
-                    mul(a, b) for a in blocks[k - 1] for b in blocks[j - 1]
+                    t[a][b] for a in blocks[k - 1] for b in blocks[j - 1]
                 )
                 if prod != blocks[table.entry(k, j) - 1]:
                     failures.append({
@@ -430,7 +441,11 @@ def q_group_refinement_check(group, family, cap=200_000):
     ``pairs_searched`` = S(qn, <=qn) * qn**n in closed form, the number of
     pairs over the quotient (S(qn, <=qn) the partitions of qn points, n the
     tuple length), without enumerating any, and raises
-    ``ResourceCapExceeded`` when that count exceeds ``cap``."""
+    ``ResourceCapExceeded`` when that count exceeds ``cap``.
+
+    Cost: the normality and subgroup checks of F_1 and one |F_1|-element
+    coset per coset, all table reads; no quotient group is built, so no
+    quotient table, labels or second table validation."""
     f1 = family.subgroup
     if len(f1) == 1:
         return RefinementSearchReport(
@@ -441,10 +456,10 @@ def q_group_refinement_check(group, family, cap=200_000):
             pairs_searched=0,
             matched=False,
         )
-    quotient, cosets, _ = quotient_group(group, f1)
+    cosets, _ = _cosets(group, f1)
     if set(family.blocks) != set(cosets):
         raise PreconditionError("the family's blocks are not the cosets of F_1")
-    qn = quotient.order()
+    qn = len(cosets)
     pairs = _partition_count(qn, qn, cap) * qn ** len(family.representatives)
     if pairs > cap:
         raise ResourceCapExceeded(

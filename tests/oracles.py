@@ -292,6 +292,39 @@ def naive_is_normal(elements, mul, inv, subset):
     return all(frozenset(mul(mul(x, s), inv(x)) for s in sub) == sub for x in elements)
 
 
+def naive_closure(mul, inv, identity, generators):
+    """The least set holding the identity, the generators and their inverses
+    that is closed under products: all pairwise products added until none is
+    new."""
+    sub = {identity, *generators, *map(inv, generators)}
+    while True:
+        bigger = sub | {mul(a, b) for a in sub for b in sub}
+        if bigger == sub:
+            return frozenset(sub)
+        sub = bigger
+
+
+def naive_quotient(elements, mul, inv, identity, normal):
+    """(cosets, representatives, table) of the quotient by ``normal``: the
+    distinct sets x N, the identity's first and then by least member; the
+    identity representing its coset and the least member any other; and
+    table[i][k] the index of the coset equal to the setwise product of cosets
+    i and k.  Raises ``Refusal`` unless N is a normal subgroup."""
+    normal = frozenset(normal)
+    if not naive_is_normal(elements, mul, inv, normal):
+        raise Refusal("PreconditionError", "subgroup is not normal")
+    if identity not in normal or any(mul(a, b) not in normal for a in normal for b in normal):
+        raise Refusal("PreconditionError", "conjugation-closed set is not a subgroup")
+    cosets = sorted({frozenset(mul(x, s) for s in normal) for x in elements},
+                    key=lambda c: (identity not in c, min(c)))
+    reps = tuple(identity if identity in c else min(c) for c in cosets)
+    table = tuple(
+        tuple(cosets.index(frozenset(mul(a, b) for a in c for b in d)) for d in cosets)
+        for c in cosets
+    )
+    return tuple(cosets), reps, table
+
+
 def naive_recover_cosets(elements, mul, identity, translators, block_of, table):
     """The blocks of a pair realizing the table's full canonical
     configuration set, relabeled so the identity's block is 1 by right

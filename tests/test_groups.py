@@ -2,6 +2,7 @@
 finite-group utilities the reconstruction suite leans on."""
 
 import functools
+import re
 
 import pytest
 from hypothesis import given
@@ -470,6 +471,26 @@ def test_enumerated_even_integers(a):
 
 # ---------------------------------------------------------------------------
 # finite-group utilities
+
+
+INFINITE = {"Z": FreeAbelianGroup(1), "F2": FreeGroup(2)}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE))
+@pytest.mark.parametrize("call,message", [
+    (lambda g: closure(g, [g.element_at(2)]), "closure requires a finite group"),
+    (lambda g: is_generating(g, [g.element_at(2)]),
+     "generation is undecidable here; assert it on the configuration pair"),
+    (subgroups, "subgroup enumeration requires a finite group"),
+    (lambda g: is_normal(g, {g.identity}), "{name} is not finite"),
+    (lambda g: quotient_group(g, {g.identity, g.element_at(2)}), "{name} is not finite"),
+], ids=["closure", "is_generating", "subgroups", "is_normal", "quotient_group"])
+def test_finite_group_utilities_refuse_an_infinite_group(name, call, message):
+    # each guard runs before the first read of a Cayley table
+    group = INFINITE[name]
+    message = re.escape(message.format(name=group.name))
+    with pytest.raises(UnsupportedOperationError, match=f"^{message}$"):
+        call(group)
 
 
 def test_closure_and_generation():

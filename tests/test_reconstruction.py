@@ -1,6 +1,8 @@
 """Coset recovery from canonical configuration sets."""
 
 import functools
+import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,16 @@ from confpara import configurations, reconstruction
 from confpara.actions import LeftTranslation
 from confpara.catalog import cyclic, reconstruction_groups
 from confpara.configurations import ConfigPair, Partition
-from confpara.errors import InputError, PreconditionError, ResourceCapExceeded
+from confpara.errors import (
+    InputError,
+    PreconditionError,
+    ResourceCapExceeded,
+    UnsupportedOperationError,
+)
 from confpara.groups import (
     FreeAbelianGroup,
+    FreeGroup,
+    closure,
     direct_product,
     is_normal,
     normal_subgroups,
@@ -164,6 +173,23 @@ def test_recover_rejects_wrong_tuple_length():
     pair = ConfigPair((0,), Partition.explicit([[0, 2], [1, 3]]))
     with pytest.raises(PreconditionError):
         recover_cosets(z4, pair, t)
+
+
+@pytest.mark.parametrize("group", [FreeAbelianGroup(1), FreeGroup(2)], ids=["Z", "F2"])
+def test_coset_routines_refuse_an_infinite_group(group):
+    # each guard runs before the first read of a Cayley table
+    e, x = group.identity, group.element_at(2)
+    t = multiplication_index_table(cyclic(2), cyclic(2).elements())
+    pair = ConfigPair((e, x), Partition.explicit([[e], [x]]))
+    with pytest.raises(InputError, match="^coset recovery runs on finite instances$"):
+        recover_cosets(group, pair, t)
+    not_finite = f"^{re.escape(group.name)} is not finite$"
+    family = CosetFamily((frozenset({e}), frozenset({x})), (e, x), (1, 2), 1)
+    with pytest.raises(UnsupportedOperationError, match=not_finite):
+        verify_normal_and_iso(group, family, t)
+    family = CosetFamily((frozenset({e, x}),), (e,), (1,), 1)
+    with pytest.raises(UnsupportedOperationError, match=not_finite):
+        q_group_refinement_check(group, family)
 
 
 def test_verify_flags_non_subgroup_blocks():
@@ -381,6 +407,61 @@ def test_certificate_matches_its_slow_reference(case):
         assert is_normal(g, blocks[0]) == oracles.naive_is_normal(
             g.elements(), g.mul, g.inv, blocks[0]
         )
+
+
+def _refinement(group, family):
+    report = q_group_refinement_check(group, family)
+    return (report.subgroup_trivial, report.refined_block_count, report.available_points,
+            report.pairs_searched, report.matched)
+
+
+def _naive_refinement(group, family, cap=200_000):
+    """``_refinement`` from the definitions: the cosets of F_1 from
+    ``oracles.naive_quotient`` and the pair count from the partition count."""
+    f1 = family.subgroup
+    if len(f1) == 1:
+        return True, None, None, 0, False
+    cosets, _reps, _table = oracles.naive_quotient(
+        group.elements(), group.mul, group.inv, group.identity, f1
+    )
+    if set(family.blocks) != set(cosets):
+        raise oracles.Refusal("PreconditionError", "the family's blocks are not the cosets of F_1")
+    qn = len(cosets)
+    pairs = oracles.partitions_up_to(qn, qn) * qn ** len(family.representatives)
+    if pairs > cap:
+        raise oracles.Refusal("ResourceCapExceeded", f"refinement search exceeded the cap of {cap}")
+    return False, qn + 1, qn, pairs, False
+
+
+def _quotient(group, subset):
+    quotient, cosets, reps = quotient_group(group, subset)
+    return cosets, reps, quotient.table
+
+
+def test_coset_arithmetic_matches_its_slow_reference():
+    # every subgroup of every reconstruction group, and every subset of those
+    # of order <= 6; each subset also as F_1 of two families: its left
+    # translates, and itself beside its complement
+    cases = [(g, s) for g in GROUPS.values() for s in subgroups(g)]
+    cases += [(g, frozenset(s)) for g in GROUPS.values() if g.order() <= 6
+              for k in range(g.order() + 1) for s in itertools.combinations(g.elements(), k)]
+    seen = set()
+    for g, s in cases:
+        elements, mul, inv, e = g.elements(), g.mul, g.inv, g.identity
+        assert is_normal(g, s) == oracles.naive_is_normal(elements, mul, inv, s)
+        assert closure(g, s) == oracles.naive_closure(mul, inv, e, s)
+        assert _outcome(_quotient, g, s) == _outcome(
+            oracles.naive_quotient, elements, mul, inv, e, s
+        )
+        translates = {frozenset(mul(x, a) for a in s) for x in elements} - {s}
+        for blocks in ((s, *sorted(translates, key=sorted)), (s, frozenset(elements) - s)):
+            family = CosetFamily(blocks, (e,) * len(blocks), (), 1)
+            refinement = _outcome(_refinement, g, family)
+            assert refinement == _outcome(_naive_refinement, g, family), (g.name, sorted(s))
+            seen.add("ok" if refinement[0] == "ok" else refinement[1])
+    assert seen == {"ok", "subgroup is not normal", "conjugation-closed set is not a subgroup",
+                    "the family's blocks are not the cosets of F_1",
+                    "refinement search exceeded the cap of 200000"}
 
 
 # ---------------------------------------------------------------------------
