@@ -84,7 +84,31 @@ MUTANTS = (
         "            l = max(failing)\n",
         ("tests/test_reconstruction.py::test_coset_law_failure_names_the_least_block",),
     ),
+    # the shape filter of bounded equivalence
+    Mutant(
+        "shape-of-the-raw-codes",
+        "src/confpara/configurations.py",
+        "    for p, _order in patterns:\n",
+        "    for p in range(len(patterns)):\n",
+        ("tests/test_configurations.py::test_every_relabeling_keeps_a_code_sets_shape",
+         "tests/test_configurations.py::test_family_matches_the_naive_family"),
+    ),
     # earlier fast paths
+    Mutant(
+        "partitions-cut-on-a-later-reading",
+        "src/confpara/configurations.py",
+        "                    cut = r < labels[y]\n",
+        "                    cut = r > labels[y]\n",
+        ("tests/test_configurations.py::test_pruned_partitions_match_the_orbit_filter",),
+    ),
+    Mutant(
+        "tuples-keep-every-map-alive",
+        "src/confpara/configurations.py",
+        "        if alive:\n"
+        "            alive = [f for f in alive if f[0][g] == g]\n",
+        "",
+        ("tests/test_configurations.py::test_skipped_tuples_never_hold_the_first_of_a_class",),
+    ),
     Mutant(
         "free-mul-junction-sign",
         "src/confpara/groups.py",

@@ -15,6 +15,7 @@ is finite and fully covered, in which case they are exact.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from operator import add
 from typing import Any, Callable, Optional
@@ -726,6 +727,29 @@ def _tuple_codes(labels, rows, n, m, fixing):
                       alive, iter(offer(alive))))
 
 
+def _pattern_weights(m, n):
+    """The weight of each configuration code (see _code_maps) in the shape
+    of a code set: a 64-bit mix of the code's pattern, its digits
+    renumbered in order of first occurrence.  The codes of a set under b
+    blocks use the digits 0..b-1, and a relabeling of those keeps each
+    code's pattern, so it keeps the shape, the sum of the set's weights.
+    Sets with different patterns may share a shape, which only sends a set
+    to the probe it would get without shapes.  One machine word per code:
+    the table is the size of one code map."""
+    # (pattern, its digits in order of first occurrence) per prefix, in
+    # code order, one position at a time
+    patterns = [(0, ())]
+    for _ in range(n + 1):
+        patterns = [(p * m + order.index(s), order) if s in order
+                    else (p * m + len(order), order + (s,))
+                    for p, order in patterns for s in range(m)]
+    out = []
+    for p, _order in patterns:
+        z = (p + 1) * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF
+        out.append(z ^ z >> 29)
+    return out
+
+
 def _relabeled(codes, relabelings):
     """The images of a code set under each of the given code maps."""
     return (frozenset(map(cm.__getitem__, codes)) for cm in relabelings)
@@ -739,7 +763,8 @@ def _configuration_family(compiled, n, m, cap, code_maps):
     Every partition counts against ``cap``, and the count, S(N, 1) + ... +
     S(N, m) for N points, is checked before any is enumerated; then the
     |G|^n tuples under one partition and the m^(n+1) codes of one
-    relabeling map (see _code_maps) are, before either is built.  A partition
+    relabeling map (see _code_maps), which also bound the table of shape
+    weights (see _pattern_weights), are, before any is built.  A partition
     is skipped when a map of the points that conjugates every row to a row
     (see normalizer_maps) carries it to an earlier partition.  The two
     realize the same configuration sets up to block relabeling, the tuple
@@ -755,7 +780,14 @@ def _configuration_family(compiled, n, m, cap, code_maps):
     A configuration set is a set of integer codes (see _code_maps), and
     ``seen`` holds every one met.  A new one opens a class unless an image
     of it under another relabeling of its blocks is in ``seen``.  It joins
-    ``seen`` only after that probe, since a relabeling may fix it.
+    ``seen`` only after that probe, since a relabeling may fix it.  The
+    set's shape (see _pattern_weights) is looked up first.  Its images
+    under b blocks use the same b digits, so only sets under b blocks can
+    be among them, and they all have its shape; every set met under b
+    blocks has its shape recorded, so a set whose shape is new under b
+    opens a class without the probe.  Only probes that would find nothing
+    are skipped, so the classes, their order and their first witnesses
+    are those of probing every set.
     ``code_maps`` caches _code_maps by block count."""
     pts, _gels, rows = compiled
     total = _partition_count(len(pts), m, cap)
@@ -775,12 +807,15 @@ def _configuration_family(compiled, n, m, cap, code_maps):
     symmetries = normalizer_maps(rows, limit + 1)[1:] if limit > 0 else ()
     lookup = None  # built at the first fixing map, see _row_lookup
     induced = {}  # id(phi) -> _induced(phi, ...); symmetries keeps each phi alive
+    weight = _pattern_weights(m, n)
+    shapes = defaultdict(set)  # block count -> the shapes of the sets met under it
     seen = set()
     family = {}
     for labels, b, fixing in set_partitions(len(pts), m, symmetries):
         if b not in code_maps:
             code_maps[b] = _code_maps(b, m, n)
         others = code_maps[b][1:]  # the first map is the identity
+        met = shapes[b]
         moving = []
         # at n = 1 a skipped tuple saves one code set, which costs less
         # than the permutations the maps need on the small actions it runs on
@@ -795,7 +830,11 @@ def _configuration_family(compiled, n, m, cap, code_maps):
         for t, codes in _tuple_codes(labels, rows, n, m, moving):
             if codes in seen:
                 continue
-            if seen.isdisjoint(_relabeled(codes, others)):
+            shape = sum(map(weight.__getitem__, codes))
+            if shape not in met:  # nor is any relabeled image in seen
+                met.add(shape)
+                family[codes] = (t, labels, b)
+            elif seen.isdisjoint(_relabeled(codes, others)):
                 family[codes] = (t, labels, b)
             seen.add(codes)
     return family

@@ -446,6 +446,7 @@ def q_group_refinement_check(group, family, cap=200_000):
     Cost: the normality and subgroup checks of F_1 and one |F_1|-element
     coset per coset, all table reads; no quotient group is built, so no
     quotient table, labels or second table validation."""
+    group.order()  # an infinite group raises here, whatever |F_1| is
     f1 = family.subgroup
     if len(f1) == 1:
         return RefinementSearchReport(
@@ -478,13 +479,23 @@ def q_group_refinement_check(group, family, cap=200_000):
     )
 
 
+def _quotient_index_table(quotient):
+    """``multiplication_index_table(quotient, quotient.elements())`` read off
+    the quotient's Cayley table: its elements are 0..n-1 with the identity
+    at 0 (see quotient_group), so element k has index k + 1."""
+    rows = tuple(tuple(map((1).__add__, row)) for row in quotient.table)
+    return MultiplicationIndexTable(
+        len(rows), rows, tuple(map(quotient.format, quotient.elements()))
+    )
+
+
 def quotient_recovery_roundtrip(group, normal):
     """Forward-then-back check used by the randomized suites: quotient by a
     normal subgroup, present the cosets as a pair, recover, and certify.
 
     Returns (family, report, quotient)."""
     quotient, cosets, reps = quotient_group(group, normal)
-    table = multiplication_index_table(quotient, quotient.elements())
+    table = _quotient_index_table(quotient)
     partition = Partition.explicit(cosets)
     pair = ConfigPair(reps, partition)
     family = recover_cosets(group, pair, table)

@@ -959,6 +959,109 @@ def test_tuple_work_on_z8(monkeypatch):
     assert len(evaluated) == 2473
 
 
+def test_relabeled_images_on_z8(monkeypatch):
+    # Z8 with itself at (2, 3): probing every new code set builds 4,934
+    # images; a set whose shape is new under its block count needs none
+    built = []
+    real = cf._relabeled
+
+    def spy(codes, relabelings):
+        for image in real(codes, relabelings):
+            built.append(image)
+            yield image
+
+    monkeypatch.setattr(cf, "_relabeled", spy)
+    z8 = LeftTranslation(FIXTURES["Z8"])
+    assert config_equiv_bounded(z8, z8, 2, 3).family_sizes == (966, 966)
+    assert len(built) == 3108
+
+
+def naive_pattern(code, m, n):
+    """The base-m digits of a code, renumbered in order of first occurrence."""
+    first = {}
+    return tuple(first.setdefault(code // m ** (n - j) % m, len(first)) for j in range(n + 1))
+
+
+def codes_over(b, m, n):
+    """Sets of one to eight codes of length n + 1 over the digits of b
+    blocks, base m."""
+    digits = st.tuples(*[st.integers(min_value=0, max_value=b - 1)] * (n + 1))
+    return st.lists(digits, min_size=1, max_size=8, unique=True).map(
+        lambda tuples: frozenset(sum(d * m ** (n - j) for j, d in enumerate(t)) for t in tuples))
+
+
+@st.composite
+def code_sets(draw):
+    """(b, m, n, codes): a set of codes (see codes_over), b <= 4 and n <= 3."""
+    b = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=b, max_value=4))
+    n = draw(st.integers(min_value=0, max_value=3))
+    return b, m, n, draw(codes_over(b, m, n))
+
+
+def shape_of(weight, codes):
+    return sum(map(weight.__getitem__, codes))
+
+
+@given(code_sets())
+@settings(max_examples=200, deadline=None)
+def test_every_relabeling_keeps_a_code_sets_shape(drawn):
+    b, m, n, codes = drawn
+    maps = cf._code_maps(b, m, n)
+    weight = cf._pattern_weights(m, n)
+    for cm in maps:
+        assert shape_of(weight, {cm[c] for c in codes}) == shape_of(weight, codes)
+
+
+@given(code_sets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sets_with_the_same_patterns_share_a_shape(drawn, data):
+    # the other set relabels each code on its own: the same patterns, but
+    # codes may merge, and the set is seldom a relabeling of the first.
+    # Sets with different patterns may share a shape too, which costs only
+    # the probe, so that direction is not checked.
+    b, m, n, codes = drawn
+    maps = cf._code_maps(b, m, n)
+    other = {data.draw(st.sampled_from(maps))[c] for c in codes}
+    weight = cf._pattern_weights(m, n)
+    if sorted(naive_pattern(c, m, n) for c in codes) == sorted(
+            naive_pattern(c, m, n) for c in other):
+        assert shape_of(weight, codes) == shape_of(weight, other)
+
+
+def test_pattern_weights_are_one_machine_word_per_pattern():
+    # one 64-bit word per code, equal exactly for codes with one pattern,
+    # however many patterns there are (Z3 with itself at n = 10, m = 3 has
+    # 29,525 of them; a smaller table of that kind keeps the test quick)
+    weight = cf._pattern_weights(3, 6)
+    assert len(weight) == 3 ** 7
+    by_pattern = {}
+    for code, w in enumerate(weight):
+        assert 0 <= w < 2 ** 64
+        assert by_pattern.setdefault(naive_pattern(code, 3, 6), w) == w
+    assert len(set(by_pattern.values())) == len(by_pattern) == 365
+
+
+@pytest.mark.parametrize("m", [2, 3], ids=["two-blocks", "three-blocks"])
+@given(action=small_action(), n=st.integers(min_value=1, max_value=2))
+@settings(max_examples=50, deadline=None)
+def test_family_matches_the_naive_family(m, action, n):
+    # the classes in order, each with its first witness and its codes, over
+    # partitions into at most two blocks and at most three
+    pts, gels, _rows = compiled = cf._compile(action)
+    family = cf._configuration_family(compiled, n, m, 10**6, {})
+    naive = oracles.naive_configuration_family(pts, action.act, gels, n, m)
+    got = []
+    for codes, (t, labels, b) in family.items():
+        configs = oracles.naive_configurations(
+            pts, action.act, [gels[g] for g in t], dict(zip(pts, labels)).__getitem__)
+        assert codes == {sum((c - 1) * m ** (n - j) for j, c in enumerate(cfg))
+                         for cfg in configs}
+        assert b == max(labels)
+        got.append((naive_class(action, labels, t), (tuple(gels[g] for g in t), labels)))
+    assert got == list(naive.items())
+
+
 @pytest.mark.parametrize("first, other, n, m", [
     (TrivialAction(cyclic(2), points=[0]), TrivialAction(cyclic(2), points=[0]), 2, 1),
     (LeftTranslation(FIXTURES["Z4"]), LeftTranslation(FIXTURES["Z2xZ2"]), 1, 2),

@@ -187,9 +187,11 @@ def test_coset_routines_refuse_an_infinite_group(group):
     family = CosetFamily((frozenset({e}), frozenset({x})), (e, x), (1, 2), 1)
     with pytest.raises(UnsupportedOperationError, match=not_finite):
         verify_normal_and_iso(group, family, t)
-    family = CosetFamily((frozenset({e, x}),), (e,), (1,), 1)
-    with pytest.raises(UnsupportedOperationError, match=not_finite):
-        q_group_refinement_check(group, family)
+    # F_1 = {e} would need no table, yet is refused as F_1 = {e, x} is
+    for f1 in ({e}, {e, x}):
+        family = CosetFamily((frozenset(f1),), (e,), (1,), 1)
+        with pytest.raises(UnsupportedOperationError, match=not_finite):
+            q_group_refinement_check(group, family)
 
 
 def test_verify_flags_non_subgroup_blocks():
@@ -567,6 +569,20 @@ def test_refinement_search_computes_no_pair_on_any_quotient(monkeypatch):
     assert len(orders) == 84
     assert orders.count(5) == 1 and orders.count(6) == 5
     assert calls == []
+
+
+def test_roundtrip_index_table_is_read_off_the_quotient_table():
+    # the roundtrip's table, from the quotient's rows, is the one built by
+    # multiplying and looking up every pair of quotient elements
+    checked = 0
+    for name, g in reconstruction_groups().items():
+        for normal in normal_subgroups(g):
+            quotient, _cosets, _reps = quotient_group(g, normal)
+            expected = multiplication_index_table(quotient, quotient.elements())
+            got = reconstruction._quotient_index_table(quotient)
+            assert got == expected, (name, sorted(normal))
+            checked += 1
+    assert checked == 105
 
 
 def test_refinement_count_matches_the_naive_search():
