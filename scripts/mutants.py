@@ -93,6 +93,29 @@ MUTANTS = (
         ("tests/test_configurations.py::test_every_relabeling_keeps_a_code_sets_shape",
          "tests/test_configurations.py::test_family_matches_the_naive_family"),
     ),
+    # the orderly partition test and the relabeling probe of bounded equivalence
+    Mutant(
+        "partitions-need-the-lesser-index",
+        "src/confpara/configurations.py",
+        "        need = tuple(map(max, phi, range(n)))\n",
+        "        need = tuple(map(min, phi, range(n)))\n",
+        ("tests/test_configurations.py::test_pruned_partitions_match_the_orbit_filter",),
+    ),
+    Mutant(
+        "renumbering-off-by-one",
+        "src/confpara/configurations.py",
+        "                    r = order.index(u) + 1\n",
+        "                    r = order.index(u)\n",
+        ("tests/test_configurations.py::test_pruned_partitions_match_the_orbit_filter",),
+    ),
+    Mutant(
+        "probe-skips-a-relabeling",
+        "src/confpara/configurations.py",
+        "        others = code_maps[b][1:]  # the first map is the identity\n",
+        "        others = code_maps[b][2:]  # the first map is the identity\n",
+        ("tests/test_configurations.py::test_family_matches_the_naive_family",
+         "tests/test_configurations.py::test_relabeled_images_on_z8"),
+    ),
     # earlier fast paths
     Mutant(
         "partitions-cut-on-a-later-reading",

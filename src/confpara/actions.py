@@ -183,7 +183,7 @@ class TrivialAction(Action):
 
     def contains_point(self, x):
         if self._countable:
-            return isinstance(x, int) and x >= 0
+            return not isinstance(x, bool) and isinstance(x, int) and x >= 0
         return x in self._points
 
     def parse_point(self, token):
@@ -231,7 +231,7 @@ class ProductAction(Action):
         if not (isinstance(x, tuple) and len(x) == 2):
             return False
         y, i = x
-        if not (isinstance(i, int) and i >= 0):
+        if isinstance(i, bool) or not (isinstance(i, int) and i >= 0):
             return False
         if self.index_count is not None and i >= self.index_count:
             return False

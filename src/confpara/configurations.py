@@ -68,7 +68,9 @@ class Partition:
     def classifier(cls, classify, block_count=None, block_rank=None):
         def block_of(x):
             b = classify(x)
-            if not isinstance(b, int) or b < 1:
+            # a bool is refused and other int subclasses are kept; a plain
+            # int, the common answer, skips both isinstance calls
+            if type(b) is not int and (isinstance(b, bool) or not isinstance(b, int)) or b < 1:
                 raise InputError(f"classifier returned bad block index {b!r}")
             if block_count is not None and b > block_count:
                 raise InputError(
@@ -302,6 +304,8 @@ def singleton_split(action, pair, block_index):
     m = part.block_count
     if m is None:
         raise InputError("singleton split needs a declared finite block count")
+    if isinstance(block_index, bool) or not isinstance(block_index, int):
+        raise InputError(f"block index must be an integer, got {block_index!r}")
     if not (1 <= block_index <= m):
         raise InputError(f"block index {block_index} out of range 1..{m}")
     if part.is_explicit:
@@ -350,6 +354,8 @@ def merge_blocks(pair, cutoff):
     the countable tuple to its declared identity tail."""
     if not isinstance(pair, CountablePair):
         raise InputError("merge_blocks expects a countable pair")
+    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
+        raise InputError(f"cutoff must be an integer, got {cutoff!r}")
     if cutoff < 1:
         raise InputError("cutoff must be >= 1")
     n = pair.identity_tail_after
@@ -383,21 +389,29 @@ def set_partitions(n, max_blocks, maps=()):
     labels[phi[1]], ... renumbered in order of first occurrence come before
     ``labels`` in lexicographic order.  The test is made on prefixes.  Each
     pending map waits on the first index whose label its next comparison
-    needs.  A map that reads earlier there cuts the subtree, one that reads
-    later is dropped for the subtree, and one that reads the same moves on
-    to its next index.  The maps that read the same up to the last index
-    carry the partition onto itself up to relabeling; ``fixing`` lists
-    them, once per occurrence in ``maps``."""
+    needs: the comparison at y reads labels[phi[y]] and labels[y], so it
+    waits on need[y] = max(phi[y], y), a table built once per map.  A
+    waiting entry is (phi, need, y, order), with ``order`` the labels read
+    through phi so far, in order of first occurrence, as a tuple of at most
+    ``max_blocks`` labels shared by every entry that read them; the
+    renumbered label of u is its position in ``order``, plus one.  A map
+    that reads earlier there cuts the subtree, one that reads later is
+    dropped for the subtree, and one that reads the same moves on to its
+    next index.  The maps that read the same up to the last index carry the
+    partition onto itself up to relabeling; ``fixing`` lists them, once per
+    occurrence in ``maps``."""
     if n == 0 or max_blocks < 1:
         return
     labels = [0] * n
     tops = [0] * n  # tops[i]: the largest label among labels[:i]
-    # waiting[w]: (phi, y, renumbering) of the maps whose comparison at y
-    # waits on labels[w]; moved[i]: the lists the label at i appended to
+    # waiting[w]: the entries whose next comparison waits on labels[w];
+    # moved[i]: the lists the label at i appended to
     waiting = [[] for _ in range(n)]
     moved = [[] for _ in range(n)]
     for phi in maps:
-        waiting[phi[0]].append((phi, 0, {}))
+        need = tuple(map(max, phi, range(n)))
+        waiting[need[0]].append((phi, need, 0, ()))
+    last = n - 1
     i = 0
     while i >= 0:
         if moved[i]:
@@ -410,15 +424,17 @@ def set_partitions(n, max_blocks, maps=()):
             i -= 1
             continue
         labels[i] = v
+        if i == last:
+            fixing = []  # only the last index completes a comparison
         cut = False
-        fixing = []  # only the last index completes a comparison
-        for phi, y, renumber in waiting[i]:
+        for phi, need, y, order in waiting[i]:
             while True:
                 u = labels[phi[y]]
-                r = renumber.get(u)
-                if r is None:
-                    r = len(renumber) + 1
-                    renumber = {**renumber, u: r}
+                if u in order:
+                    r = order.index(u) + 1
+                else:
+                    order += (u,)
+                    r = len(order)
                 if r != labels[y]:
                     cut = r < labels[y]
                     break
@@ -426,9 +442,9 @@ def set_partitions(n, max_blocks, maps=()):
                 if y == n:
                     fixing.append(phi)
                     break
-                w = phi[y] if phi[y] > y else y
+                w = need[y]
                 if w > i:
-                    waiting[w].append((phi, y, renumber))
+                    waiting[w].append((phi, need, y, order))
                     moved[i].append(w)
                     break
             if cut:
@@ -436,7 +452,7 @@ def set_partitions(n, max_blocks, maps=()):
         if cut:
             continue
         top = v if v > tops[i] else tops[i]
-        if i + 1 == n:
+        if i == last:
             yield tuple(labels), top, fixing
         else:
             i += 1
@@ -750,9 +766,12 @@ def _pattern_weights(m, n):
     return out
 
 
-def _relabeled(codes, relabelings):
-    """The images of a code set under each of the given code maps."""
-    return (frozenset(map(cm.__getitem__, codes)) for cm in relabelings)
+def _relabeled(codes, getters):
+    """The images of a code set under each code map whose ``__getitem__``
+    is in ``getters``, in order.  A lazy map of maps with no generator
+    frame: a consumer that stops at the first image it wants, such as
+    ``isdisjoint``, builds no image after it."""
+    return map(frozenset, map(map, getters, itertools.repeat(codes)))
 
 
 def _configuration_family(compiled, n, m, cap, code_maps):
@@ -788,7 +807,8 @@ def _configuration_family(compiled, n, m, cap, code_maps):
     opens a class without the probe.  Only probes that would find nothing
     are skipped, so the classes, their order and their first witnesses
     are those of probing every set.
-    ``code_maps`` caches _code_maps by block count."""
+    ``code_maps`` caches, by block count, the ``__getitem__`` of each map
+    _code_maps builds, the identity first (see _relabeled)."""
     pts, _gels, rows = compiled
     total = _partition_count(len(pts), m, cap)
     if total > cap:
@@ -813,7 +833,7 @@ def _configuration_family(compiled, n, m, cap, code_maps):
     family = {}
     for labels, b, fixing in set_partitions(len(pts), m, symmetries):
         if b not in code_maps:
-            code_maps[b] = _code_maps(b, m, n)
+            code_maps[b] = [cm.__getitem__ for cm in _code_maps(b, m, n)]
         others = code_maps[b][1:]  # the first map is the identity
         met = shapes[b]
         moving = []
@@ -911,6 +931,9 @@ def config_equiv_bounded(action1, action2, n, m, cap=None):
     decided from the first family alone: the map carries each pair of one
     to a pair of the other with the same configuration set, so the two
     families are equal."""
+    for bound in (n, m):
+        if isinstance(bound, bool) or not isinstance(bound, int):
+            raise InputError(f"bounds must be integers, got {bound!r}")
     if n < 1 or m < 1:
         raise InputError("bounds must be >= 1")
     for a in (action1, action2):

@@ -135,3 +135,15 @@ def test_product_action_point_tokens():
     assert prod.format_point((5, 2)) == "(5;2)"
     with pytest.raises(InputError):
         prod.parse_point("5,2")
+
+
+def test_bools_are_not_natural_points_or_indices():
+    # as everywhere the package takes an int, a bool is refused; an int
+    # subclass other than bool is kept
+    nat = TrivialAction(cyclic(3), countable=True)
+    assert not nat.contains_point(True) and not nat.contains_point(False)
+    assert nat.contains_point(1) and not nat.contains_point(-1)
+    for count in (2, None):
+        prod = ProductAction(LeftTranslation(cyclic(3)), count)
+        assert not prod.contains_point((0, True)) and not prod.contains_point((0, False))
+        assert prod.contains_point((0, 1))

@@ -75,6 +75,8 @@ def test_partition_messages():
          "classifier returned bad block index 0"),
         (lambda: Partition.classifier(lambda x: "1").block_of(1),
          "classifier returned bad block index '1'"),
+        (lambda: Partition.classifier(lambda x: True).block_of(1),
+         "classifier returned bad block index True"),
         (lambda: Partition.classifier(lambda x: 3, block_count=2).block_of(1),
          "classifier returned block 3 beyond the declared count 2"),
     ]
@@ -379,6 +381,16 @@ def test_merge_undoes_split(modulus, elements, data):
     assert got == expected
 
 
+def test_split_and_merge_refuse_bool_indices():
+    act, pair, split = split_fixture(2, (1,), 1)
+    for bad in (True, False, 1.0):
+        with pytest.raises(InputError, match="^block index must be an integer, got "):
+            singleton_split(act, pair, bad)
+        with pytest.raises(InputError, match="^cutoff must be an integer, got "):
+            merge_blocks(split.pair, bad)
+    assert merge_blocks(split.pair, 2).partition.block_count == 2
+
+
 def test_merge_requires_countable_pair():
     act = LeftTranslation(cyclic(4))
     pair = ConfigPair((1,), Partition.explicit([[0, 2], [1, 3]]))
@@ -393,7 +405,7 @@ def test_merge_requires_countable_pair():
 # set partitions
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (4, 4), (5, 3), (6, 2)])
+@pytest.mark.parametrize("n,m", [(0, 2), (3, 0), (1, 1), (3, 2), (4, 4), (5, 3), (6, 2)])
 def test_set_partition_counts(n, m):
     got = list(set_partitions(n, m))
     assert len(got) == oracles.partitions_up_to(n, m)
@@ -480,6 +492,9 @@ def test_equiv_refusals(monkeypatch):
     z2 = LeftTranslation(cyclic(2))
     for n, m in [(0, 1), (1, 0)]:
         with pytest.raises(InputError, match="^bounds must be >= 1$"):
+            config_equiv_bounded(z2, z2, n, m)
+    for n, m in [(True, 2), (2, True), (2.0, 2)]:
+        with pytest.raises(InputError, match="^bounds must be integers, got "):
             config_equiv_bounded(z2, z2, n, m)
     with pytest.raises(InputError, match="^bounded equivalence compares finite actions$"):
         config_equiv_bounded(z2, LeftTranslation(FreeAbelianGroup(1)), 1, 1)
@@ -1098,10 +1113,15 @@ def test_two_family_path_on_conjugate_pairs(monkeypatch, first, other, n, m):
 @given(small_action(), st.integers(min_value=1, max_value=4), st.data())
 @settings(max_examples=100, deadline=None)
 def test_pruned_partitions_match_the_orbit_filter(action, m, data):
-    # any subset of the maps: the pruning must not rely on a group
+    # any list of permutations of the points, repeats included: maps of the
+    # normalizer and arbitrary ones, since the pruning must not rely on a
+    # group; ``fixing`` holds each fixing map once per occurrence
     maps = normalizer_maps(compiled_rows(action))
-    chosen = data.draw(st.lists(st.sampled_from(maps), max_size=12))
     n = len(action.points())
+    chosen = data.draw(st.lists(
+        st.one_of(st.sampled_from(maps), st.permutations(range(n)).map(tuple)), max_size=12))
+    if chosen:
+        chosen += data.draw(st.lists(st.sampled_from(chosen), max_size=3))
     got = [(labels, b, sorted(fixing)) for labels, b, fixing in set_partitions(n, m, chosen)]
     assert got == [
         (labels, b, sorted(phi for phi in chosen if oracles.fixes(labels, phi)))
