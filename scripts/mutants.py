@@ -142,9 +142,53 @@ MUTANTS = (
     Mutant(
         "cover-scan-starts-at-2",
         "src/confpara/paradox.py",
-        "for j in range(1, self.limit + 1):",
-        "for j in range(2, self.limit + 1):",
+        "for j in range(1, limit + 1):",
+        "for j in range(2, limit + 1):",
         ("tests/test_paradox.py::test_claimed_point_is_refuted_by_the_table_as_by_the_scan",),
+    ),
+    # the cover checks and the rank scan of the paradox verifier
+    Mutant(
+        "claimed-check-trusts-the-other-claimant",
+        "src/confpara/paradox.py",
+        "            if classify(act(t, x)) == other:\n",
+        "            if True:\n",
+        ("tests/test_paradox.py::test_wrong_claimants_are_malformed",),
+    ),
+    Mutant(
+        "scanned-cover-index-one-past-the-size",
+        "src/confpara/paradox.py",
+        "    def scanned(x):\n"
+        "        i = cover(x)\n"
+        "        if not (type(i) is int and 0 < i and (size is None or i <= size)):\n",
+        "    def scanned(x):\n"
+        "        i = cover(x)\n"
+        "        if not (type(i) is int and 0 < i and (size is None or i <= size + 1)):\n",
+        ("tests/test_paradox.py::test_refinement_keeps_the_parent_cover_contract",),
+    ),
+    Mutant(
+        "claimed-cover-index-one-past-the-size",
+        "src/confpara/paradox.py",
+        "    def claimed(x):\n"
+        "        i = cover(x)\n"
+        "        if not (type(i) is int and 0 < i and (size is None or i <= size)):\n",
+        "    def claimed(x):\n"
+        "        i = cover(x)\n"
+        "        if not (type(i) is int and 0 < i and (size is None or i <= size + 1)):\n",
+        ("tests/test_paradox.py::test_refinement_keeps_the_parent_cover_contract",),
+    ),
+    Mutant(
+        "piece-ranks-count-from-0",
+        "src/confpara/paradox.py",
+        "counts[p] = k = counts.get(p, 0) + 1",
+        "counts[p] = k = counts.get(p, -1) + 1",
+        ("tests/test_paradox.py::test_refinement_flattens_piece_and_rank",),
+    ),
+    Mutant(
+        "first-letter-removal-wins",
+        "src/confpara/paradox.py",
+        "            return (not self.exclude_neg_powers or self.include_neg_powers\n",
+        "            return (not self.exclude_neg_powers\n",
+        ("tests/test_paradox.py::test_first_letter_members_match_their_definition",),
     ),
     Mutant(
         "conjugate-skips-its-final-check",

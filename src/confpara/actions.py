@@ -29,9 +29,6 @@ class Action:
     def points(self):
         raise UnsupportedOperationError("point set is not finite")
 
-    def contains_point(self, x):
-        raise NotImplementedError
-
     def parse_point(self, token):
         raise NotImplementedError
 
@@ -61,9 +58,6 @@ class LeftTranslation(Action):
 
     def points(self):
         return self.group.elements()
-
-    def contains_point(self, x):
-        return self.group.contains(x)
 
     def parse_point(self, token):
         return self.group.parse(token)
@@ -142,9 +136,6 @@ class TableAction(Action):
     def points(self):
         return self._points
 
-    def contains_point(self, x):
-        return x in self._index
-
     def parse_point(self, token):
         return _listed_point(self._index, token)
 
@@ -180,11 +171,6 @@ class TrivialAction(Action):
         if self._points is None:
             raise UnsupportedOperationError("point set is not finite")
         return self._points
-
-    def contains_point(self, x):
-        if self._countable:
-            return not isinstance(x, bool) and isinstance(x, int) and x >= 0
-        return x in self._points
 
     def parse_point(self, token):
         if not self._countable:
@@ -227,16 +213,6 @@ class ProductAction(Action):
             (y, i) for i in range(self.index_count) for y in self.base.points()
         )
 
-    def contains_point(self, x):
-        if not (isinstance(x, tuple) and len(x) == 2):
-            return False
-        y, i = x
-        if isinstance(i, bool) or not (isinstance(i, int) and i >= 0):
-            return False
-        if self.index_count is not None and i >= self.index_count:
-            return False
-        return self.base.contains_point(y)
-
     def parse_point(self, token):
         token = token.strip()
         if not (token.startswith("(") and token.endswith(")")):
@@ -247,10 +223,9 @@ class ProductAction(Action):
             i = int(right)
         except ValueError:
             raise InputError(f"bad index in product point {token!r}") from None
-        x = (y, i)
-        if not self.contains_point(x):
+        if i < 0 or self.index_count is not None and i >= self.index_count:
             raise InputError(f"point {token!r} outside the action")
-        return x
+        return (y, i)
 
     def format_point(self, x):
         y, i = x

@@ -264,17 +264,17 @@ def _format_block(group, block):
 def _cmd_recover(args):
     cap = _cap(args)
     action, pair = _pair_from_args(args, "recover")
+    if not isinstance(action, LeftTranslation):
+        raise InputError("recovery needs a pair whose action is left translation")
     group = action.group
     if not group.is_finite:
         raise InputError("recovery runs on finite instances")
-    configs = None
+    # the set recover_cosets matches, and the table's source without --g
+    configs = windowed_configuration_set(action, pair, action.all_window())
     if args.g is not None:
         target = _load_group(args.g)
         table = multiplication_index_table(target, target.elements())
     else:
-        if isinstance(action, LeftTranslation):
-            # the set recover_cosets matches: compute it once for both
-            configs = windowed_configuration_set(action, pair, action.all_window())
         table = table_from_configurations(action, pair, configs)
     family = recover_cosets(group, pair, table, configs)
     report = verify_normal_and_iso(group, family, table)

@@ -21,7 +21,7 @@ from operator import add
 from typing import Any, Callable, Optional
 
 from .errors import InputError, PreconditionError, ResourceCapExceeded
-from .groups import is_generating
+from .groups import _perm_closure, is_generating
 
 
 class Partition:
@@ -500,16 +500,9 @@ def _generating_rows(rows):
     gens = []
     group = {tuple(range(len(rows[0])))}
     for r in rows:
-        if r in group:
-            continue
-        gens.append(r)
-        queue = list(group)
-        for e in queue:
-            for s in gens:
-                h = tuple(s[x] for x in e)
-                if h not in group:
-                    group.add(h)
-                    queue.append(h)
+        if r not in group:
+            gens.append(r)
+            group = set(_perm_closure(len(r), gens))
     return gens
 
 

@@ -440,7 +440,8 @@ class FreeGroup(Group):
             else:
                 base, n = part, 1
             base = base.strip()
-            k = string.ascii_lowercase.find(base) + 1
+            # one letter: find() would read "" as a and "ab" as a
+            k = string.ascii_lowercase.find(base) + 1 if len(base) == 1 else 0
             if not (1 <= k <= self.rank):
                 raise InputError(f"unknown generator {base!r} in {token!r}")
             word = self.mul(word, (k,) * n if n >= 0 else (-k,) * (-n))

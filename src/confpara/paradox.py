@@ -137,87 +137,75 @@ def _refuted(window, bound, checked, point, equation, **detail):
     )
 
 
-class _CoverCheck:
-    """Cover check of one side for one verifier call: the cover must name a
-    piece whose translate holds x, and no other piece index up to the index
-    bound (and the family size) may.
+def _cover_failure(action, side, fam, translator, cover, index_bound):
+    """Cover check of one side for one verifier call: x -> the first failure
+    at x as (equation, detail), or None.  The cover must name a piece whose
+    translate holds x, and no other piece index up to the index bound (and
+    the family size) may.
 
-    ``failure`` is the check for this family, picked once: a family that
-    names its claimants is checked at the smallest claimant other than the
-    cover's index, rechecked against the classifier; other families are
-    probed index by index.  Callers bind it to a local; stored on the
-    instance, the bound method would make every check a reference cycle."""
-
-    def __init__(self, action, side, fam, translator, cover, index_bound):
-        self.act, self.inv = action.act, action.group.inv
-        self.side, self.fam, self.translator, self.cover = side, fam, translator, cover
-        self.cover_name = f"{side}-cover"
-        self.limit = index_bound if fam.size is None else min(index_bound, fam.size)
-        self._inverses = {}
-
-    @property
-    def failure(self):
-        """x -> the first failure at x as (equation, detail), or None."""
-        return self._scanned if self.fam.claimants is None else self._claimed
+    The check is picked once: a family that names its claimants is checked
+    at the smallest claimant other than the cover's index, rechecked against
+    the classifier; other families are probed index by index."""
+    act, inv = action.act, action.group.inv
+    size, classify, claimants = fam.size, fam.classify_checked, fam.claimants
+    cover_name = f"{side}-cover"
+    limit = index_bound if size is None else min(index_bound, size)
+    inverses = {}
 
     # Both checks open with the same cover-membership test, written out in
     # each: a shared helper costs a call per side and point, about 5% of
     # ``f2-standard``.
 
-    def _scanned(self, x):
-        fam, inverses = self.fam, self._inverses
-        size, classify = fam.size, fam.classify_checked
-        i = self.cover(x)
+    def scanned(x):
+        i = cover(x)
         if not (type(i) is int and 0 < i and (size is None or i <= size)):
-            i = _checked_index(self.cover_name, i, size)
+            i = _checked_index(cover_name, i, size)
         try:
             t = inverses[i]
         except KeyError:
-            t = inverses[i] = self.inv(self.translator(i))
-        act = self.act
+            t = inverses[i] = inv(translator(i))
         if classify(act(t, x)) != i:
-            return f"{self.side}-cover-membership", {"index": i}
-        for j in range(1, self.limit + 1):
+            return f"{side}-cover-membership", {"index": i}
+        for j in range(1, limit + 1):
             if j == i:
                 continue
             try:
                 t = inverses[j]
             except KeyError:
-                t = inverses[j] = self.inv(self.translator(j))
+                t = inverses[j] = inv(translator(j))
             if classify(act(t, x)) == j:
-                return f"{self.side}-cover-uniqueness", {"index": i, "other": j}
+                return f"{side}-cover-uniqueness", {"index": i, "other": j}
         return None
 
-    def _claimed(self, x):
-        fam = self.fam
-        size = fam.size
-        i = self.cover(x)
+    def claimed(x):
+        i = cover(x)
         if not (type(i) is int and 0 < i and (size is None or i <= size)):
-            i = _checked_index(self.cover_name, i, size)
+            i = _checked_index(cover_name, i, size)
         try:
-            t = self._inverses[i]
+            t = inverses[i]
         except KeyError:
-            t = self._inverses[i] = self.inv(self.translator(i))
-        if fam.classify_checked(self.act(t, x)) != i:
-            return f"{self.side}-cover-membership", {"index": i}
-        named = fam.claimants(x)
+            t = inverses[i] = inv(translator(i))
+        if classify(act(t, x)) != i:
+            return f"{side}-cover-membership", {"index": i}
+        named = claimants(x)
         if named == (i,):
             return None
-        other = min((j for j in named if j != i and j <= self.limit), default=None)
-        if i not in named or not (other is None or self._holds(other, x)):
-            raise MalformedOracleError(
-                f"{self.side}-claimants {tuple(named)!r} of {x!r} disagree with "
-                f"the classifier (cover piece {i})"
-            )
-        if other is not None:
-            return f"{self.side}-cover-uniqueness", {"index": i, "other": other}
-        return None
+        if i in named:
+            other = min((j for j in named if j != i and j <= limit), default=None)
+            if other is None:
+                return None
+            try:
+                t = inverses[other]
+            except KeyError:
+                t = inverses[other] = inv(translator(other))
+            if classify(act(t, x)) == other:
+                return f"{side}-cover-uniqueness", {"index": i, "other": other}
+        raise MalformedOracleError(
+            f"{side}-claimants {tuple(named)!r} of {x!r} disagree with "
+            f"the classifier (cover piece {i})"
+        )
 
-    def _holds(self, j, x):
-        """Whether the translate of piece j holds x."""
-        if j not in self._inverses:
-            self._inverses[j] = self.inv(self.translator(j))
-        return self.fam.classify_checked(self.act(self._inverses[j], x)) == j
+    return scanned if claimants is None else claimed
 
 
 def verify_paradoxical(dec, window, index_bound):
@@ -235,12 +223,11 @@ def verify_paradoxical(dec, window, index_bound):
     probe costs the action, the classifier and its index check."""
     if index_bound < 1:
         raise InputError("index bound must be >= 1")
-    check_a, check_b = (
-        _CoverCheck(dec.action, name, fam, translator, cover, index_bound)
+    failure_a, failure_b = (
+        _cover_failure(dec.action, name, fam, translator, cover, index_bound)
         for name, fam, translator, cover, _range in dec.sides()
     )
-    classify_a, classify_b = check_a.fam.classify_checked, check_b.fam.classify_checked
-    failure_a, failure_b = check_a.failure, check_b.failure
+    classify_a, classify_b = dec.a_pieces.classify_checked, dec.b_pieces.classify_checked
     checked = 0
     for x in window.points:
         checked += 1
@@ -275,10 +262,9 @@ def verify_equidecomposable(source, target, witness, action, window, index_bound
         raise InputError("index bound must be >= 1")
     act = action.act
     fam = witness.pieces
-    target_cover = _CoverCheck(
+    failure = _cover_failure(
         action, "target", fam, witness.translator, witness.cover, index_bound
     )
-    failure = target_cover.failure
     checked = 0
     for x in window.points:
         checked += 1
@@ -632,32 +618,28 @@ def compress_translators(dec, index_bound=200):
 # singleton refinement (splitting every piece along the enumeration)
 
 
-class _PieceRanks:
-    """Progressive scan of a group enumeration assigning each point its
-    1-based rank inside its piece; ``classifier`` is the checked one, so a
-    malformed parent index raises here rather than mislabel a point."""
+def _piece_ranks(group, classifier):
+    """x -> (piece, 1-based rank of x inside its piece), or None for a point
+    outside every piece, by a progressive scan of the group enumeration.
+    ``classifier`` is the checked one, so a malformed parent index raises
+    here rather than mislabel a point."""
+    known, counts = {}, {}
+    walk = group.walk()
+    upto = 0
 
-    def __init__(self, group, classifier):
-        self.group = group
-        self.classifier = classifier
-        self.known = {}
-        self.counts = {}
-        self.walk = group.walk()
-        self.upto = 0
+    def rank(x):
+        nonlocal upto
+        pos = group.position_of(x)
+        while upto < pos:
+            upto += 1
+            y = next(walk)
+            p = classifier(y)
+            if p is not None:
+                counts[p] = k = counts.get(p, 0) + 1
+                known[y] = (p, k)
+        return known.get(x)
 
-    def _advance(self):
-        self.upto += 1
-        y = next(self.walk)
-        p = self.classifier(y)
-        if p is not None:
-            self.counts[p] = self.counts.get(p, 0) + 1
-            self.known[y] = (p, self.counts[p])
-
-    def get(self, x):
-        pos = self.group.position_of(x)
-        while self.upto < pos:
-            self._advance()
-        return self.known.get(x)
+    return rank
 
 
 def refine_to_singletons(dec):
@@ -683,12 +665,12 @@ def refine_to_singletons(dec):
 
     def side(name, fam, translator, cover, _range):
         cover_name, size = f"{name}-cover", fam.size
-        ranks = _PieceRanks(group, fam.classify_checked)
+        rank = _piece_ranks(group, fam.classify_checked)
         values = [translator(p) for p in range(1, size + 1)]
         inverses = [inv(t) for t in values]
 
         def classifier(x):
-            got = ranks.get(x)
+            got = rank(x)
             if got is None:
                 return None
             p, k = got
@@ -703,14 +685,14 @@ def refine_to_singletons(dec):
         def refined_cover(x):
             p = _checked_index(cover_name, cover(x), size)
             y = act(inv(translator(p)), x)
-            got = ranks.get(y)
+            got = rank(y)
             k = got[1] if got is not None and got[0] == p else 1
             return cantor_pair(p - 1, k - 1) + 1
 
         def claimants(x):
             named = []
             for p, t_inv in enumerate(inverses, start=1):
-                got = ranks.get(act(t_inv, x))
+                got = rank(act(t_inv, x))
                 if got is not None and got[0] == p:
                     named.append(cantor_pair(p - 1, got[1] - 1) + 1)
             return tuple(named)

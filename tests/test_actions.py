@@ -138,12 +138,23 @@ def test_product_action_point_tokens():
 
 
 def test_bools_are_not_natural_points_or_indices():
-    # as everywhere the package takes an int, a bool is refused; an int
-    # subclass other than bool is kept
+    # parse_point is the one membership gate: a point is a natural number,
+    # and a product index one within the declared copies
     nat = TrivialAction(cyclic(3), countable=True)
-    assert not nat.contains_point(True) and not nat.contains_point(False)
-    assert nat.contains_point(1) and not nat.contains_point(-1)
+    assert nat.parse_point("1") == 1
+    with pytest.raises(InputError, match="^bad point 'True'$"):
+        nat.parse_point("True")
+    with pytest.raises(InputError, match="^points are natural numbers$"):
+        nat.parse_point("-1")
     for count in (2, None):
         prod = ProductAction(LeftTranslation(cyclic(3)), count)
-        assert not prod.contains_point((0, True)) and not prod.contains_point((0, False))
-        assert prod.contains_point((0, 1))
+        assert prod.parse_point("(0;1)") == (0, 1)
+        refused = [("(0;x)", "bad index in product point '(0;x)'"),
+                   ("(0;True)", "bad index in product point '(0;True)'"),
+                   ("(0;-1)", "point '(0;-1)' outside the action")]
+        if count == 2:
+            refused.append(("(0;2)", "point '(0;2)' outside the action"))
+        for token, message in refused:
+            with pytest.raises(InputError) as exc:
+                prod.parse_point(token)
+            assert str(exc.value) == message

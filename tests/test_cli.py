@@ -9,6 +9,7 @@ import pathlib
 import pytest
 
 from confpara import cli, configurations
+from confpara.catalog import symmetric
 from confpara.cli import main
 from confpara.schemas import dumps_canonical, make_manifest
 
@@ -449,6 +450,34 @@ def test_recover_flag_style(files, capsys):
     )
     assert code == 0
     assert doc["payload"]["status"] == "recovered"
+
+
+def _s3_right_translation():
+    """S3 on itself by g.x = x g^-1, with singleton blocks."""
+    s3 = symmetric(3)
+    points = list(s3.elements())
+    rows = [[s3.mul(x, s3.inv(g)) for x in points] for g in points]
+    return {"family": "symmetric", "degree": 3}, points, rows, points, [[x] for x in points]
+
+
+@pytest.mark.parametrize("group, points, rows, elements, blocks", [
+    _s3_right_translation(),
+    ({"family": "cyclic", "order": 2}, [0, 1, 2, 3], [[0, 1, 2, 3], [1, 0, 3, 2]],
+     [0, 1], [[0, 2], [1, 3]]),
+], ids=["s3-right-translation", "z2-on-four-points"])
+def test_recover_refuses_a_pair_whose_action_is_not_left_translation(
+        tmp_path, capsys, group, points, rows, elements, blocks):
+    # recovery matches left translation's configuration set; read off another
+    # action, the table was refuted (S3) or the partition missed a point (Z2)
+    path = write_manifest(tmp_path, "pair.json", "pair", {
+        "action": {"kind": "table", "group": group, "points": [str(x) for x in points],
+                   "rows": rows},
+        "tuple": [str(g) for g in elements],
+        "partition": {"kind": "blocks", "blocks": [[str(x) for x in b] for b in blocks]},
+    })
+    code, stdout, stderr = run(capsys, ["recover", path])
+    assert (code, stdout) == (4, "")
+    assert stderr == "error: recovery needs a pair whose action is left translation\n"
 
 
 @pytest.mark.parametrize("command, flag", [("con", "--action"), ("recover", "--h")])

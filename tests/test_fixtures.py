@@ -52,7 +52,7 @@ def test_group_fixtures_build():
 def test_action_fixture_builds():
     _, payload, _ = load("action_z_copies.json")
     action = build_action(payload)
-    assert action.contains_point((3, 7))
+    assert action.parse_point("(3;7)") == (3, 7)
 
 
 def test_pair_fixtures_build():

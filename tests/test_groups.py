@@ -189,8 +189,23 @@ def test_free_group_parse_examples():
     assert f2.parse("a*b^-1") == (1, -2)
     assert f2.parse("a^2*b") == (1, 1, 2)
     assert f2.parse("a*a^-1") == ()
+    assert f2.parse("1") == f2.parse("") == ()
     with pytest.raises(InputError):
         f2.parse("c")
+
+
+@pytest.mark.parametrize("token", ["*", "a*", "ab", "bc", "b^2*"])
+def test_free_group_parse_refuses_a_factor_other_than_one_generator_letter(token):
+    # an empty factor was read as a, and a longer name as its first letter
+    with pytest.raises(InputError, match=rf"^unknown generator '\w*' in {re.escape(repr(token))}$"):
+        FreeGroup(2).parse(token)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_free_group_parse_inverts_format_on_the_ball(rank):
+    g = FreeGroup(rank)
+    for w in g.ball(3).points:
+        assert g.parse(g.format(w)) == w
 
 
 # ---------------------------------------------------------------------------

@@ -518,14 +518,16 @@ def test_refinement_needs_finite_pieces_and_translation_action():
 
 def derived_with_windows(dec):
     """``dec`` and every construction over it that reads its oracles, each
-    with a window: the singleton refinement, the translator compression and
-    the independent glue of two copies."""
+    with a window: ``dec`` itself without claimants (checked by the index
+    scan), the singleton refinement, the translator compression and the
+    independent glue of two copies."""
     product = ProductAction(LeftTranslation(F2), 2)
     glued = glue_orbit_decompositions(
         product, product_orbit_structure(product), lambda rep: dec, mode="independent"
     )
     return (
         (dec, fwin(2)),
+        (scanned(dec), fwin(2)),
         (refine_to_singletons(dec), fwin(2)),
         (compress_translators(dec).decomposition, fwin(2)),
         (glued, product.window({"ball": 2, "indices": [0, 1]})),

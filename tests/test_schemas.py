@@ -201,7 +201,7 @@ def test_build_action_kinds():
         "group": {"family": "free-abelian", "rank": 1},
         "countable": True,
     })
-    assert trc.contains_point(10)
+    assert trc.parse_point("10") == 10
     p = build_action({
         "kind": "product",
         "base": {"kind": "left-translation", "group": {"family": "free-abelian", "rank": 1}},
