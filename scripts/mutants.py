@@ -116,6 +116,14 @@ MUTANTS = (
         ("tests/test_configurations.py::test_family_matches_the_naive_family",
          "tests/test_configurations.py::test_relabeled_images_on_z8"),
     ),
+    Mutant(
+        "fixing-maps-read-off-by-one-position",
+        "src/confpara/configurations.py",
+        "        moving = [pairs[k] for k in fixing if pairs[k]] if pairs else ()\n",
+        "        moving = [pairs[k - 1] for k in fixing if pairs[k - 1]] if pairs else ()\n",
+        ("tests/test_configurations.py::test_family_matches_the_naive_family",
+         "tests/test_configurations.py::test_tuple_work_on_z8"),
+    ),
     # earlier fast paths
     Mutant(
         "partitions-cut-on-a-later-reading",

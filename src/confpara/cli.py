@@ -143,8 +143,6 @@ def _emit(args, kind, payload, text_lines, bounds=None):
 
 
 def _window_for(action, flag):
-    if flag is None:
-        raise InputError("this command needs --window")
     return action.window(schemas.parse_window_flag(flag))
 
 
@@ -273,7 +271,9 @@ def _cmd_recover(args):
     configs = windowed_configuration_set(action, pair, action.all_window())
     if args.g is not None:
         target = _load_group(args.g)
-        table = multiplication_index_table(target, target.elements())
+        e = target.identity  # g_1 = e, then the rest in index order
+        table = multiplication_index_table(
+            target, [e] + [g for g in target.elements() if g != e])
     else:
         table = table_from_configurations(action, pair, configs)
     family = recover_cosets(group, pair, table, configs)

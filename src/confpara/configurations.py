@@ -391,15 +391,15 @@ def set_partitions(n, max_blocks, maps=()):
     pending map waits on the first index whose label its next comparison
     needs: the comparison at y reads labels[phi[y]] and labels[y], so it
     waits on need[y] = max(phi[y], y), a table built once per map.  A
-    waiting entry is (phi, need, y, order), with ``order`` the labels read
-    through phi so far, in order of first occurrence, as a tuple of at most
-    ``max_blocks`` labels shared by every entry that read them; the
-    renumbered label of u is its position in ``order``, plus one.  A map
-    that reads earlier there cuts the subtree, one that reads later is
-    dropped for the subtree, and one that reads the same moves on to its
-    next index.  The maps that read the same up to the last index carry the
-    partition onto itself up to relabeling; ``fixing`` lists them, once per
-    occurrence in ``maps``."""
+    waiting entry is (k, phi, need, y, order), with k the map's position in
+    ``maps`` and ``order`` the labels read through phi so far, in order of
+    first occurrence, as a tuple of at most ``max_blocks`` labels shared by
+    every entry that read them; the renumbered label of u is its position
+    in ``order``, plus one.  A map that reads earlier there cuts the
+    subtree, one that reads later is dropped for the subtree, and one that
+    reads the same moves on to its next index.  The maps that read the same
+    up to the last index carry the partition onto itself up to relabeling;
+    ``fixing`` lists their positions in ``maps``, in no set order."""
     if n == 0 or max_blocks < 1:
         return
     labels = [0] * n
@@ -408,9 +408,9 @@ def set_partitions(n, max_blocks, maps=()):
     # moved[i]: the lists the label at i appended to
     waiting = [[] for _ in range(n)]
     moved = [[] for _ in range(n)]
-    for phi in maps:
+    for k, phi in enumerate(maps):
         need = tuple(map(max, phi, range(n)))
-        waiting[need[0]].append((phi, need, 0, ()))
+        waiting[need[0]].append((k, phi, need, 0, ()))
     last = n - 1
     i = 0
     while i >= 0:
@@ -427,7 +427,7 @@ def set_partitions(n, max_blocks, maps=()):
         if i == last:
             fixing = []  # only the last index completes a comparison
         cut = False
-        for phi, need, y, order in waiting[i]:
+        for k, phi, need, y, order in waiting[i]:
             while True:
                 u = labels[phi[y]]
                 if u in order:
@@ -440,11 +440,11 @@ def set_partitions(n, max_blocks, maps=()):
                     break
                 y += 1
                 if y == n:
-                    fixing.append(phi)
+                    fixing.append(k)
                     break
                 w = need[y]
                 if w > i:
-                    waiting[w].append((phi, need, y, order))
+                    waiting[w].append((k, phi, need, y, order))
                     moved[i].append(w)
                     break
             if cut:
@@ -645,12 +645,15 @@ def _compile(action):
     return pts, gels, [tuple(idx[action.act(g, p)] for p in pts) for g in gels]
 
 
-def _row_lookup(rows):
-    """(base, columns, index) for a compiled action: ``columns[x][g]`` is
-    the image of point x under element g, ``base`` lists points whose
-    images tell the distinct rows apart, and ``index`` maps the images of
-    the base points under a row to the first element with that row.  A
-    single distinct row, as in a trivial action, needs no base point."""
+def _induced_perms(rows, maps):
+    """For each point map phi in ``maps``, each conjugating every row of a
+    compiled action to a row, (perm, lower), or None when ``lower`` is
+    empty: phi r_g phi^-1 is the row of element perm[g], the first element
+    with that row, and ``lower`` holds the elements g with perm[g] < g.
+    The row of g sends phi^-1(p) to columns[phi^-1(p)][g], so the conjugate
+    sends p to phi of that, and it is told apart from the other rows by the
+    images of a few base points, found once for all the maps.  A single
+    distinct row, as in a trivial action, needs no base point."""
     columns = list(zip(*rows))
     classes = len(set(rows))
     base, keys = [], [()] * len(rows)
@@ -662,22 +665,16 @@ def _row_lookup(rows):
             base.append(p)
             keys = refined
     # built backwards, so the first element with each key is the one kept
-    return base, columns, dict(zip(reversed(keys), reversed(range(len(rows)))))
-
-
-def _induced(phi, base, columns, index):
-    """(perm, lower) for a point map phi that conjugates every row to a row:
-    phi r_g phi^-1 is the row of element perm[g], the first element with
-    that row, and ``lower`` holds the elements g with perm[g] < g.  The row
-    of g sends phi^-1(p) to columns[phi^-1(p)][g], so the conjugate sends p
-    to phi of that."""
-    image = phi.__getitem__
-    if base:
-        keys = zip(*[map(image, columns[phi.index(p)]) for p in base])
-    else:
-        keys = [()] * len(columns[0])
-    perm = list(map(index.__getitem__, keys))
-    return perm, frozenset([g for g, h in enumerate(perm) if h < g])
+    index = dict(zip(reversed(keys), reversed(range(len(rows))))).__getitem__
+    out = []
+    for phi in maps:
+        if base:  # else keys is all (), the one row's key
+            image = phi.__getitem__
+            keys = zip(*[map(image, columns[phi.index(p)]) for p in base])
+        perm = list(map(index, keys))
+        lower = frozenset([g for g, h in enumerate(perm) if h < g])
+        out.append((perm, lower) if lower else None)
+    return out
 
 
 def _tuple_codes(labels, rows, n, m, fixing):
@@ -693,7 +690,7 @@ def _tuple_codes(labels, rows, n, m, fixing):
     order, the first tuple of each class is never skipped.  An entry is
     offered only when it is the first element with its labeled row, since
     elements with one labeled row give one configuration set.  ``fixing``
-    holds the (perm, lower) pairs (see _induced) of point maps phi that
+    holds the (perm, lower) pairs (see _induced_perms) of point maps phi that
     carry the partition onto itself up to a relabeling sigma: the tuple
     perm(t) then realizes sigma of the set t realizes, as phi sends each
     configuration of t at x to its sigma-image at phi(x).  A map is alive
@@ -786,8 +783,8 @@ def _configuration_family(compiled, n, m, cap, code_maps):
     fewer than the partitions, so the symmetry work per partition stays
     within the tuple work.  For n > 1, the maps that carry a kept
     partition onto itself skip tuples under it (see _tuple_codes); the
-    permutation each induces on the elements is computed once, at its first
-    such partition, and the base points it is read from at the first map.
+    permutation each map induces on the elements, and the base points it is
+    read from, are computed once per family, before any partition.
 
     A configuration set is a set of integer codes (see _code_maps), and
     ``seen`` holds every one met.  A new one opens a class unless an image
@@ -818,8 +815,9 @@ def _configuration_family(compiled, n, m, cap, code_maps):
         )
     limit = min(len(rows) ** n, total - 1)
     symmetries = normalizer_maps(rows, limit + 1)[1:] if limit > 0 else ()
-    lookup = None  # built at the first fixing map, see _row_lookup
-    induced = {}  # id(phi) -> _induced(phi, ...); symmetries keeps each phi alive
+    # at n = 1 a skipped tuple saves one code set, which costs less than
+    # the permutations the maps need on the small actions it runs on
+    pairs = _induced_perms(rows, symmetries) if n > 1 and symmetries else ()
     weight = _pattern_weights(m, n)
     shapes = defaultdict(set)  # block count -> the shapes of the sets met under it
     seen = set()
@@ -829,17 +827,8 @@ def _configuration_family(compiled, n, m, cap, code_maps):
             code_maps[b] = [cm.__getitem__ for cm in _code_maps(b, m, n)]
         others = code_maps[b][1:]  # the first map is the identity
         met = shapes[b]
-        moving = []
-        # at n = 1 a skipped tuple saves one code set, which costs less
-        # than the permutations the maps need on the small actions it runs on
-        for phi in fixing if n > 1 else ():
-            f = induced.get(id(phi))
-            if f is None:
-                if lookup is None:
-                    lookup = _row_lookup(rows)
-                f = induced[id(phi)] = _induced(phi, *lookup)
-            if f[1]:  # a map that sends no element lower never skips a tuple
-                moving.append(f)
+        # a map that sends no element lower never skips a tuple
+        moving = [pairs[k] for k in fixing if pairs[k]] if pairs else ()
         for t, codes in _tuple_codes(labels, rows, n, m, moving):
             if codes in seen:
                 continue

@@ -163,16 +163,9 @@ class CayleyTableGroup(Group):
         for i in rng:
             if table[e][i] != i or table[i][e] != i:
                 raise InputError(f"index {e} is not a two-sided identity")
-        inv = [None] * n
-        for i in rng:
-            for j in rng:
-                if table[i][j] == e:
-                    inv[i] = j
-        if any(v is None for v in inv):
-            raise InputError("table lacks inverses")
         self.table = table
         self._identity = e
-        self._inv = tuple(inv)
+        self._inv = tuple(row.index(e) for row in table)  # each row is a permutation
         self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in rng)
         if len(self.labels) != n:
             raise InputError("labels length must match table size")
@@ -296,17 +289,23 @@ def _iroot(n, k):
         m = t
 
 
+# "e" is the identity's token, so no generator takes it
+_GENERATOR_NAMES = string.ascii_lowercase.replace("e", "")
+
+
 class FreeGroup(Group):
     """Free group of finite rank; elements are reduced words.
 
-    Generators are named a, b, c, ... and a word is a tuple of nonzero ints
-    whose absolute value names the generator and whose sign the exponent.
+    Generators are named a, b, c, d, f, ... ("e" names the identity), up to
+    rank 25, and a word is a tuple of nonzero ints whose absolute value
+    names the generator and whose sign the exponent.
     Canonical enumeration is shortlex with letter order a < a^-1 < b < b^-1.
     """
 
     def __init__(self, rank):
-        if not (1 <= rank <= 26):
-            raise InputError("free group rank must be between 1 and 26")
+        if not (1 <= rank <= len(_GENERATOR_NAMES)):
+            raise InputError(
+                f"free group rank must be between 1 and {len(_GENERATOR_NAMES)}")
         self.rank = rank
         self.name = f"free({rank})"
         # letters in canonical order: +1, -1, +2, -2, ...
@@ -422,7 +421,7 @@ class FreeGroup(Group):
 
     # element syntax ------------------------------------------------------
     def _gen_name(self, k):
-        return string.ascii_lowercase[k - 1]
+        return _GENERATOR_NAMES[k - 1]
 
     def parse(self, token):
         token = token.strip()
@@ -441,7 +440,7 @@ class FreeGroup(Group):
                 base, n = part, 1
             base = base.strip()
             # one letter: find() would read "" as a and "ab" as a
-            k = string.ascii_lowercase.find(base) + 1 if len(base) == 1 else 0
+            k = _GENERATOR_NAMES.find(base) + 1 if len(base) == 1 else 0
             if not (1 <= k <= self.rank):
                 raise InputError(f"unknown generator {base!r} in {token!r}")
             word = self.mul(word, (k,) * n if n >= 0 else (-k,) * (-n))

@@ -452,6 +452,25 @@ def test_recover_flag_style(files, capsys):
     assert doc["payload"]["status"] == "recovered"
 
 
+def test_recover_with_a_target_table_whose_identity_is_not_0(tmp_path, capsys):
+    # the target's enumeration starts at its identity, so --g recovers the
+    # cosets that the pair's own table recovers, under the target's labels
+    group = {"family": "table", "table": [[1, 0], [0, 1]], "identity": 1}
+    g = write_manifest(tmp_path, "g.json", "group", group)
+    pair = write_manifest(tmp_path, "pair.json", "pair", {
+        "action": {"kind": "left-translation", "group": group},
+        "tuple": ["1", "0"],
+        "partition": {"kind": "blocks", "blocks": [["1"], ["0"]]},
+    })
+    code, doc, _ = run_json(capsys, ["recover", pair, "--g", g], "report")
+    assert code == 0
+    assert doc["payload"]["status"] == "recovered"
+    assert doc["payload"]["isomorphism"] == [["1", 1], ["0", 2]]
+    _code, own, _ = run_json(capsys, ["recover", pair], "report")
+    assert own["payload"]["isomorphism"] == [["1", 1], ["2", 2]]
+    assert {**own["payload"], "isomorphism": None} == {**doc["payload"], "isomorphism": None}
+
+
 def _s3_right_translation():
     """S3 on itself by g.x = x g^-1, with singleton blocks."""
     s3 = symmetric(3)
@@ -803,6 +822,33 @@ def test_construct_text_format(files, capsys):
     )
     assert code == 0
     assert "construction: singleton" in stdout
+
+
+def test_construct_text_format_with_self_check(files, capsys):
+    code, stdout, _ = run(
+        capsys,
+        ["paradox", "construct", "--kind", "free2-standard", "--window", "ball=1",
+         "--index-bound", "3", "--format", "text"],
+    )
+    assert code == 0
+    assert stdout == ("construction: free2-standard\n"
+                      "self-check: verified-up-to on ball(1) (index bound 3)\n")
+
+
+@pytest.mark.parametrize("bound, code", [("4", 0), ("3", 4)])
+def test_construct_compress_takes_its_detection_bound(capsys, bound, code):
+    got, stdout, stderr = run(
+        capsys,
+        ["paradox", "construct", "--kind", "compress", "--bound", bound,
+         "--inner", str(FIXTURES / "decomposition_f2_standard.json")],
+    )
+    assert got == code
+    if code == 0:
+        doc = json.loads(stdout)
+        assert doc["payload"]["bound"] == 4
+        assert doc["metadata"]["construction-kind"] == "compress"
+    else:
+        assert stderr == "error: expected an integer >= 4, got 3 (at /payload/bound)\n"
 
 
 def test_construct_glue_from_flags(files, capsys):

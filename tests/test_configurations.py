@@ -898,11 +898,6 @@ def naive_class(action, labels, t):
                for sigma in itertools.permutations(range(1, max(labels) + 1)))
 
 
-def induced_pairs(rows, maps):
-    lookup = cf._row_lookup(rows)
-    return [f for f in (cf._induced(phi, *lookup) for phi in maps) if f[1]]
-
-
 @given(small_action(), st.integers(min_value=1, max_value=2),
        st.integers(min_value=1, max_value=3))
 @settings(max_examples=40, deadline=None)
@@ -911,8 +906,10 @@ def test_skipped_tuples_never_hold_the_first_of_a_class(action, n, m):
     # and include the first tuple of every class the full product realizes
     rows = compiled_rows(action)
     maps = normalizer_maps(rows)[1:]
+    pairs = cf._induced_perms(rows, maps)
     for labels, b, fixing in set_partitions(len(rows[0]), m, maps):
-        got = [t for t, _codes in cf._tuple_codes(labels, rows, n, m, induced_pairs(rows, fixing))]
+        moving = [pairs[k] for k in fixing if pairs[k]]
+        got = [t for t, _codes in cf._tuple_codes(labels, rows, n, m, moving)]
         assert got == sorted(got)
         firsts = {}
         for t in itertools.product(range(len(rows)), repeat=n):
@@ -928,31 +925,54 @@ def test_skipped_tuples_never_hold_the_first_of_a_class(action, n, m):
     TrivialAction(cyclic(3), points=[0, 1, 2]),
 ], ids=["D4", "D4-coset", "Z4-halves-twice", "trivial"])
 def test_induced_permutations_conjugate_rows(action):
-    # phi r_g phi^-1 is the row of perm[g], the first element with that row
+    # phi r_g phi^-1 is the row of perm[g], the first element with that row;
+    # a map that sends no element lower comes back as None
     rows = compiled_rows(action)
-    lookup = base, _columns, _index = cf._row_lookup(rows)
-    assert len({tuple(r[q] for q in base) for r in rows}) == len(set(rows))
-    for phi in normalizer_maps(rows):
-        perm, lower = cf._induced(phi, *lookup)
+    maps = normalizer_maps(rows)
+    pairs = cf._induced_perms(rows, maps)
+    assert len(pairs) == len(maps)
+    for phi, pair in zip(maps, pairs):
         inverse = sorted(range(len(phi)), key=phi.__getitem__)
-        for g, r in enumerate(rows):
-            conjugate = tuple(phi[r[x]] for x in inverse)
-            assert perm[g] == rows.index(conjugate)
-        assert lower == {g for g in range(len(rows)) if perm[g] < g}
+        perm = [rows.index(tuple(phi[r[x]] for x in inverse)) for r in rows]
+        lower = {g for g in range(len(rows)) if perm[g] < g}
+        assert pair == ((perm, lower) if lower else None)
 
 
-def test_trivial_action_needs_no_base_point(monkeypatch):
+class Unread(tuple):
+    """A point map whose images may not be read."""
+
+    def __getitem__(self, x):
+        raise AssertionError("a base point was read")
+
+    def index(self, p):
+        raise AssertionError("a base point was read")
+
+
+def test_trivial_action_needs_no_base_point():
+    # a single distinct row: every element's conjugate is element 0's row,
+    # read off no point of the map
+    rows = compiled_rows(TrivialAction(cyclic(3), points=[0, 1, 2]))
+    maps = [Unread(phi) for phi in itertools.permutations(range(3))]
+    assert cf._induced_perms(rows, maps) == [([0, 0, 0], {1, 2})] * 6
+
+
+def test_each_family_resolves_its_symmetries_once(monkeypatch):
+    # n > 1 and a map besides the identity: one _induced_perms call per
+    # family, over all its symmetries
+    calls = []
+    real = cf._induced_perms
+
+    def spy(rows, maps):
+        calls.append((len(set(rows)), len(maps)))
+        return real(rows, maps)
+
+    monkeypatch.setattr(cf, "_induced_perms", spy)
     trivial = TrivialAction(cyclic(3), points=[0, 1, 2])
-    base, _columns, index = cf._row_lookup(compiled_rows(trivial))
-    assert (base, index) == ([], {(): 0})
-    # each family builds its base at its first fixing map: none for the
-    # trivial action, one point for the translations
-    bases = []
-    real = cf._row_lookup
-    monkeypatch.setattr(cf, "_row_lookup", lambda rows: bases.append(real(rows)[0]) or real(rows))
     translation = LeftTranslation(cyclic(3))
     verdict = config_equiv_bounded(trivial, translation, 2, 3)
-    assert bases == [[], [0]]
+    # each family takes fewer maps than its 5 partitions, the identity
+    # not counted: 4 of the trivial action's 6 and of Z3's holomorph's 6
+    assert calls == [(1, 4), (3, 4)]
     monkeypatch.undo()
     assert verdict == naive_verdict(trivial, translation, 2, 3)
 
@@ -1083,10 +1103,10 @@ def test_family_matches_the_naive_family(m, action, n):
 ], ids=["one-point", "n1"])
 def test_no_base_without_a_map_to_resolve(monkeypatch, first, other, n, m):
     # one point keeps no map; at n = 1 the fixing maps are not resolved
-    def no_lookup(rows):
-        raise AssertionError("base built with no map to resolve")
+    def no_lookup(rows, maps):
+        raise AssertionError("maps resolved with no map to resolve")
 
-    monkeypatch.setattr(cf, "_row_lookup", no_lookup)
+    monkeypatch.setattr(cf, "_induced_perms", no_lookup)
     verdict = config_equiv_bounded(first, other, n, m)
     monkeypatch.undo()
     assert verdict == naive_verdict(first, other, n, m)
@@ -1115,7 +1135,8 @@ def test_two_family_path_on_conjugate_pairs(monkeypatch, first, other, n, m):
 def test_pruned_partitions_match_the_orbit_filter(action, m, data):
     # any list of permutations of the points, repeats included: maps of the
     # normalizer and arbitrary ones, since the pruning must not rely on a
-    # group; ``fixing`` holds each fixing map once per occurrence
+    # group; ``fixing`` holds the position of each fixing map, so a map
+    # listed twice is there once per occurrence
     maps = normalizer_maps(compiled_rows(action))
     n = len(action.points())
     chosen = data.draw(st.lists(
@@ -1124,7 +1145,7 @@ def test_pruned_partitions_match_the_orbit_filter(action, m, data):
         chosen += data.draw(st.lists(st.sampled_from(chosen), max_size=3))
     got = [(labels, b, sorted(fixing)) for labels, b, fixing in set_partitions(n, m, chosen)]
     assert got == [
-        (labels, b, sorted(phi for phi in chosen if oracles.fixes(labels, phi)))
+        (labels, b, [k for k, phi in enumerate(chosen) if oracles.fixes(labels, phi)])
         for labels, b, _ in set_partitions(n, m)
         if oracles.least_in_orbit(labels, chosen)
     ]

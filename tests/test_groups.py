@@ -201,11 +201,21 @@ def test_free_group_parse_refuses_a_factor_other_than_one_generator_letter(token
         FreeGroup(2).parse(token)
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("rank", [1, 2, 3, 5, 6, 25])
 def test_free_group_parse_inverts_format_on_the_ball(rank):
+    # "e" is the identity's token, so generator 5 is named f
     g = FreeGroup(rank)
     for w in g.ball(3).points:
         assert g.parse(g.format(w)) == w
+
+
+def test_free_group_generator_names_skip_the_identity_token():
+    g = FreeGroup(25)
+    assert [g.format((k,)) for k in (4, 5, 25)] == ["d", "f", "z"]
+    with pytest.raises(InputError, match="unknown generator 'e' in 'a\\*e'"):
+        g.parse("a*e")  # the identity's token is a whole word, not a factor
+    with pytest.raises(InputError, match="between 1 and 25"):
+        FreeGroup(26)
 
 
 # ---------------------------------------------------------------------------
