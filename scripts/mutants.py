@@ -42,6 +42,15 @@ class Mutant:
 
 
 MUTANTS = (
+    # the integer rule
+    Mutant(
+        "integer-rule-takes-a-bool",
+        "src/confpara/groups.py",
+        "    return type(v) is int or isinstance(v, int) and not isinstance(v, bool)\n",
+        "    return type(v) is int or isinstance(v, int)\n",
+        ("tests/test_groups.py::test_every_integer_argument_refuses_a_non_int",
+         "tests/test_groups.py::test_bools_are_not_group_elements"),
+    ),
     # table reads of the coset layer
     Mutant(
         "is-normal-conjugates-s-x",

@@ -21,7 +21,7 @@ from operator import add
 from typing import Any, Callable, Optional
 
 from .errors import InputError, PreconditionError, ResourceCapExceeded
-from .groups import _perm_closure, is_generating
+from .groups import _is_int, _perm_closure, _require_int, is_generating
 
 
 class Partition:
@@ -68,9 +68,8 @@ class Partition:
     def classifier(cls, classify, block_count=None, block_rank=None):
         def block_of(x):
             b = classify(x)
-            # a bool is refused and other int subclasses are kept; a plain
-            # int, the common answer, skips both isinstance calls
-            if type(b) is not int and (isinstance(b, bool) or not isinstance(b, int)) or b < 1:
+            # a plain int, the common answer, skips the call (see _is_int)
+            if type(b) is not int and not _is_int(b) or b < 1:
                 raise InputError(f"classifier returned bad block index {b!r}")
             if block_count is not None and b > block_count:
                 raise InputError(
@@ -304,9 +303,7 @@ def singleton_split(action, pair, block_index):
     m = part.block_count
     if m is None:
         raise InputError("singleton split needs a declared finite block count")
-    if isinstance(block_index, bool) or not isinstance(block_index, int):
-        raise InputError(f"block index must be an integer, got {block_index!r}")
-    if not (1 <= block_index <= m):
+    if not (1 <= _require_int("block index", block_index) <= m):
         raise InputError(f"block index {block_index} out of range 1..{m}")
     if part.is_explicit:
         raise PreconditionError(
@@ -354,9 +351,7 @@ def merge_blocks(pair, cutoff):
     the countable tuple to its declared identity tail."""
     if not isinstance(pair, CountablePair):
         raise InputError("merge_blocks expects a countable pair")
-    if isinstance(cutoff, bool) or not isinstance(cutoff, int):
-        raise InputError(f"cutoff must be an integer, got {cutoff!r}")
-    if cutoff < 1:
+    if _require_int("cutoff", cutoff) < 1:
         raise InputError("cutoff must be >= 1")
     n = pair.identity_tail_after
     if n is None:
@@ -914,7 +909,7 @@ def config_equiv_bounded(action1, action2, n, m, cap=None):
     to a pair of the other with the same configuration set, so the two
     families are equal."""
     for bound in (n, m):
-        if isinstance(bound, bool) or not isinstance(bound, int):
+        if not _is_int(bound):
             raise InputError(f"bounds must be integers, got {bound!r}")
     if n < 1 or m < 1:
         raise InputError("bounds must be >= 1")

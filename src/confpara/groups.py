@@ -8,7 +8,9 @@ Element conventions:
   ``paradox.even_integers_witness`` lifts a paradox from);
 * free groups: reduced words stored as tuples of signed generator numbers
   (``1`` = first generator, ``-1`` = its inverse, ``2`` = second, ...);
-* free-abelian groups: plain integers for rank 1, integer tuples otherwise.
+* free-abelian groups: plain integers for rank 1, integer tuples otherwise;
+* wherever the package takes an integer, ``_is_int`` decides: a bool is
+  refused and other int subclasses are kept.
 
 Group objects are immutable after construction and safe to share.  Countable
 groups expose a canonical enumeration (``element_at`` / ``position_of``,
@@ -35,14 +37,27 @@ from . import codec
 from .errors import InputError, PreconditionError, UnsupportedOperationError
 
 
+def _is_int(v):
+    """Whether ``v`` is taken as an integer: a block index, an enumeration
+    position, a piece or translator index, a rank, a radius, a size or a
+    bound.  A bool is refused everywhere, and other int subclasses are kept.
+    Hot callers test ``type(v) is int`` first and call this only behind it."""
+    return type(v) is int or isinstance(v, int) and not isinstance(v, bool)
+
+
+def _require_int(what, v):
+    """``v`` when ``_is_int(v)``; otherwise the InputError naming ``what``."""
+    if not _is_int(v):
+        raise InputError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def _position(pos, last=None):
-    """``pos`` as an int when it is a 1-based enumeration position, at most
-    ``last`` when that is given; otherwise an InputError.  As everywhere a
-    group takes an int, a bool is refused and other int subclasses are
-    kept.  Callers test ``type(pos) is not int`` with their range first, so
-    a plain int in range never calls this."""
-    if isinstance(pos, bool) or not isinstance(pos, int):
-        raise InputError(f"enumeration position must be an integer, got {pos!r}")
+    """``pos`` as an int when it is a 1-based enumeration position (see
+    ``_is_int``), at most ``last`` when that is given; otherwise an
+    InputError.  Callers test ``type(pos) is not int`` with their range
+    first, so a plain int in range never calls this."""
+    _require_int("enumeration position", pos)
     if last is None:
         if pos < 1:
             raise InputError("enumeration position must be >= 1")
@@ -64,6 +79,7 @@ class Window:
         """The first ``count`` points of the iterator ``walk``."""
         if count < 0:
             raise InputError("window size must be >= 0")
+        _require_int("window size", count)
         return cls(f"prefix({count})", tuple(itertools.islice(walk, count)))
 
     @cached_property
@@ -105,15 +121,6 @@ class Group:
     def elements(self):
         """Canonically ordered tuple of all elements (finite groups only)."""
         raise UnsupportedOperationError(f"{self.name} is not finite")
-
-    # 1-based canonical enumeration, defined for every built-in kind.
-    def element_at(self, pos):
-        if type(pos) is not int:
-            _position(pos)  # a bad position is an input error on every group
-        raise UnsupportedOperationError(f"{self.name} has no canonical enumeration")
-
-    def position_of(self, a):
-        raise UnsupportedOperationError(f"{self.name} has no canonical enumeration")
 
     def parse(self, token):
         raise NotImplementedError
@@ -189,7 +196,7 @@ class CayleyTableGroup(Group):
         return self._inv[a]
 
     def contains(self, a):
-        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self._n
+        return _is_int(a) and 0 <= a < self._n
 
     def element_at(self, pos):
         if type(pos) is not int or not (1 <= pos <= self._n):
@@ -306,6 +313,7 @@ class FreeGroup(Group):
         if not (1 <= rank <= len(_GENERATOR_NAMES)):
             raise InputError(
                 f"free group rank must be between 1 and {len(_GENERATOR_NAMES)}")
+        _require_int("free group rank", rank)
         self.rank = rank
         self.name = f"free({rank})"
         # letters in canonical order: +1, -1, +2, -2, ...
@@ -322,8 +330,7 @@ class FreeGroup(Group):
         if not isinstance(w, tuple):
             return False
         for i, v in enumerate(w):
-            if (type(v) is not int and (not isinstance(v, int) or isinstance(v, bool))
-                    or v == 0 or abs(v) > self.rank):
+            if type(v) is not int and not _is_int(v) or v == 0 or abs(v) > self.rank:
                 return False
             if i and w[i - 1] == -v:
                 return False
@@ -351,6 +358,7 @@ class FreeGroup(Group):
         """k-th generator, 1-based."""
         if not (1 <= k <= self.rank):
             raise InputError(f"generator index {k} out of range")
+        _require_int("generator index", k)
         return (k,)
 
     # shortlex walk and rank/unrank ---------------------------------------
@@ -415,6 +423,7 @@ class FreeGroup(Group):
         """Window of all reduced words of length <= radius, shortlex order."""
         if radius < 0:
             raise InputError("radius must be >= 0")
+        _require_int("radius", radius)
         size = sum(self._count_words(l) for l in range(radius + 1))
         pts = tuple(itertools.islice(self.walk(), size))
         return Window(f"ball({radius})", pts)
@@ -474,6 +483,7 @@ class FreeAbelianGroup(Group):
     def __init__(self, rank):
         if rank < 1:
             raise InputError("free-abelian rank must be >= 1")
+        _require_int("free-abelian rank", rank)
         self.rank = rank
         self.name = f"free-abelian({rank})"
         # rank >= 2: shell r and its vector -> index map, built on first use
@@ -486,12 +496,8 @@ class FreeAbelianGroup(Group):
 
     def contains(self, v):
         if self.rank == 1:
-            return isinstance(v, int) and not isinstance(v, bool)
-        return (
-            isinstance(v, tuple)
-            and len(v) == self.rank
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in v)
-        )
+            return _is_int(v)
+        return isinstance(v, tuple) and len(v) == self.rank and all(map(_is_int, v))
 
     def mul(self, a, b):
         if self.rank == 1:
@@ -564,6 +570,7 @@ class FreeAbelianGroup(Group):
         listed in canonical enumeration order."""
         if radius < 0:
             raise InputError("radius must be >= 0")
+        _require_int("radius", radius)
         pts = tuple(itertools.islice(self.walk(), (2 * radius + 1) ** self.rank))
         return Window(f"box({radius})", pts)
 
@@ -607,7 +614,7 @@ class EnumeratedGroup(Group):
         return self._identity
 
     def contains(self, a):
-        return isinstance(a, int) and not isinstance(a, bool) and a >= 0
+        return _is_int(a) and a >= 0
 
     def mul(self, a, b):
         return self._mul(a, b)

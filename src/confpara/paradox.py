@@ -30,15 +30,14 @@ from .errors import (
     PreconditionError,
     UnsupportedOperationError,
 )
-from .groups import FreeAbelianGroup, FreeGroup, Group
+from .groups import FreeAbelianGroup, FreeGroup, Group, _is_int, _require_int
 
 
 def _checked_index(who, i, size):
     """``i`` when it is a piece index of a family with ``size`` pieces (None
-    for countably many); otherwise the ``MalformedOracleError`` naming
-    ``who``, the oracle that returned it.  A bool is refused, as everywhere
-    the package takes an int."""
-    if isinstance(i, bool) or not isinstance(i, int) or i < 1:
+    for countably many; see ``groups._is_int``); otherwise the
+    ``MalformedOracleError`` naming ``who``, the oracle that returned it."""
+    if not _is_int(i) or i < 1:
         raise MalformedOracleError(f"{who} returned bad index {i!r}")
     if size is not None and i > size:
         raise MalformedOracleError(
@@ -223,6 +222,7 @@ def verify_paradoxical(dec, window, index_bound):
     probe costs the action, the classifier and its index check."""
     if index_bound < 1:
         raise InputError("index bound must be >= 1")
+    _require_int("index bound", index_bound)
     failure_a, failure_b = (
         _cover_failure(dec.action, name, fam, translator, cover, index_bound)
         for name, fam, translator, cover, _range in dec.sides()
@@ -260,6 +260,7 @@ def verify_equidecomposable(source, target, witness, action, window, index_bound
     translates tile ``target`` (membership predicates, not point lists)."""
     if index_bound < 1:
         raise InputError("index bound must be >= 1")
+    _require_int("index bound", index_bound)
     act = action.act
     fam = witness.pieces
     failure = _cover_failure(
@@ -293,25 +294,19 @@ def verify_equidecomposable(source, target, witness, action, window, index_bound
 # constructions
 
 
-def _require_countable_enumeration(group):
+def _require_infinite(group):
     if group.is_finite:
         raise PreconditionError(
             "finite groups admit no countable paradoxical decomposition "
             "(the two sides would double the count of a finite set)"
         )
-    try:
-        group.element_at(1)
-    except Exception as exc:  # noqa: BLE001 - diagnosing capability, not state
-        raise PreconditionError(
-            f"{group.name} exposes no canonical enumeration"
-        ) from exc
 
 
 def singleton_decomposition(group):
     """Four-line paradox of any countably enumerated infinite group: the
     singletons of even-position elements, each translated onto the full
     enumeration, against the odd-position singletons doing the same."""
-    _require_countable_enumeration(group)
+    _require_infinite(group)
     pos = group.position_of
     at = group.element_at
     mul = group.mul
@@ -571,6 +566,7 @@ def compress_translators(dec, index_bound=200):
     otherwise reports not-compressible-within-bound."""
     if index_bound < 4:
         raise InputError("detection bound must be >= 4")
+    _require_int("detection bound", index_bound)
     ranges, hows = zip(*(
         _detect_range(translator, fam.size, declared, index_bound)
         for _name, fam, translator, _cover, declared in dec.sides()
@@ -652,7 +648,7 @@ def refine_to_singletons(dec):
     t_p^-1·x ranked k-th in p, one lookup in the rank scan per parent piece.
     The empty pieces (p > size) never claim."""
     group = dec.action.group
-    _require_countable_enumeration(group)
+    _require_infinite(group)
     if not isinstance(dec.action, LeftTranslation):
         raise PreconditionError(
             "singleton refinement scans the group enumeration; restrict to an "

@@ -340,7 +340,8 @@ def _coset_representatives(group, blocks):
 def verify_normal_and_iso(group, family, table):
     """Certify from scratch that F_1 is a normal subgroup, that blocks
     multiply like the table (F_k F_j = F_{pi(k,j)} setwise), and that
-    index -> block is a group isomorphism onto the coset group.
+    index -> block is a group isomorphism onto the coset group.  A table
+    with an unknown entry is refused, as ``recover_cosets`` refuses it.
 
     Cost, for |H| elements, n blocks and s = |F_1|: s**2 multiplications for
     closure and up to 2 |H| s for normality, each checked by membership,
@@ -352,6 +353,8 @@ def verify_normal_and_iso(group, family, table):
     multiplications, about |H|**2 in all.  Each multiplication is a read of
     H's Cayley table, made after ``group.elements()``, so an infinite group
     raises its ``UnsupportedOperationError``."""
+    if not table.total:
+        raise InputError("coset recovery needs a total index table")
     blocks = family.blocks
     f1 = blocks[0]
     n = len(blocks)
@@ -377,7 +380,6 @@ def verify_normal_and_iso(group, family, table):
             failures.append({"identity": "normality", "witness": group.format(x)})
             break
     reps = None if failures else _coset_representatives(group, blocks)
-    # an unknown entry stops either loop with the same TypeError
     rows = None if reps is None or table.bound != n else _rows_in_range(table)
     if rows is not None:
         for k, (ak, row) in enumerate(zip(reps, rows), start=1):

@@ -21,7 +21,7 @@ from . import catalog, codec, paradox
 from .actions import LeftTranslation, ProductAction, TableAction, TrivialAction
 from .configurations import ConfigPair, Partition
 from .errors import InputError, MalformedOracleError
-from .groups import CayleyTableGroup, FreeAbelianGroup, FreeGroup, direct_product
+from .groups import CayleyTableGroup, FreeAbelianGroup, FreeGroup, _is_int, direct_product
 
 SCHEMA_VERSION = 1
 OBJECT_KINDS = (
@@ -46,7 +46,7 @@ def _as_list(v, path):
 
 
 def _as_int(v, path, minimum=None):
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_int(v):
         _fail(f"expected an integer, got {v!r}", path)
     if minimum is not None and v < minimum:
         _fail(f"expected an integer >= {minimum}, got {v}", path)
@@ -79,7 +79,7 @@ def _as_points(v, path):
     """Listed action points: strings and integers, which hash and print."""
     points = _as_list(v, path)
     for i, x in enumerate(points):
-        if isinstance(x, bool) or not isinstance(x, (str, int)):
+        if not (isinstance(x, str) or _is_int(x)):
             _fail(f"expected a string or an integer, got {type(x).__name__}", f"{path}/{i}")
     return points
 

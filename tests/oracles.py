@@ -368,7 +368,9 @@ def naive_verify_normal_and_iso(group, blocks, table):
     """F_1 a normal subgroup (identity, inverses, closure, x F_1 x^-1 = F_1),
     the setwise products F_k F_j = F_pi(k,j) and the coset count, with the
     failures in that order.  Returns (ok, failures, iso, |F_1|, #blocks), the
-    fields of an ``IsoReport``."""
+    fields of an ``IsoReport``.  A table with an unknown entry is refused."""
+    if any(None in row for row in table.rows):
+        raise Refusal("InputError", "coset recovery needs a total index table")
     f1 = blocks[0]
     n = len(blocks)
     failures = []

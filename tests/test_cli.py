@@ -200,6 +200,20 @@ def test_con_on_free_abelian_rank_two_tuples(tmp_path, capsys):
     assert stderr == "error: bad element '[1]' for free-abelian(2) (at /payload/tuple/1)\n"
 
 
+def test_con_on_two_copies_takes_the_whole_index_range(tmp_path, capsys):
+    # a product with finitely many copies and no "indices" spans them all
+    pair = write_manifest(tmp_path, "pair_copies.json", "pair", {
+        "action": {"kind": "product", "copies": 2,
+                   "base": {"kind": "left-translation", "group": {"family": "cyclic", "order": 2}}},
+        "tuple": ["1"],
+        "partition": {"kind": "blocks", "blocks": [["(0;0)", "(1;0)"], ["(0;1)", "(1;1)"]]},
+    })
+    code, doc, _ = run_json(capsys, ["con", pair, "--window", "all"], "report")
+    assert code == 0
+    assert doc["payload"]["configurations"] == [[1, 1], [2, 2]]
+    assert doc["payload"]["window"] == "all(2)x[0..1]" and doc["payload"]["exact"] is True
+
+
 def test_con_countable_needs_window(files, capsys):
     code, stdout, stderr = run(capsys, ["con", files["pair_z_res"]])
     assert code == 4
@@ -268,6 +282,32 @@ def test_equiv_loads_action_and_pair_manifests(files, tmp_path, capsys):
     assert (code, stdout) == run(
         capsys, ["equiv", files["g_z4"], files["g_z4"], "-n", "1", "-m", "2"]
     )[:2]
+
+
+def test_equiv_on_two_actions_without_points(tmp_path, capsys):
+    # no point to colour: both families are empty, hence equal
+    action = write_manifest(tmp_path, "empty.json", "action",
+                            {"kind": "trivial", "group": {"family": "cyclic", "order": 2},
+                             "points": []})
+    code, doc, _ = run_json(capsys, ["equiv", action, action, "-n", "1", "-m", "1"], "report")
+    assert code == 0
+    assert doc["payload"]["equivalent"] is True
+    assert doc["payload"]["family-sizes"] == [0, 0]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["equiv", "{dec_singleton_z}", "{g_z4}", "-n", "1", "-m", "1"],
+     "expected a group, action or pair manifest, got 'decomposition' (at /object-kind)"),
+    (["equiv", "{g_z4}", "-n", "1", "-m", "1"],
+     "equiv needs two manifests (positional or --a/--b)"),
+    (["paradox", "verify", "--window", "all"],
+     "paradox verify needs a decomposition manifest or --dec"),
+    (["paradox", "construct"], "paradox construct needs a decomposition manifest or --kind"),
+], ids=["equiv-decomposition", "equiv-one-manifest", "verify-no-manifest",
+        "construct-no-manifest"])
+def test_missing_or_wrong_manifests_exit_4(files, capsys, argv, message):
+    code, stdout, stderr = run(capsys, [a.format(**files) for a in argv])
+    assert (code, stdout, stderr) == (4, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("kind", ["table", "trivial"])

@@ -391,6 +391,15 @@ def test_split_and_merge_refuse_bool_indices():
     assert merge_blocks(split.pair, 2).partition.block_count == 2
 
 
+def test_split_and_merge_keep_their_range_messages():
+    act, pair, split = split_fixture(2, (1,), 1)
+    for bad in (0, 3):
+        with pytest.raises(InputError, match=f"^block index {bad} out of range 1..2$"):
+            singleton_split(act, pair, bad)
+    with pytest.raises(InputError, match="^cutoff must be >= 1$"):
+        merge_blocks(split.pair, 0)
+
+
 def test_merge_requires_countable_pair():
     act = LeftTranslation(cyclic(4))
     pair = ConfigPair((1,), Partition.explicit([[0, 2], [1, 3]]))

@@ -1,8 +1,10 @@
 """Group backends: table groups, free groups, enumerated groups, and the
 finite-group utilities the reconstruction suite leans on."""
 
+import ast
 import functools
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -10,13 +12,13 @@ from hypothesis import strategies as st
 
 import oracles
 from confpara import codec
+from confpara.actions import TrivialAction
 from confpara.catalog import alternating4, cyclic, dihedral, fixture_groups, quaternion8, symmetric
 from confpara.errors import InputError, PreconditionError, UnsupportedOperationError
 from confpara.groups import (
     CayleyTableGroup,
     FreeAbelianGroup,
     FreeGroup,
-    Group,
     closure,
     direct_product,
     even_integers_enumerated,
@@ -26,6 +28,7 @@ from confpara.groups import (
     quotient_group,
     subgroups,
 )
+from confpara.paradox import singleton_decomposition, verify_paradoxical
 
 FIXTURES = fixture_groups()
 
@@ -419,20 +422,16 @@ def test_windows_walk_the_enumeration_without_unranking(make, build):
     (lambda: FreeAbelianGroup(2).prefix_window(-1), "window size must be >= 0"),
     (lambda: cyclic(4).prefix_window(5),
      "prefix window of 5 elements is longer than Z4, of order 4"),
+    (lambda: FreeAbelianGroup(0), "free-abelian rank must be >= 1"),
+    (lambda: FreeGroup(2).generator(3), "generator index 3 out of range"),
 ], ids=["free-at-0", "z-at-0", "z2-at-0", "free-unreduced", "z2-short", "z-bool",
         "z-float", "z-tuple", "z2-bool-coordinate", "free-bool-letter", "table-bool",
         "ball-negative", "box-negative", "free-prefix-negative", "z2-prefix-negative",
-        "finite-prefix-too-long"])
+        "finite-prefix-too-long", "free-abelian-rank-0", "free-generator-3"])
 def test_enumeration_input_errors_keep_their_messages(call, message):
     with pytest.raises(InputError) as exc:
         call()
     assert str(exc.value) == message
-
-
-class Unenumerated(FreeGroup):
-    """A group with the interface's default enumeration: none."""
-
-    element_at = Group.element_at
 
 
 EVERY_FAMILY = {
@@ -445,7 +444,6 @@ EVERY_FAMILY = {
     "free-abelian-3": FreeAbelianGroup(3),
     "enumerated": even_integers_enumerated(),
     "enumerated-even": even_integers_enumerated(),
-    "unenumerated": Unenumerated(2),
 }
 
 
@@ -461,10 +459,6 @@ def test_element_at_rejects_a_position_that_is_not_an_int(name, pos):
 @pytest.mark.parametrize("name", EVERY_FAMILY)
 def test_element_at_keeps_int_subclasses_and_range_messages(name):
     group = EVERY_FAMILY[name]
-    if name == "unenumerated":
-        with pytest.raises(UnsupportedOperationError):
-            group.element_at(Index(2))
-        return
     assert group.element_at(Index(2)) == group.element_at(2)
     with pytest.raises(InputError) as exc:
         group.element_at(Index(0))
@@ -472,6 +466,49 @@ def test_element_at_keeps_int_subclasses_and_range_messages(name):
         assert str(exc.value) == f"enumeration position 0 out of range 1..{group.order()}"
     else:
         assert str(exc.value) == "enumeration position must be >= 1"
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda v: FreeGroup(2).ball(v), "radius must be an integer, got {v!r}"),
+    (lambda v: FreeAbelianGroup(1).box(v), "radius must be an integer, got {v!r}"),
+    (lambda v: FreeAbelianGroup(1).prefix_window(v), "window size must be an integer, got {v!r}"),
+    (lambda v: TrivialAction(cyclic(2), countable=True).window({"prefix": v}),
+     "window size must be an integer, got {v!r}"),
+    (FreeGroup, "free group rank must be an integer, got {v!r}"),
+    (lambda v: FreeGroup(3).generator(v), "generator index must be an integer, got {v!r}"),
+    (FreeAbelianGroup, "free-abelian rank must be an integer, got {v!r}"),
+    (lambda v: verify_paradoxical(singleton_decomposition(FreeAbelianGroup(1)),
+                                  FreeAbelianGroup(1).box(2), v),
+     "index bound must be an integer, got {v!r}"),
+], ids=["ball", "box", "prefix-window", "trivial-prefix", "free-rank", "free-generator",
+        "free-abelian-rank", "index-bound"])
+@pytest.mark.parametrize("v", [True, 2.5], ids=["bool", "float"])
+def test_every_integer_argument_refuses_a_non_int(call, message, v):
+    with pytest.raises(InputError) as exc:
+        call(v)
+    assert str(exc.value) == message.format(v=v)
+
+
+def _bool_checks(node, where=None):
+    """The enclosing function's name (None at module level) of each
+    ``isinstance`` call under ``node`` whose class argument names bool."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "isinstance" and len(child.args) == 2
+                and any(isinstance(n, ast.Name) and n.id == "bool"
+                        for n in ast.walk(child.args[1]))):
+            yield where
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _bool_checks(child, inner)
+
+
+def test_only_is_int_and_as_bool_test_for_a_bool():
+    # the integer rule lives in groups._is_int alone; schemas._as_bool
+    # takes a JSON boolean
+    package = Path(__file__).resolve().parent.parent / "src" / "confpara"
+    sites = [(path.name, where) for path in sorted(package.glob("*.py"))
+             for where in _bool_checks(ast.parse(path.read_text(encoding="utf-8")))]
+    assert sites == [("groups.py", "_is_int"), ("schemas.py", "_as_bool")]
 
 
 # ---------------------------------------------------------------------------

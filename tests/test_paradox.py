@@ -450,6 +450,16 @@ def test_a_repeated_declared_translator_merges_into_one_piece():
     assert (scanned.a_range, scanned.b_range) == (res.a_range, res.b_range)
 
 
+@pytest.mark.parametrize("bound,message", [
+    (3, "detection bound must be >= 4"),
+    (4.5, "detection bound must be an integer, got 4.5"),
+])
+def test_compression_refuses_a_bad_detection_bound(bound, message):
+    with pytest.raises(InputError) as exc:
+        compress_translators(singleton_decomposition(Z), bound)
+    assert str(exc.value) == message
+
+
 def test_singleton_translators_do_not_compress():
     res = compress_translators(singleton_decomposition(Z), 200)
     assert res.status == "not-compressible-within-bound"
@@ -1268,6 +1278,8 @@ def test_equidecomposition_bound_and_source_checks():
     action, window = LeftTranslation(Z), zwin(5)
     with pytest.raises(InputError, match="index bound must be >= 1"):
         verify_equidecomposable(lambda v: True, lambda v: v % 2 == 0, w, action, window, 0)
+    with pytest.raises(InputError, match="^index bound must be an integer, got True$"):
+        verify_equidecomposable(lambda v: True, lambda v: v % 2 == 0, w, action, window, True)
     # 3 lies in a piece but outside the source; 0, 1, -1, 2 and -2 come first
     verdict = verify_equidecomposable(
         lambda v: v != 3, lambda v: v % 2 == 0, w, action, window, 12,

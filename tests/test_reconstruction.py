@@ -265,6 +265,29 @@ def test_verify_takes_setwise_products_off_the_coset_shortcut():
     assert not outcomes[0][1][0] and not outcomes[1][1][0]
 
 
+def test_certificate_refuses_a_table_with_an_unknown_entry():
+    # as recover_cosets does, before any entry is read
+    z4 = cyclic(4)
+    t = MultiplicationIndexTable(2, ((1, 2), (2, None)), ("e", "g"))
+    blocks = (frozenset({0, 2}), frozenset({1, 3}))
+    refusal = ("InputError", "coset recovery needs a total index table")
+    assert _outcome(_verified, z4, blocks, t) == refusal
+    assert _outcome(oracles.naive_verify_normal_and_iso, z4, blocks, t) == refusal
+
+
+@pytest.mark.parametrize("order,blocks,failure", [
+    (4, ({1, 3}, {0, 2}), "identity-in-subgroup"),
+    (6, ({0, 3}, {1, 2}, {4, 5}), "coset-product"),
+], ids=["identity-outside-f1", "block-of-the-size-of-f1-but-no-coset"])
+def test_hand_made_families_match_the_reference(order, blocks, failure):
+    group, blocks = cyclic(order), tuple(map(frozenset, blocks))
+    quotient = cyclic(len(blocks))
+    t = multiplication_index_table(quotient, quotient.elements())
+    report = _verified(group, blocks, t)
+    assert report == oracles.naive_verify_normal_and_iso(group, blocks, t)
+    assert failure in {f["identity"] for f in report[1]}
+
+
 def test_a_subset_outside_the_group_is_not_normal():
     # -2 indexes row 2 of Z4's table, so every conjugate of {0, 2, -2} lies
     # in {0, 2}: as sets they differ, though each conjugate is a member
