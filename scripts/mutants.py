@@ -51,6 +51,23 @@ MUTANTS = (
         ("tests/test_groups.py::test_every_integer_argument_refuses_a_non_int",
          "tests/test_groups.py::test_bools_are_not_group_elements"),
     ),
+    Mutant(
+        "integer-gate-compares-before-type",
+        "src/confpara/groups.py",
+        "    if not _is_int(v):\n"
+        "        raise InputError(f\"{what} must be an integer, got {v!r}\")\n"
+        "    if maximum is not None and not minimum <= v <= maximum:\n"
+        "        raise InputError(f\"{what} must be between {minimum} and {maximum}\")\n"
+        "    if minimum is not None and v < minimum:\n"
+        "        raise InputError(f\"{what} must be >= {minimum}\")\n",
+        "    if maximum is not None and not minimum <= v <= maximum:\n"
+        "        raise InputError(f\"{what} must be between {minimum} and {maximum}\")\n"
+        "    if minimum is not None and v < minimum:\n"
+        "        raise InputError(f\"{what} must be >= {minimum}\")\n"
+        "    if not _is_int(v):\n"
+        "        raise InputError(f\"{what} must be an integer, got {v!r}\")\n",
+        ("tests/test_groups.py::test_every_integer_argument_refuses_a_non_int",),
+    ),
     # table reads of the coset layer
     Mutant(
         "is-normal-conjugates-s-x",
@@ -155,6 +172,27 @@ MUTANTS = (
         "if not b or a[-1] != -b[0]:",
         "if not b or a[-1] != b[0]:",
         ("tests/test_groups.py::test_free_group_mul_at_the_junction",),
+    ),
+    Mutant(
+        "zigzag-rank-puts-0-at-position-0",
+        "src/confpara/groups.py",
+        "return 2 * v if v > 0 else 1 - 2 * v",
+        "return 2 * v if v >= 0 else 1 - 2 * v",
+        ("tests/test_groups.py::test_integer_positions_match_the_zigzag_oracle",),
+    ),
+    Mutant(
+        "zigzag-unrank-flips-the-sign",
+        "src/confpara/groups.py",
+        "return -half if pos % 2 else half",
+        "return half if pos % 2 else -half",
+        ("tests/test_groups.py::test_integers_zigzag_enumeration",),
+    ),
+    Mutant(
+        "f2-claimants-swap-the-empty-word",
+        "src/confpara/paradox.py",
+        "            return (1,) if self.absorb else (2,)\n",
+        "            return (2,) if self.absorb else (1,)\n",
+        ("tests/test_paradox.py::test_f2_cover_and_claimants_agree_with_the_classifier",),
     ),
     Mutant(
         "cover-scan-starts-at-2",

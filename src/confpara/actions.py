@@ -16,6 +16,7 @@ from .groups import (
     FreeGroup,
     Group,
     Window,
+    _require_int,
 )
 
 
@@ -234,16 +235,15 @@ class ProductAction(Action):
     def window(self, spec):
         spec = dict(spec)
         indices = spec.pop("indices", None)
+        last = None if self.index_count is None else self.index_count - 1
         if indices is None:
-            if self.index_count is None:
+            if last is None:
                 raise InputError("product window needs 'indices': [lo, hi]")
-            lo, hi = 0, self.index_count - 1
+            lo, hi = 0, last
         else:
             lo, hi = indices
-        if lo < 0 or hi < lo:
-            raise InputError("bad product index range")
-        if self.index_count is not None and hi >= self.index_count:
-            raise InputError("index range exceeds the declared index count")
+            _require_int("first product index", lo, 0, last)
+            _require_int("last product index", hi, lo, last)
         base_w = self.base.window(spec)
         pts = tuple((y, i) for i in range(lo, hi + 1) for y in base_w.points)
         label = f"{base_w.label}x[{lo}..{hi}]"

@@ -46,6 +46,7 @@ from .errors import (
     PreconditionError,
     ResourceCapExceeded,
 )
+from .groups import _require_int
 from .paradox import verify_paradoxical
 from .reconstruction import (
     multiplication_index_table,
@@ -150,9 +151,7 @@ def _cap(args):
     """The search cap: --cap, else CONFPARA_CAP, else the default."""
     if args.cap is None:
         return default_partition_cap()
-    if args.cap < 1:
-        raise InputError("--cap must be >= 1")
-    return args.cap
+    return _require_int("--cap", args.cap, 1)
 
 
 # ---------------------------------------------------------------------------

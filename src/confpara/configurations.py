@@ -268,8 +268,7 @@ def countable_config_prefixes(action, pair, depth, window):
     so the true prefix set is infinite and any finite window reports a
     labeled under-approximation.
     """
-    if depth < 0:
-        raise InputError("depth must be >= 0")
+    _require_int("depth", depth, 0)
     if isinstance(pair, CountablePair):
         elems = [pair.element_at(i) for i in range(1, depth + 1)]
     else:
@@ -303,8 +302,7 @@ def singleton_split(action, pair, block_index):
     m = part.block_count
     if m is None:
         raise InputError("singleton split needs a declared finite block count")
-    if not (1 <= _require_int("block index", block_index) <= m):
-        raise InputError(f"block index {block_index} out of range 1..{m}")
+    _require_int("block index", block_index, 1, m)
     if part.is_explicit:
         raise PreconditionError(
             "designated block is finite (explicit partitions have finite blocks)"
@@ -351,8 +349,7 @@ def merge_blocks(pair, cutoff):
     the countable tuple to its declared identity tail."""
     if not isinstance(pair, CountablePair):
         raise InputError("merge_blocks expects a countable pair")
-    if _require_int("cutoff", cutoff) < 1:
-        raise InputError("cutoff must be >= 1")
+    _require_int("cutoff", cutoff, 1)
     n = pair.identity_tail_after
     if n is None:
         raise InputError("tuple length unknown: use a pair with an identity tail")
@@ -908,11 +905,8 @@ def config_equiv_bounded(action1, action2, n, m, cap=None):
     decided from the first family alone: the map carries each pair of one
     to a pair of the other with the same configuration set, so the two
     families are equal."""
-    for bound in (n, m):
-        if not _is_int(bound):
-            raise InputError(f"bounds must be integers, got {bound!r}")
-    if n < 1 or m < 1:
-        raise InputError("bounds must be >= 1")
+    _require_int("tuple length n", n, 1)
+    _require_int("block count m", m, 1)
     for a in (action1, action2):
         if not a.is_finite_points:
             raise InputError("bounded equivalence compares finite actions")
@@ -949,6 +943,4 @@ def default_partition_cap():
         cap = int(raw)
     except ValueError:
         raise InputError(f"CONFPARA_CAP must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise InputError("CONFPARA_CAP must be >= 1")
-    return cap
+    return _require_int("CONFPARA_CAP", cap, 1)

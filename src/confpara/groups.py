@@ -9,8 +9,9 @@ Element conventions:
 * free groups: reduced words stored as tuples of signed generator numbers
   (``1`` = first generator, ``-1`` = its inverse, ``2`` = second, ...);
 * free-abelian groups: plain integers for rank 1, integer tuples otherwise;
-* wherever the package takes an integer, ``_is_int`` decides: a bool is
-  refused and other int subclasses are kept.
+* wherever the package takes an integer argument, ``_require_int`` checks
+  it: the type first (``_is_int``: a bool is refused and other int
+  subclasses are kept), then the range.
 
 Group objects are immutable after construction and safe to share.  Countable
 groups expose a canonical enumeration (``element_at`` / ``position_of``,
@@ -45,25 +46,18 @@ def _is_int(v):
     return type(v) is int or isinstance(v, int) and not isinstance(v, bool)
 
 
-def _require_int(what, v):
-    """``v`` when ``_is_int(v)``; otherwise the InputError naming ``what``."""
+def _require_int(what, v, minimum=None, maximum=None):
+    """``v`` when ``_is_int(v)``, at least ``minimum`` and at most ``maximum``
+    (each when given; ``maximum`` only with ``minimum``); otherwise the
+    InputError naming ``what``.  The type is tested first, so a value that
+    is no integer is never compared."""
     if not _is_int(v):
         raise InputError(f"{what} must be an integer, got {v!r}")
+    if maximum is not None and not minimum <= v <= maximum:
+        raise InputError(f"{what} must be between {minimum} and {maximum}")
+    if minimum is not None and v < minimum:
+        raise InputError(f"{what} must be >= {minimum}")
     return v
-
-
-def _position(pos, last=None):
-    """``pos`` as an int when it is a 1-based enumeration position (see
-    ``_is_int``), at most ``last`` when that is given; otherwise an
-    InputError.  Callers test ``type(pos) is not int`` with their range
-    first, so a plain int in range never calls this."""
-    _require_int("enumeration position", pos)
-    if last is None:
-        if pos < 1:
-            raise InputError("enumeration position must be >= 1")
-    elif not 1 <= pos <= last:
-        raise InputError(f"enumeration position {pos} out of range 1..{last}")
-    return int(pos)
 
 
 @dataclass(frozen=True)
@@ -77,9 +71,7 @@ class Window:
     @classmethod
     def prefix(cls, walk, count):
         """The first ``count`` points of the iterator ``walk``."""
-        if count < 0:
-            raise InputError("window size must be >= 0")
-        _require_int("window size", count)
+        _require_int("window size", count, 0)
         return cls(f"prefix({count})", tuple(itertools.islice(walk, count)))
 
     @cached_property
@@ -134,7 +126,7 @@ class Group:
 
     def prefix_window(self, count):
         """First ``count`` elements of the canonical enumeration."""
-        if self.is_finite and count > self.order():
+        if self.is_finite and _require_int("window size", count, 0) > self.order():
             raise InputError(
                 f"prefix window of {count} elements is longer than {self.name}, "
                 f"of order {self.order()}"
@@ -164,9 +156,7 @@ class CayleyTableGroup(Group):
         for j in rng:
             if frozenset(table[i][j] for i in rng) != full:
                 raise InputError(f"table column {j} is not a permutation of 0..{n - 1}")
-        e = identity_index
-        if not (0 <= e < n):
-            raise InputError("identity index out of range")
+        e = _require_int("identity index", identity_index, 0, n - 1)
         for i in rng:
             if table[e][i] != i or table[i][e] != i:
                 raise InputError(f"index {e} is not a two-sided identity")
@@ -200,7 +190,7 @@ class CayleyTableGroup(Group):
 
     def element_at(self, pos):
         if type(pos) is not int or not (1 <= pos <= self._n):
-            pos = _position(pos, self._n)
+            pos = int(_require_int("enumeration position", pos, 1, self._n))
         return pos - 1
 
     def position_of(self, a):
@@ -310,10 +300,7 @@ class FreeGroup(Group):
     """
 
     def __init__(self, rank):
-        if not (1 <= rank <= len(_GENERATOR_NAMES)):
-            raise InputError(
-                f"free group rank must be between 1 and {len(_GENERATOR_NAMES)}")
-        _require_int("free group rank", rank)
+        _require_int("free group rank", rank, 1, len(_GENERATOR_NAMES))
         self.rank = rank
         self.name = f"free({rank})"
         # letters in canonical order: +1, -1, +2, -2, ...
@@ -356,10 +343,7 @@ class FreeGroup(Group):
 
     def generator(self, k):
         """k-th generator, 1-based."""
-        if not (1 <= k <= self.rank):
-            raise InputError(f"generator index {k} out of range")
-        _require_int("generator index", k)
-        return (k,)
+        return (_require_int("generator index", k, 1, self.rank),)
 
     # shortlex walk and rank/unrank ---------------------------------------
     def _count_words(self, length):
@@ -404,7 +388,7 @@ class FreeGroup(Group):
 
     def element_at(self, pos):
         if type(pos) is not int or pos < 1:
-            pos = _position(pos)
+            pos = int(_require_int("enumeration position", pos, 1))
         n = pos - 1
         q = 2 * self.rank - 1
         orders = []
@@ -421,9 +405,7 @@ class FreeGroup(Group):
 
     def ball(self, radius):
         """Window of all reduced words of length <= radius, shortlex order."""
-        if radius < 0:
-            raise InputError("radius must be >= 0")
-        _require_int("radius", radius)
+        _require_int("radius", radius, 0)
         size = sum(self._count_words(l) for l in range(radius + 1))
         pts = tuple(itertools.islice(self.walk(), size))
         return Window(f"ball({radius})", pts)
@@ -481,9 +463,7 @@ class FreeAbelianGroup(Group):
     """
 
     def __init__(self, rank):
-        if rank < 1:
-            raise InputError("free-abelian rank must be >= 1")
-        _require_int("free-abelian rank", rank)
+        _require_int("free-abelian rank", rank, 1)
         self.rank = rank
         self.name = f"free-abelian({rank})"
         # rank >= 2: shell r and its vector -> index map, built on first use
@@ -547,7 +527,7 @@ class FreeAbelianGroup(Group):
 
     def element_at(self, pos):
         if type(pos) is not int or pos < 1:
-            pos = _position(pos)
+            pos = int(_require_int("enumeration position", pos, 1))
         if self.rank == 1:
             half = pos // 2
             return -half if pos % 2 else half
@@ -568,9 +548,7 @@ class FreeAbelianGroup(Group):
     def box(self, radius):
         """Window of all vectors with every coordinate in [-radius, radius],
         listed in canonical enumeration order."""
-        if radius < 0:
-            raise InputError("radius must be >= 0")
-        _require_int("radius", radius)
+        _require_int("radius", radius, 0)
         pts = tuple(itertools.islice(self.walk(), (2 * radius + 1) ** self.rank))
         return Window(f"box({radius})", pts)
 
@@ -624,7 +602,7 @@ class EnumeratedGroup(Group):
 
     def element_at(self, pos):
         if type(pos) is not int or pos < 1:
-            pos = _position(pos)
+            pos = int(_require_int("enumeration position", pos, 1))
         return pos - 1
 
     def position_of(self, a):
@@ -637,9 +615,7 @@ class EnumeratedGroup(Group):
             v = int(token)
         except ValueError:
             raise InputError(f"bad element index {token!r}") from None
-        if v < 0:
-            raise InputError("element index must be >= 0")
-        return v
+        return _require_int("element index", v, 0)
 
     def format(self, a):
         return str(a)

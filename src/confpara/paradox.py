@@ -220,9 +220,7 @@ def verify_paradoxical(dec, window, index_bound):
     O(window x index_bound).  Each side's check is picked once per call, and
     the index scan is one loop with the translator inverses cached, so a
     probe costs the action, the classifier and its index check."""
-    if index_bound < 1:
-        raise InputError("index bound must be >= 1")
-    _require_int("index bound", index_bound)
+    _require_int("index bound", index_bound, 1)
     failure_a, failure_b = (
         _cover_failure(dec.action, name, fam, translator, cover, index_bound)
         for name, fam, translator, cover, _range in dec.sides()
@@ -258,9 +256,7 @@ class EquidecompositionWitness:
 def verify_equidecomposable(source, target, witness, action, window, index_bound):
     """Check on the window that the witness pieces tile ``source`` and their
     translates tile ``target`` (membership predicates, not point lists)."""
-    if index_bound < 1:
-        raise InputError("index bound must be >= 1")
-    _require_int("index bound", index_bound)
+    _require_int("index bound", index_bound, 1)
     act = action.act
     fam = witness.pieces
     failure = _cover_failure(
@@ -564,9 +560,7 @@ def compress_translators(dec, index_bound=200):
     """Merge pieces sharing a translator.  Needs both translator maps to
     have finite range, declared or detected by scanning up to the bound;
     otherwise reports not-compressible-within-bound."""
-    if index_bound < 4:
-        raise InputError("detection bound must be >= 4")
-    _require_int("detection bound", index_bound)
+    _require_int("detection bound", index_bound, 4)
     ranges, hows = zip(*(
         _detect_range(translator, fam.size, declared, index_bound)
         for _name, fam, translator, _cover, declared in dec.sides()

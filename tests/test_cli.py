@@ -647,6 +647,25 @@ def test_recover_non_matching_pair_is_refuted(files, capsys):
     assert doc["payload"]["reason"]
 
 
+def test_recover_refutes_a_pair_with_more_configurations_than_elements(tmp_path, capsys):
+    pair = write_manifest(tmp_path, "pair.json", "pair", {
+        "action": {"kind": "left-translation", "group": {"family": "cyclic", "order": 4}},
+        "tuple": ["0"],
+        "partition": {"kind": "blocks", "blocks": [["0"], ["1"], ["2"], ["3"]]},
+    })
+    code, doc, _ = run_json(capsys, ["recover", pair], "report")
+    assert code == 2
+    assert doc["payload"] == {"status": "refuted",
+                              "reason": "expected 1 distinct configurations, found 4"}
+
+
+def test_recover_refuses_a_countable_pair(capsys):
+    code, stdout, stderr = run(capsys, ["recover", str(FIXTURES / "pair_z_residue2.json")])
+    assert code == 4
+    assert stdout == ""
+    assert stderr == "error: recovery runs on finite instances\n"
+
+
 def test_recover_text_format(files, capsys):
     code, stdout, _ = run(
         capsys, ["recover", files["pair_z4"], "--format", "text"]

@@ -394,7 +394,7 @@ def test_split_and_merge_refuse_bool_indices():
 def test_split_and_merge_keep_their_range_messages():
     act, pair, split = split_fixture(2, (1,), 1)
     for bad in (0, 3):
-        with pytest.raises(InputError, match=f"^block index {bad} out of range 1..2$"):
+        with pytest.raises(InputError, match="^block index must be between 1 and 2$"):
             singleton_split(act, pair, bad)
     with pytest.raises(InputError, match="^cutoff must be >= 1$"):
         merge_blocks(split.pair, 0)
@@ -499,11 +499,12 @@ def test_default_cap_env(monkeypatch):
 
 def test_equiv_refusals(monkeypatch):
     z2 = LeftTranslation(cyclic(2))
-    for n, m in [(0, 1), (1, 0)]:
-        with pytest.raises(InputError, match="^bounds must be >= 1$"):
+    for n, m, what in [(0, 1, "tuple length n"), (1, 0, "block count m")]:
+        with pytest.raises(InputError, match=f"^{what} must be >= 1$"):
             config_equiv_bounded(z2, z2, n, m)
-    for n, m in [(True, 2), (2, True), (2.0, 2)]:
-        with pytest.raises(InputError, match="^bounds must be integers, got "):
+    for n, m, what in [(True, 2, "tuple length n"), (2, True, "block count m"),
+                       (2.0, 2, "tuple length n")]:
+        with pytest.raises(InputError, match=f"^{what} must be an integer, got "):
             config_equiv_bounded(z2, z2, n, m)
     with pytest.raises(InputError, match="^bounded equivalence compares finite actions$"):
         config_equiv_bounded(z2, LeftTranslation(FreeAbelianGroup(1)), 1, 1)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from confpara import codec
-from confpara.actions import TrivialAction
+from confpara import configurations as cf
+from confpara.actions import LeftTranslation, ProductAction, TrivialAction
 from confpara.catalog import alternating4, cyclic, dihedral, fixture_groups, quaternion8, symmetric
 from confpara.errors import InputError, PreconditionError, UnsupportedOperationError
 from confpara.groups import (
@@ -28,7 +29,12 @@ from confpara.groups import (
     quotient_group,
     subgroups,
 )
-from confpara.paradox import singleton_decomposition, verify_paradoxical
+from confpara.paradox import (
+    compress_translators,
+    singleton_decomposition,
+    verify_equidecomposable,
+    verify_paradoxical,
+)
 
 FIXTURES = fixture_groups()
 
@@ -423,7 +429,7 @@ def test_windows_walk_the_enumeration_without_unranking(make, build):
     (lambda: cyclic(4).prefix_window(5),
      "prefix window of 5 elements is longer than Z4, of order 4"),
     (lambda: FreeAbelianGroup(0), "free-abelian rank must be >= 1"),
-    (lambda: FreeGroup(2).generator(3), "generator index 3 out of range"),
+    (lambda: FreeGroup(2).generator(3), "generator index must be between 1 and 2"),
 ], ids=["free-at-0", "z-at-0", "z2-at-0", "free-unreduced", "z2-short", "z-bool",
         "z-float", "z-tuple", "z2-bool-coordinate", "free-bool-letter", "table-bool",
         "ball-negative", "box-negative", "free-prefix-negative", "z2-prefix-negative",
@@ -463,7 +469,7 @@ def test_element_at_keeps_int_subclasses_and_range_messages(name):
     with pytest.raises(InputError) as exc:
         group.element_at(Index(0))
     if group.is_finite:
-        assert str(exc.value) == f"enumeration position 0 out of range 1..{group.order()}"
+        assert str(exc.value) == f"enumeration position must be between 1 and {group.order()}"
     else:
         assert str(exc.value) == "enumeration position must be >= 1"
 
@@ -480,35 +486,80 @@ def test_element_at_keeps_int_subclasses_and_range_messages(name):
     (lambda v: verify_paradoxical(singleton_decomposition(FreeAbelianGroup(1)),
                                   FreeAbelianGroup(1).box(2), v),
      "index bound must be an integer, got {v!r}"),
+    # the bound is checked before any other argument is read
+    (lambda v: verify_equidecomposable(None, None, None, None, None, v),
+     "index bound must be an integer, got {v!r}"),
+    (lambda v: compress_translators(singleton_decomposition(FreeAbelianGroup(1)), v),
+     "detection bound must be an integer, got {v!r}"),
+    (lambda v: CayleyTableGroup(((0, 1), (1, 0)), v), "identity index must be an integer, got {v!r}"),
+    (lambda v: ProductAction(LeftTranslation(cyclic(2)), 3).window({"all": True, "indices": [v, 1]}),
+     "first product index must be an integer, got {v!r}"),
+    (lambda v: ProductAction(LeftTranslation(cyclic(2))).window({"all": True, "indices": [0, v]}),
+     "last product index must be an integer, got {v!r}"),
+    (lambda v: cf.countable_config_prefixes(
+        LeftTranslation(cyclic(4)), cf.ConfigPair((0, 1), cf.Partition.explicit([[0, 2], [1, 3]])),
+        v, cyclic(4).all_window()),
+     "depth must be an integer, got {v!r}"),
+    (lambda v: cf.singleton_split(
+        None, cf.CountablePair(lambda i: 0, cf.Partition.classifier(lambda x: 1, 2)), v),
+     "block index must be an integer, got {v!r}"),
+    (lambda v: cf.merge_blocks(cf.CountablePair(lambda i: 0, cf.Partition.explicit([[0]])), v),
+     "cutoff must be an integer, got {v!r}"),
+    (lambda v: cf.config_equiv_bounded(None, None, v, 2), "tuple length n must be an integer, got {v!r}"),
+    (lambda v: cf.config_equiv_bounded(None, None, 2, v), "block count m must be an integer, got {v!r}"),
 ], ids=["ball", "box", "prefix-window", "trivial-prefix", "free-rank", "free-generator",
-        "free-abelian-rank", "index-bound"])
-@pytest.mark.parametrize("v", [True, 2.5], ids=["bool", "float"])
+        "free-abelian-rank", "index-bound", "equidecomposition-index-bound", "detection-bound",
+        "identity-index", "first-product-index", "last-product-index", "depth", "block-index",
+        "cutoff", "equiv-n", "equiv-m"])
+@pytest.mark.parametrize("v", [True, 2.5, "2", -1.5], ids=["bool", "float", "str", "negative-float"])
 def test_every_integer_argument_refuses_a_non_int(call, message, v):
     with pytest.raises(InputError) as exc:
         call(v)
     assert str(exc.value) == message.format(v=v)
 
 
-def _bool_checks(node, where=None):
-    """The enclosing function's name (None at module level) of each
-    ``isinstance`` call under ``node`` whose class argument names bool."""
+def _call_sites(node, matches, where=None):
+    """The enclosing function's name (None at module level) of each call
+    under ``node`` to a plain name for which ``matches(call)`` holds."""
     for child in ast.iter_child_nodes(node):
-        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                and child.func.id == "isinstance" and len(child.args) == 2
-                and any(isinstance(n, ast.Name) and n.id == "bool"
-                        for n in ast.walk(child.args[1]))):
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and matches(child):
             yield where
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
-        yield from _bool_checks(child, inner)
+        yield from _call_sites(child, matches, inner)
+
+
+def _package_call_sites(matches):
+    """(file name, enclosing function) of each matching call in the package."""
+    package = Path(__file__).resolve().parent.parent / "src" / "confpara"
+    return [(path.name, where) for path in sorted(package.glob("*.py"))
+            for where in _call_sites(ast.parse(path.read_text(encoding="utf-8")), matches)]
+
+
+def _tests_for_a_bool(call):
+    return (call.func.id == "isinstance" and len(call.args) == 2
+            and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(call.args[1])))
 
 
 def test_only_is_int_and_as_bool_test_for_a_bool():
     # the integer rule lives in groups._is_int alone; schemas._as_bool
     # takes a JSON boolean
-    package = Path(__file__).resolve().parent.parent / "src" / "confpara"
-    sites = [(path.name, where) for path in sorted(package.glob("*.py"))
-             for where in _bool_checks(ast.parse(path.read_text(encoding="utf-8")))]
-    assert sites == [("groups.py", "_is_int"), ("schemas.py", "_as_bool")]
+    assert _package_call_sites(_tests_for_a_bool) == [
+        ("groups.py", "_is_int"), ("schemas.py", "_as_bool")]
+
+
+def _words_an_integer_argument(call):
+    words = ("must be an integer", "must be >=", "must be between")
+    return call.func.id == "InputError" and any(
+        isinstance(n, ast.Constant) and isinstance(n.value, str) and any(w in n.value for w in words)
+        for arg in call.args for n in ast.walk(arg))
+
+
+def test_only_require_int_words_an_integer_argument_refusal():
+    # one wording per failure kind, type first and then range; the one other
+    # site parses the CONFPARA_CAP string before handing it to the gate
+    assert _package_call_sites(_words_an_integer_argument) == [
+        ("configurations.py", "default_partition_cap"),
+        ("groups.py", "_require_int"), ("groups.py", "_require_int"), ("groups.py", "_require_int")]
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,22 @@ def test_table_from_configurations_rejects_non_canonical():
         table_from_configurations(act, bad)
 
 
+@pytest.mark.parametrize("elements,configs,message", [
+    ((0,), None, "expected 1 distinct configurations, found 4"),
+    ((0,), {(1, 2, 3)}, "configuration (1, 2, 3) has length 3, expected 2"),
+    ((0, 1), {(1, 1, 2), (1, 2, 1)}, "two configurations share the base block 1"),
+    ((0, 1), {(1, 1, 2), (3, 2, 1)}, "configuration base blocks do not enumerate every index"),
+], ids=["count", "length", "shared-base", "base-gap"])
+def test_table_from_configurations_refuses_a_set_that_is_no_canonical_family(
+        elements, configs, message):
+    # computed on every point (four singletons, one element: four sets) or given
+    act = LeftTranslation(cyclic(4))
+    pair = ConfigPair(elements, Partition.explicit([[0], [1], [2], [3]]))
+    with pytest.raises(PreconditionError) as exc:
+        table_from_configurations(act, pair, configs)
+    assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # recovery
 
