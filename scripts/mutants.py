@@ -205,7 +205,7 @@ MUTANTS = (
     Mutant(
         "claimed-check-trusts-the-other-claimant",
         "src/confpara/paradox.py",
-        "            if classify(act(t, x)) == other:\n",
+        "            if fam.classify_checked(act(t, x)) == other:\n",
         "            if True:\n",
         ("tests/test_paradox.py::test_wrong_claimants_are_malformed",),
     ),
@@ -214,10 +214,10 @@ MUTANTS = (
         "src/confpara/paradox.py",
         "    def scanned(x):\n"
         "        i = cover(x)\n"
-        "        if not (type(i) is int and 0 < i and (size is None or i <= size)):\n",
+        "        if not (type(i) is int and 0 < i <= top):\n",
         "    def scanned(x):\n"
         "        i = cover(x)\n"
-        "        if not (type(i) is int and 0 < i and (size is None or i <= size + 1)):\n",
+        "        if not (type(i) is int and 0 < i <= top + 1):\n",
         ("tests/test_paradox.py::test_refinement_keeps_the_parent_cover_contract",),
     ),
     Mutant(
@@ -225,11 +225,65 @@ MUTANTS = (
         "src/confpara/paradox.py",
         "    def claimed(x):\n"
         "        i = cover(x)\n"
-        "        if not (type(i) is int and 0 < i and (size is None or i <= size)):\n",
+        "        if not (type(i) is int and 0 < i <= top):\n",
         "    def claimed(x):\n"
         "        i = cover(x)\n"
-        "        if not (type(i) is int and 0 < i and (size is None or i <= size + 1)):\n",
+        "        if not (type(i) is int and 0 < i <= top + 1):\n",
         ("tests/test_paradox.py::test_refinement_keeps_the_parent_cover_contract",),
+    ),
+    Mutant(
+        "claimed-check-skips-claimants-for-f2-points",
+        "src/confpara/paradox.py",
+        "        named = claimants(x)\n",
+        "        if isinstance(x, tuple):  # a free-group word\n"
+        "            return None\n"
+        "        named = claimants(x)\n",
+        ("tests/test_paradox.py::test_claimants_cost_two_acts_covers_and_claimants_per_point",),
+    ),
+    # the index checks written where the verifier reads a classifier answer
+    Mutant(
+        "partition-check-takes-index-0",
+        "src/confpara/paradox.py",
+        "        if ia is not None and not (type(ia) is int and 0 < ia <= top_a):\n",
+        "        if ia is not None and not (type(ia) is int and 0 <= ia <= top_a):\n",
+        ("tests/test_paradox.py::test_a_malformed_answer_is_refused_at_the_partition_check",),
+    ),
+    Mutant(
+        "claimed-membership-probe-takes-a-bool",
+        "src/confpara/paradox.py",
+        "        if c is not None and not (type(c) is int and 0 < c <= top):\n"
+        "            c = _checked_index(\"classifier\", c, size)\n"
+        "        if c != i:\n"
+        "            return f\"{side}-cover-membership\", {\"index\": i}\n"
+        "        named = claimants(x)\n",
+        "        if c is not None and not (0 < c <= top):\n"
+        "            c = _checked_index(\"classifier\", c, size)\n"
+        "        if c != i:\n"
+        "            return f\"{side}-cover-membership\", {\"index\": i}\n"
+        "        named = claimants(x)\n",
+        ("tests/test_paradox.py::test_a_malformed_answer_is_refused_at_the_membership_probe",),
+    ),
+    Mutant(
+        "scanned-membership-probe-one-past-the-size",
+        "src/confpara/paradox.py",
+        "        if c is not None and not (type(c) is int and 0 < c <= top):\n"
+        "            c = _checked_index(\"classifier\", c, size)\n"
+        "        if c != i:\n"
+        "            return f\"{side}-cover-membership\", {\"index\": i}\n"
+        "        for j in range(1, limit + 1):\n",
+        "        if c is not None and not (type(c) is int and 0 < c <= top + 1):\n"
+        "            c = _checked_index(\"classifier\", c, size)\n"
+        "        if c != i:\n"
+        "            return f\"{side}-cover-membership\", {\"index\": i}\n"
+        "        for j in range(1, limit + 1):\n",
+        ("tests/test_paradox.py::test_a_malformed_answer_is_refused_at_the_membership_probe",),
+    ),
+    Mutant(
+        "index-scan-takes-index-0",
+        "src/confpara/paradox.py",
+        "            if c is not None and not (type(c) is int and 0 < c <= top):\n",
+        "            if c is not None and not (type(c) is int and 0 <= c <= top):\n",
+        ("tests/test_paradox.py::test_a_malformed_answer_is_refused_inside_the_index_scan",),
     ),
     Mutant(
         "piece-ranks-count-from-0",

@@ -907,6 +907,8 @@ def config_equiv_bounded(action1, action2, n, m, cap=None):
     families are equal."""
     _require_int("tuple length n", n, 1)
     _require_int("block count m", m, 1)
+    if cap is not None:
+        _require_int("cap", cap, 1)
     for a in (action1, action2):
         if not a.is_finite_points:
             raise InputError("bounded equivalence compares finite actions")

@@ -19,6 +19,7 @@ Flattened double indices use the Cantor pairing on 0-based components.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -31,6 +32,11 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .groups import FreeAbelianGroup, FreeGroup, Group, _is_int, _require_int
+
+# The inline index check's upper end for a countable family: a larger index
+# goes to ``_checked_index``, which passes it.
+_INLINE_TOP = sys.maxsize
+_MISSING = object()  # a translator-inverse cache miss; no inverse is this object
 
 
 def _checked_index(who, i, size):
@@ -66,7 +72,8 @@ class PieceFamily:
     def classify_checked(self, x):
         i = self.classifier(x)
         # the common case without a call; anything else, bools included,
-        # goes through _checked_index
+        # goes through _checked_index.  verify_paradoxical and
+        # _cover_failure write this test inline where they read an answer
         if i is None or type(i) is int and 0 < i and (self.size is None or i <= self.size):
             return i
         return _checked_index("classifier", i, self.size)
@@ -146,45 +153,58 @@ def _cover_failure(action, side, fam, translator, cover, index_bound):
     at the smallest claimant other than the cover's index, rechecked against
     the classifier; other families are probed index by index."""
     act, inv = action.act, action.group.inv
-    size, classify, claimants = fam.size, fam.classify_checked, fam.claimants
+    size, classify, claimants = fam.size, fam.classifier, fam.claimants
+    top = _INLINE_TOP if size is None else size
     cover_name = f"{side}-cover"
     limit = index_bound if size is None else min(index_bound, size)
     inverses = {}
 
     # Both checks open with the same cover-membership test, written out in
     # each: a shared helper costs a call per side and point, about 5% of
-    # ``f2-standard``.
+    # ``f2-standard``.  The cover's index, and every classifier answer of
+    # the membership probe and the index scan, is checked against the index
+    # contract where it is read: None or a plain int in 1..top passes
+    # inline, and anything else goes to ``_checked_index``, which raises
+    # (or passes an index of a countable family above ``_INLINE_TOP``).
+    # The translator inverses are cached with ``dict.get``, so a miss,
+    # which a singleton family meets at every point, raises nothing.
 
     def scanned(x):
         i = cover(x)
-        if not (type(i) is int and 0 < i and (size is None or i <= size)):
+        if not (type(i) is int and 0 < i <= top):
             i = _checked_index(cover_name, i, size)
-        try:
-            t = inverses[i]
-        except KeyError:
+        t = inverses.get(i, _MISSING)
+        if t is _MISSING:
             t = inverses[i] = inv(translator(i))
-        if classify(act(t, x)) != i:
+        c = classify(act(t, x))
+        if c is not None and not (type(c) is int and 0 < c <= top):
+            c = _checked_index("classifier", c, size)
+        if c != i:
             return f"{side}-cover-membership", {"index": i}
         for j in range(1, limit + 1):
             if j == i:
                 continue
-            try:
-                t = inverses[j]
-            except KeyError:
+            t = inverses.get(j, _MISSING)
+            if t is _MISSING:
                 t = inverses[j] = inv(translator(j))
-            if classify(act(t, x)) == j:
+            c = classify(act(t, x))
+            if c is not None and not (type(c) is int and 0 < c <= top):
+                c = _checked_index("classifier", c, size)
+            if c == j:
                 return f"{side}-cover-uniqueness", {"index": i, "other": j}
         return None
 
     def claimed(x):
         i = cover(x)
-        if not (type(i) is int and 0 < i and (size is None or i <= size)):
+        if not (type(i) is int and 0 < i <= top):
             i = _checked_index(cover_name, i, size)
-        try:
-            t = inverses[i]
-        except KeyError:
+        t = inverses.get(i, _MISSING)
+        if t is _MISSING:
             t = inverses[i] = inv(translator(i))
-        if classify(act(t, x)) != i:
+        c = classify(act(t, x))
+        if c is not None and not (type(c) is int and 0 < c <= top):
+            c = _checked_index("classifier", c, size)
+        if c != i:
             return f"{side}-cover-membership", {"index": i}
         named = claimants(x)
         if named == (i,):
@@ -193,11 +213,10 @@ def _cover_failure(action, side, fam, translator, cover, index_bound):
             other = min((j for j in named if j != i and j <= limit), default=None)
             if other is None:
                 return None
-            try:
-                t = inverses[other]
-            except KeyError:
+            t = inverses.get(other, _MISSING)
+            if t is _MISSING:
                 t = inverses[other] = inv(translator(other))
-            if classify(act(t, x)) == other:
+            if fam.classify_checked(act(t, x)) == other:
                 return f"{side}-cover-uniqueness", {"index": i, "other": other}
         raise MalformedOracleError(
             f"{side}-claimants {tuple(named)!r} of {x!r} disagree with "
@@ -219,18 +238,32 @@ def verify_paradoxical(dec, window, index_bound):
     claimants add one rank lookup per parent piece), else
     O(window x index_bound).  Each side's check is picked once per call, and
     the index scan is one loop with the translator inverses cached, so a
-    probe costs the action, the classifier and its index check."""
+    probe costs the action, the classifier and its index check.
+
+    The classifiers are called directly, and each answer is checked against
+    the index contract where it is read: here for the partition check, in
+    ``_cover_failure`` for the membership probe and the index scan.  None or
+    a plain int in 1..size passes inline; anything else goes to
+    ``_checked_index``, so a malformed answer raises the same
+    ``MalformedOracleError`` as ``PieceFamily.classify_checked``."""
     _require_int("index bound", index_bound, 1)
     failure_a, failure_b = (
         _cover_failure(dec.action, name, fam, translator, cover, index_bound)
         for name, fam, translator, cover, _range in dec.sides()
     )
-    classify_a, classify_b = dec.a_pieces.classify_checked, dec.b_pieces.classify_checked
+    classify_a, size_a = dec.a_pieces.classifier, dec.a_pieces.size
+    classify_b, size_b = dec.b_pieces.classifier, dec.b_pieces.size
+    top_a = _INLINE_TOP if size_a is None else size_a
+    top_b = _INLINE_TOP if size_b is None else size_b
     checked = 0
     for x in window.points:
         checked += 1
         ia = classify_a(x)
+        if ia is not None and not (type(ia) is int and 0 < ia <= top_a):
+            ia = _checked_index("classifier", ia, size_a)
         ib = classify_b(x)
+        if ib is not None and not (type(ib) is int and 0 < ib <= top_b):
+            ib = _checked_index("classifier", ib, size_b)
         if (ia is None) == (ib is None):
             return _refuted(
                 window, index_bound, checked, x, "combined-partition",

@@ -35,7 +35,7 @@ from .configurations import (
     windowed_configuration_set,
 )
 from .errors import InputError, PreconditionError, ResourceCapExceeded
-from .groups import Window, _cosets, quotient_group
+from .groups import Window, _cosets, _require_int, quotient_group
 
 
 @dataclass(frozen=True)
@@ -448,6 +448,7 @@ def q_group_refinement_check(group, family, cap=200_000):
     Cost: the normality and subgroup checks of F_1 and one |F_1|-element
     coset per coset, all table reads; no quotient group is built, so no
     quotient table, labels or second table validation."""
+    _require_int("cap", cap, 1)
     group.order()  # an infinite group raises here, whatever |F_1| is
     f1 = family.subgroup
     if len(f1) == 1:

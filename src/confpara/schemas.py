@@ -492,6 +492,7 @@ def _explicit_side(f, group, side, path):
     if cover_name != "scan":
         _fail(f"unknown cover oracle {cover_name!r}", f"{path}/{side}-cover")
     n = len(members)
+    inverses = [group.inv(t) for t in translators]
 
     def classifier(x):
         hits = [i for i in range(1, n + 1) if members[i - 1](x)]
@@ -507,8 +508,8 @@ def _explicit_side(f, group, side, path):
         return translators[i - 1]
 
     def cover(x):
-        for i in range(1, n + 1):
-            if members[i - 1](group.mul(group.inv(translators[i - 1]), x)):
+        for i, (member, t_inv) in enumerate(zip(members, inverses), start=1):
+            if member(group.mul(t_inv, x)):
                 return i
         return 1  # no translate contains x; membership check refutes honestly
 

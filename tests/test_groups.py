@@ -35,6 +35,7 @@ from confpara.paradox import (
     verify_equidecomposable,
     verify_paradoxical,
 )
+from confpara.reconstruction import q_group_refinement_check
 
 FIXTURES = fixture_groups()
 
@@ -507,10 +508,12 @@ def test_element_at_keeps_int_subclasses_and_range_messages(name):
      "cutoff must be an integer, got {v!r}"),
     (lambda v: cf.config_equiv_bounded(None, None, v, 2), "tuple length n must be an integer, got {v!r}"),
     (lambda v: cf.config_equiv_bounded(None, None, 2, v), "block count m must be an integer, got {v!r}"),
+    (lambda v: cf.config_equiv_bounded(None, None, 2, 2, cap=v), "cap must be an integer, got {v!r}"),
+    (lambda v: q_group_refinement_check(None, None, v), "cap must be an integer, got {v!r}"),
 ], ids=["ball", "box", "prefix-window", "trivial-prefix", "free-rank", "free-generator",
         "free-abelian-rank", "index-bound", "equidecomposition-index-bound", "detection-bound",
         "identity-index", "first-product-index", "last-product-index", "depth", "block-index",
-        "cutoff", "equiv-n", "equiv-m"])
+        "cutoff", "equiv-n", "equiv-m", "equiv-cap", "refinement-cap"])
 @pytest.mark.parametrize("v", [True, 2.5, "2", -1.5], ids=["bool", "float", "str", "negative-float"])
 def test_every_integer_argument_refuses_a_non_int(call, message, v):
     with pytest.raises(InputError) as exc:

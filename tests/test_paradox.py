@@ -1273,6 +1273,58 @@ def test_a_classifier_returning_true_names_piece_1():
         verify_paradoxical(truthy, fwin(3), 2)
 
 
+MALFORMED_ANSWERS = pytest.mark.parametrize("bad, message", [
+    (0, "classifier returned bad index 0"),
+    (True, "classifier returned bad index True"),
+    (3, "classifier returned index 3 beyond the family size 2"),
+], ids=["zero", "true", "size-plus-one"])
+
+
+def planted(dec, point, bad):
+    """``dec`` with the a-classifier answering ``bad`` at ``point``; the
+    claimants, which read the first letter, stay exact elsewhere."""
+    base = dec.a_pieces.classifier
+    return dataclasses.replace(dec, a_pieces=dataclasses.replace(
+        dec.a_pieces, classifier=lambda w: bad if w == point else base(w)))
+
+
+@MALFORMED_ANSWERS
+def test_a_malformed_answer_is_refused_at_the_partition_check(bad, message):
+    # b is read by the partition check alone: its a-cover names piece 2,
+    # whose preimage is a^-1 b, and ab, whose preimage it is, lies outside
+    # ball(1); a loosened check would refute b as a combined-partition failure
+    dec = f2_standard_decomposition(F2)
+    assert verify_paradoxical(dec, fwin(1), 2).verified
+    with pytest.raises(MalformedOracleError, match=f"^{message}$"):
+        verify_paradoxical(planted(dec, (2,), bad), fwin(1), 2)
+
+
+@MALFORMED_ANSWERS
+@pytest.mark.parametrize("claims", [True, False], ids=["claimants", "scan"])
+def test_a_malformed_answer_is_refused_at_the_membership_probe(claims, bad, message):
+    # a^-1 b lies outside ball(1); the a-cover names piece 2 at b, so the
+    # membership probe at b reads it first, before any index scan, and a
+    # loosened check would refute b as a membership failure
+    dec = f2_standard_decomposition(F2)
+    dec = dec if claims else scanned(dec)
+    assert (-1, 2) not in fwin(1).points
+    assert verify_paradoxical(dec, fwin(1), 2).verified
+    with pytest.raises(MalformedOracleError, match=f"^{message}$"):
+        verify_paradoxical(planted(dec, (-1, 2), bad), fwin(1), 2)
+
+
+@MALFORMED_ANSWERS
+def test_a_malformed_answer_is_refused_inside_the_index_scan(bad, message):
+    # a^-2 lies outside ball(1) and is the preimage of a^-1 under piece 2's
+    # translator; the a-cover names piece 1 at a^-1, so only the index scan
+    # reads it, and a loosened check would pass ball(1)
+    dec = scanned(f2_standard_decomposition(F2))
+    assert (-1, -1) not in fwin(1).points
+    assert verify_paradoxical(dec, fwin(1), 2).verified
+    with pytest.raises(MalformedOracleError, match=f"^{message}$"):
+        verify_paradoxical(planted(dec, (-1, -1), bad), fwin(1), 2)
+
+
 def test_equidecomposition_bound_and_source_checks():
     w = galileo_witness()
     action, window = LeftTranslation(Z), zwin(5)
