@@ -299,6 +299,36 @@ MUTANTS = (
         "            return (not self.exclude_neg_powers\n",
         ("tests/test_paradox.py::test_first_letter_members_match_their_definition",),
     ),
+    # the equivariance proof that lets the uniform glue carry claimants
+    Mutant(
+        "uniform-glue-ignores-the-proof",
+        "src/confpara/paradox.py",
+        "        carried = (proved_action is action and proved_coset_of is coset_of\n"
+        "                   and isinstance(dec.action, LeftTranslation))\n",
+        "        carried = isinstance(dec.action, LeftTranslation)\n",
+        ("tests/test_paradox.py::test_an_unproved_decoding_keeps_the_scan",),
+    ),
+    Mutant(
+        "uniform-glue-trusts-a-replaced-decoding",
+        "src/confpara/paradox.py",
+        "proved_action is action and proved_coset_of is coset_of\n",
+        "proved_action is action\n",
+        ("tests/test_paradox.py::test_an_unproved_decoding_keeps_the_scan",),
+    ),
+    Mutant(
+        "uniform-glue-ignores-the-inner-action",
+        "src/confpara/paradox.py",
+        "                   and isinstance(dec.action, LeftTranslation))\n",
+        "                   )\n",
+        ("tests/test_paradox.py::test_claimants_carry_over_left_translations_only",),
+    ),
+    Mutant(
+        "product-orbits-proved-over-any-base",
+        "src/confpara/paradox.py",
+        "    if isinstance(action.base, LeftTranslation):\n",
+        "    if True:\n",
+        ("tests/test_paradox.py::test_claimants_carry_over_left_translations_only",),
+    ),
     Mutant(
         "conjugate-skips-its-final-check",
         "src/confpara/configurations.py",

@@ -21,17 +21,14 @@ from .groups import (
 
 
 class Action:
+    """Common interface; concrete classes define ``act(g, x)`` and
+    ``parse_point``."""
+
     group: Group
     is_finite_points = False
 
-    def act(self, g, x):
-        raise NotImplementedError
-
     def points(self):
         raise UnsupportedOperationError("point set is not finite")
-
-    def parse_point(self, token):
-        raise NotImplementedError
 
     def format_point(self, x):
         return str(x)

@@ -89,23 +89,12 @@ class Window:
 
 
 class Group:
-    """Common interface; concrete classes fill in the element conventions."""
+    """Common interface; concrete classes fill in the element conventions
+    and define ``identity``, ``mul``, ``inv``, ``contains``, ``parse`` and
+    ``format``."""
 
     name = "group"
     is_finite = False
-
-    @property
-    def identity(self):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def contains(self, a):
-        raise NotImplementedError
 
     def order(self):
         raise UnsupportedOperationError(f"{self.name} is not finite")
@@ -113,12 +102,6 @@ class Group:
     def elements(self):
         """Canonically ordered tuple of all elements (finite groups only)."""
         raise UnsupportedOperationError(f"{self.name} is not finite")
-
-    def parse(self, token):
-        raise NotImplementedError
-
-    def format(self, a):
-        raise NotImplementedError
 
     def walk(self):
         """The canonical enumeration from position 1 on, as an iterator."""

@@ -233,9 +233,10 @@ def verify_paradoxical(dec, window, index_bound):
     ``index_bound``).  First failure in canonical window order wins.
 
     Cost: O(window) classifier calls when both families name their
-    claimants (singletons and their lifts, the free group's four pieces and
-    singleton refinements: four per point until a failure; a refinement's
-    claimants add one rank lookup per parent piece), else
+    claimants (singletons and their lifts, the free group's four pieces,
+    singleton refinements and the uniform glue of any of these over a
+    decoding proved equivariant: four per point until a failure; a
+    refinement's claimants add one rank lookup per parent piece), else
     O(window x index_bound).  Each side's check is picked once per call, and
     the index scan is one loop with the translator inverses cached, so a
     probe costs the action, the classifier and its index check.
@@ -740,7 +741,13 @@ def refine_to_singletons(dec):
 @dataclass
 class OrbitStructure:
     """Decodes points of an action into (orbit representative, group element)
-    under the trivial-stabilizer identification of each orbit with the group."""
+    under the trivial-stabilizer identification of each orbit with the group.
+
+    ``equivariant_for``, when set, is the (action, coset_of) pair for which
+    coset_of(act(g, x)) = g·coset_of(x) holds by construction.  Only the
+    two orbit-structure functions below set it; a consumer trusts it only
+    while both are the ones it holds, so a hand-built structure or one with
+    a replaced decoding carries no proof."""
 
     rep_of: Callable[[Any], Any]
     coset_of: Callable[[Any], Any]
@@ -748,14 +755,16 @@ class OrbitStructure:
     rep_index: Callable[[Any], int]  # 1-based position among representatives
     rep_at: Optional[Callable[[int], Any]] = None
     count: Optional[int] = None  # number of orbits; None means countably many
+    equivariant_for: Optional[tuple] = None
 
 
 def product_orbit_structure(action):
     """Orbits of a product action over a left-translation base: orbit i is
-    base x {i}, represented by (identity, i)."""
+    base x {i}, represented by (identity, i).  The decoding x -> x[0] is
+    equivariant, and proved so, when the base is a left translation."""
     group = action.group
     e = group.identity
-    return OrbitStructure(
+    orbits = OrbitStructure(
         rep_of=lambda x: (e, x[1]),
         coset_of=lambda x: x[0],
         point_of=lambda rep, g: (g, rep[1]),
@@ -763,12 +772,16 @@ def product_orbit_structure(action):
         rep_at=lambda pos: (e, pos - 1),
         count=action.index_count,
     )
+    if isinstance(action.base, LeftTranslation):
+        orbits.equivariant_for = (action, orbits.coset_of)
+    return orbits
 
 
-def transitive_orbit_structure(group):
-    """The single orbit of the left translation action."""
-    e = group.identity
-    return OrbitStructure(
+def transitive_orbit_structure(action):
+    """The single orbit of a left translation action: the group itself,
+    with the identity decoding, which is equivariant."""
+    e = action.group.identity
+    orbits = OrbitStructure(
         rep_of=lambda x: e,
         coset_of=lambda x: x,
         point_of=lambda rep, g: g,
@@ -776,6 +789,9 @@ def transitive_orbit_structure(group):
         rep_at=lambda pos: e,
         count=1,
     )
+    if isinstance(action, LeftTranslation):
+        orbits.equivariant_for = (action, orbits.coset_of)
+    return orbits
 
 
 def _validate_orbit_equivariance(action, orbits, rep, window, probes=3):
@@ -806,20 +822,75 @@ def _validate_orbit_equivariance(action, orbits, rep, window, probes=3):
 def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
                               validate_window=None, validate_reps=2,
                               validate_index_bound=40):
-    """Assemble per-orbit paradoxical decompositions into one decomposition
-    of the whole action.
+    """Assemble paradoxical decompositions of the group (``per_orbit(rep)``,
+    presented over the group by left translation) into one decomposition of
+    the whole free action.
 
-    ``uniform`` mode requires every orbit to use the same translators and
-    keeps the piece indices; ``independent`` mode pairs (piece, orbit) into
-    a single countable index family, each flattened piece keeping its own
-    orbit's translator.  When a validation window is supplied the first few
-    per-orbit decompositions are verified first, so a hopeless per-orbit
-    candidate (a fixed point's one-element orbit, say) is refused here."""
+    ``uniform`` mode carries one decomposition, ``per_orbit(rep_at(1))``,
+    along the orbits through the representatives (Tomkowicz & Wagon, *The
+    Banach-Tarski Paradox*, 2nd ed., 2016, ch. 1): x lies in piece
+    inner(coset_of(x)), covered by cover(coset_of(x)), under the inner
+    translators, so every orbit uses the same translators by construction.
+    When the decoding is proved equivariant (``equivariant_for`` names this
+    action and decoding) and the inner action is a left translation, the
+    inner claimants carry over too: j claims x iff
+    inner(coset_of(t_j^-1·x)) = inner(t_j^-1·coset_of(x)) = j iff j is an
+    inner claimant of coset_of(x).  Otherwise the glued families name none
+    and the verifier scans.
+
+    ``independent`` mode asks ``per_orbit`` for each orbit's own
+    decomposition and pairs (piece, orbit) into a single countable index
+    family, each flattened piece keeping its own orbit's translator.
+
+    When a validation window is supplied, the decompositions of the first
+    ``validate_reps`` orbits that exist (the one decomposition, in uniform
+    mode) are verified first, so a hopeless candidate (a fixed point's
+    one-element orbit, say) is refused here, and the decoding is checked to
+    commute with the action on each of those orbits."""
     if mode not in ("uniform", "independent"):
         raise InputError(f"unknown glue mode {mode!r}")
     if orbits.rep_at is None:
         raise InputError("glue needs rep_at on the orbit structure")
-    cache = {}
+    _require_int("validate reps", validate_reps, 0)
+    dec = per_orbit(orbits.rep_at(1)) if mode == "uniform" else None
+    cache = {}  # rep -> per_orbit(rep).sides(), in independent mode
+    if validate_window is not None:
+        last = validate_reps if orbits.count is None else min(validate_reps, orbits.count)
+        for pos in range(1, last + 1):
+            rep = orbits.rep_at(pos)
+            w = validate_window(rep)
+            if mode == "independent":
+                dec = per_orbit(rep)
+                cache[rep] = dec.sides()
+            if mode == "independent" or pos == 1:
+                verdict = verify_paradoxical(dec, w, validate_index_bound)
+                if not verdict.verified:
+                    raise PreconditionError(
+                        f"per-orbit decomposition refuted at representative {rep!r}: "
+                        f"{verdict.witness.equation} at {verdict.witness.point!r}; "
+                        "the orbit is not countably paradoxical"
+                    )
+            _validate_orbit_equivariance(action, orbits, rep, w)
+
+    if mode == "uniform":
+        coset_of = orbits.coset_of
+        proved_action, proved_coset_of = orbits.equivariant_for or (None, None)
+        carried = (proved_action is action and proved_coset_of is coset_of
+                   and isinstance(dec.action, LeftTranslation))
+
+        def uniform_side(_name, fam, translator, cover, translator_range):
+            inner, named = fam.classifier, fam.claimants
+            claimants = None if named is None or not carried else (
+                lambda x: named(coset_of(x))
+            )
+            family = PieceFamily(lambda x: inner(coset_of(x)), size=fam.size,
+                                 claimants=claimants)
+            return family, translator, lambda x: cover(coset_of(x)), translator_range
+
+        a, b = (uniform_side(*s) for s in dec.sides())
+        return _from_sides(action, a, b, "glue", mode="uniform")
+
+    identity = action.group.identity
 
     def sides(rep):
         """``per_orbit(rep).sides()``, built once: the oracles below read side
@@ -827,47 +898,6 @@ def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
         if rep not in cache:
             cache[rep] = per_orbit(rep).sides()
         return cache[rep]
-
-    if validate_window is not None:
-        for pos in range(1, validate_reps + 1):
-            rep = orbits.rep_at(pos)
-            w = validate_window(rep)
-            dec = per_orbit(rep)
-            cache[rep] = dec.sides()
-            verdict = verify_paradoxical(dec, w, validate_index_bound)
-            if not verdict.verified:
-                raise PreconditionError(
-                    f"per-orbit decomposition refuted at representative {rep!r}: "
-                    f"{verdict.witness.equation} at {verdict.witness.point!r}; "
-                    "the orbit is not countably paradoxical"
-                )
-            _validate_orbit_equivariance(action, orbits, rep, w)
-
-    if mode == "uniform":
-        def uniform_side(k, _name, fam, translator, _cover, translator_range):
-            """Each orbit's own pieces and cover on side k, under the
-            translators of the first orbit's decomposition."""
-
-            classifiers = {}  # rep -> its pieces' classifier, as ``cache`` grows
-
-            def classifier(x):
-                rep = orbits.rep_of(x)
-                try:
-                    inner = classifiers[rep]
-                except KeyError:
-                    inner = classifiers[rep] = sides(rep)[k][1].classifier
-                return inner(orbits.coset_of(x))
-
-            def glued_cover(x):
-                return sides(orbits.rep_of(x))[k][3](orbits.coset_of(x))
-
-            family = PieceFamily(classifier, size=fam.size)
-            return family, translator, glued_cover, translator_range
-
-        a, b = (uniform_side(k, *s) for k, s in enumerate(sides(orbits.rep_at(1))))
-        return _from_sides(action, a, b, "glue", mode="uniform")
-
-    identity = action.group.identity
 
     def independent_side(k, name):
         """Flat piece cantor_pair(i - 1, r - 1) + 1 is piece i of side k on

@@ -31,6 +31,8 @@ from confpara.groups import (
 )
 from confpara.paradox import (
     compress_translators,
+    glue_orbit_decompositions,
+    product_orbit_structure,
     singleton_decomposition,
     verify_equidecomposable,
     verify_paradoxical,
@@ -510,10 +512,14 @@ def test_element_at_keeps_int_subclasses_and_range_messages(name):
     (lambda v: cf.config_equiv_bounded(None, None, 2, v), "block count m must be an integer, got {v!r}"),
     (lambda v: cf.config_equiv_bounded(None, None, 2, 2, cap=v), "cap must be an integer, got {v!r}"),
     (lambda v: q_group_refinement_check(None, None, v), "cap must be an integer, got {v!r}"),
+    (lambda v, a=ProductAction(LeftTranslation(FreeAbelianGroup(1))): glue_orbit_decompositions(
+        a, product_orbit_structure(a), lambda rep: singleton_decomposition(a.group),
+        validate_reps=v),
+     "validate reps must be an integer, got {v!r}"),
 ], ids=["ball", "box", "prefix-window", "trivial-prefix", "free-rank", "free-generator",
         "free-abelian-rank", "index-bound", "equidecomposition-index-bound", "detection-bound",
         "identity-index", "first-product-index", "last-product-index", "depth", "block-index",
-        "cutoff", "equiv-n", "equiv-m", "equiv-cap", "refinement-cap"])
+        "cutoff", "equiv-n", "equiv-m", "equiv-cap", "refinement-cap", "glue-validate-reps"])
 @pytest.mark.parametrize("v", [True, 2.5, "2", -1.5], ids=["bool", "float", "str", "negative-float"])
 def test_every_integer_argument_refuses_a_non_int(call, message, v):
     with pytest.raises(InputError) as exc:

@@ -666,6 +666,19 @@ def test_independent_glue_of_finite_pieces_verifies(fixture, copies):
         assert sorted(asked) == [(F2.identity, r) for r in range(copies)]
 
 
+@pytest.mark.parametrize("mode", ["uniform", "independent"])
+def test_glue_validates_only_orbits_that_exist(mode):
+    # two representatives asked for, one copy: no decomposition or window is
+    # asked for the missing copy (0, 1)
+    action = ProductAction(LeftTranslation(Z), 1)
+    asked, windows = [], []
+    glue_orbit_decompositions(
+        action, product_orbit_structure(action),
+        lambda rep: asked.append(rep) or singleton_decomposition(Z), mode=mode,
+        validate_window=lambda rep: windows.append(rep) or Z.box(3), validate_reps=2)
+    assert asked == windows == [(0, 0)]
+
+
 def test_glue_argument_errors():
     action, orbits = product_setup()
     per = lambda rep: singleton_decomposition(Z)
@@ -691,13 +704,16 @@ def test_restriction_recovers_the_per_orbit_input():
 
 
 def test_transitive_orbit_structure_is_the_group_itself():
-    s = transitive_orbit_structure(Z)
+    action = LeftTranslation(Z)
+    s = transitive_orbit_structure(action)
     assert s.rep_of(5) == 0
     assert s.coset_of(5) == 5
     assert s.point_of(0, -3) == -3
     assert s.rep_index(0) == 1
     assert s.rep_at(1) == 0
     assert s.count == 1
+    assert s.equivariant_for == (action, s.coset_of)
+    assert transitive_orbit_structure(TrivialAction(Z, countable=True)).equivariant_for is None
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +741,8 @@ F2_FIRST_MEMBERS = {"a": ((), (-1, 2)), "b": ((2,), (-2,))}
 
 def claimed_decomposition(kind):
     """(decomposition, window by radius, member(side, j) of piece j); for
-    infinite pieces, one of their members, and for empty pieces the identity."""
+    infinite pieces, one of their members, and for empty pieces the identity.
+    The uniform glue's piece j holds member(side, j) in each of its copies."""
     if kind == "f2-standard":
         return (f2_standard_decomposition(F2), F2.ball,
                 lambda side, j: F2_FIRST_MEMBERS[side][j - 1] if j <= 2 else F2.identity)
@@ -739,6 +756,12 @@ def claimed_decomposition(kind):
             return next(w for w in map(F2.element_at, itertools.count(1)) if cl(w) == j)
 
         return dec, F2.ball, member
+    if kind == "glue-uniform":
+        action = ProductAction(LeftTranslation(Z), 3)
+        dec = glue_orbit_decompositions(action, product_orbit_structure(action),
+                                        lambda rep: singleton_decomposition(Z))
+        return (dec, lambda r: action.window({"box": r, "indices": [0, 2]}),
+                lambda side, j: singleton_member(Z, side, j))
     if kind in ("singleton-z", "singleton-z2"):
         group = Z if kind == "singleton-z" else Z2
         return (singleton_decomposition(group), group.box,
@@ -780,7 +803,7 @@ def reroute(dec, side, member, positions, last):
     the first (or last) rerouted piece whose translate holds x, else what it
     named before.  The claimants, if the side names any, probe the rerouted
     pieces directly."""
-    group = dec.action.group
+    group, act = dec.action.group, dec.action.act
     fam = getattr(dec, f"{side}_pieces")
     translator = getattr(dec, f"{side}_translator")
     cover = getattr(dec, f"{side}_cover")
@@ -794,7 +817,7 @@ def reroute(dec, side, member, positions, last):
     def hits(x):
         return [
             j for j in range(1, n + 1)
-            if fam.classifier(group.mul(group.inv(rerouted_translator(j)), x)) == j
+            if fam.classifier(act(group.inv(rerouted_translator(j)), x)) == j
         ]
 
     def rerouted_cover(x):
@@ -824,7 +847,7 @@ def outcome(dec, window, bound):
 @settings(max_examples=225, deadline=None)
 @given(
     kind=st.sampled_from(["singleton-z", "singleton-z2", "even-lift", "powers-lift",
-                          "f2-standard", "refined-f2"]),
+                          "f2-standard", "refined-f2", "glue-uniform"]),
     radius=st.integers(0, 30),
     bound=st.one_of(st.integers(1, 14), st.integers(15, 120)),
     mutation=st.sampled_from(
@@ -837,6 +860,8 @@ def test_member_table_verdicts_match_the_scan(kind, radius, bound, mutation, sid
     dec, box, member = claimed_decomposition(kind)
     if kind == "singleton-z2":
         radius %= 5
+    elif kind == "glue-uniform":
+        radius %= 12
     elif kind in F2_KINDS:
         radius %= 4
     window = box(radius)
@@ -962,7 +987,8 @@ def counted(dec):
 
 @pytest.mark.parametrize("bound", [50, 500])
 @pytest.mark.parametrize(
-    "kind", ["singleton-z", "even-lift", "powers-lift", "f2-standard", "refined-f2"]
+    "kind",
+    ["singleton-z", "even-lift", "powers-lift", "f2-standard", "refined-f2", "glue-uniform"],
 )
 def test_claimants_cost_four_classifier_calls_per_point(kind, bound):
     # two partition calls and one cover-preimage probe per side, whatever
@@ -1001,7 +1027,8 @@ def counted_oracles(dec):
 
 
 @pytest.mark.parametrize(
-    "kind", ["singleton-z", "even-lift", "powers-lift", "f2-standard", "refined-f2"]
+    "kind",
+    ["singleton-z", "even-lift", "powers-lift", "f2-standard", "refined-f2", "glue-uniform"],
 )
 def test_claimants_cost_two_acts_covers_and_claimants_per_point(kind):
     # one cover call, one act on the cover's preimage and one claimants call
@@ -1123,8 +1150,10 @@ def first_member(dec):
 
 
 def reference_case(kind):
-    """(decomposition, window by radius, member(side, j) or None when the
-    action is not a left translation)."""
+    """(decomposition, window by radius, member(side, j) of piece j, or None
+    for the independent glue, whose flat pieces have no member rule here).
+    A uniform glue's member is its inner piece's, which the piece holds in
+    every copy."""
     if kind in ("f2-standard", "f2-explicit", "refined-f2", "refined-explicit"):
         dec = explicit_f2() if kind.endswith("explicit") else f2_standard_decomposition(F2)
         if kind.startswith("refined"):
@@ -1132,17 +1161,18 @@ def reference_case(kind):
         return dec, F2.ball, first_member(dec)
     if kind == "glue-f2-uniform":
         action = ProductAction(LeftTranslation(F2), 2)
-        per_orbit, window = (lambda rep: f2_standard_decomposition(F2)), (
+        inner, window = f2_standard_decomposition(F2), (
             lambda r: action.window({"ball": r, "indices": [0, 1]}))
-        mode = "uniform"
+        mode, member = "uniform", first_member(inner)
     else:
         action = ProductAction(LeftTranslation(Z))
-        per_orbit, window = (lambda rep: singleton_decomposition(Z)), (
+        inner, window = singleton_decomposition(Z), (
             lambda r: action.window({"box": r, "indices": [0, 2]}))
         mode = kind.split("-")[-1]
-    dec = glue_orbit_decompositions(action, product_orbit_structure(action), per_orbit,
-                                    mode=mode)
-    return dec, window, None
+        member = (lambda side, j: singleton_member(Z, side, j)) if mode == "uniform" else None
+    dec = glue_orbit_decompositions(action, product_orbit_structure(action),
+                                    lambda rep: inner, mode=mode)
+    return dec, window, member
 
 
 def reference_outcome(verify, *args):
@@ -1225,19 +1255,32 @@ def test_f2_side_oracles_agree_with_the_explicit_twin():
             assert fam.claimants(w) == (cover(w),)
 
 
-def test_uniform_glue_reads_each_orbits_own_classifier():
-    # copy 1 swaps the a-pieces of copy 0; the glued classifier, asked in
-    # alternating copies, answers each copy's own
+def test_uniform_glue_carries_one_decomposition_to_every_copy():
+    # per_orbit is asked once, for the first representative, even with three
+    # copies validated; the decomposition it offers for the other copies
+    # (their a-pieces swapped) is never read, and every copy answers with the
+    # first one's classifier, cover and claimants under its translators
     dec = f2_standard_decomposition(F2)
     base = dec.a_pieces.classifier
     swapped = dataclasses.replace(dec, a_pieces=dataclasses.replace(
         dec.a_pieces, classifier=lambda w: {1: 2, 2: 1}.get(base(w))))
-    action = ProductAction(LeftTranslation(F2), 2)
-    glued = glue_orbit_decompositions(action, product_orbit_structure(action),
-                                      lambda rep: swapped if rep[1] else dec, mode="uniform")
-    for w in F2.ball(2).points:
-        for r, inner in ((0, dec), (1, swapped)):
-            assert glued.a_pieces.classifier((w, r)) == inner.a_pieces.classifier(w)
+    action = ProductAction(LeftTranslation(F2), 3)
+    orbits = product_orbit_structure(action)
+    asked = []
+    glued = glue_orbit_decompositions(
+        action, orbits, lambda rep: asked.append(rep) or (swapped if rep[1] else dec),
+        mode="uniform", validate_window=lambda rep: fwin(1), validate_reps=3)
+    assert asked == [orbits.rep_at(1)]
+    for side in "ab":
+        fam, glued_fam = getattr(dec, f"{side}_pieces"), getattr(glued, f"{side}_pieces")
+        cover, glued_cover = getattr(dec, f"{side}_cover"), getattr(glued, f"{side}_cover")
+        assert glued_fam.size == fam.size
+        assert getattr(glued, f"{side}_translator") is getattr(dec, f"{side}_translator")
+        for w in F2.ball(2).points:
+            for r in range(3):
+                assert glued_fam.classifier((w, r)) == fam.classifier(w)
+                assert glued_cover((w, r)) == cover(w)
+                assert glued_fam.claimants((w, r)) == fam.claimants(w)
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -1252,12 +1295,64 @@ def test_uniform_glue_scan_probe_reads_the_inner_index_through_the_contract(bad,
     broken = dataclasses.replace(dec, a_pieces=dataclasses.replace(
         dec.a_pieces, classifier=lambda w: bad if w == (-1,) else base(w)))
     action = ProductAction(LeftTranslation(F2), 1)
+    # without inner claimants the glue names none, so the verifier scans
     glued = glue_orbit_decompositions(action, product_orbit_structure(action),
-                                      lambda rep: broken, mode="uniform")
+                                      lambda rep: scanned(broken), mode="uniform")
+    assert glued.a_pieces.claimants is None
     window = action.window({"ball": 0, "indices": [0, 0]})
     assert window.points == ((F2.identity, 0),)
     with pytest.raises(MalformedOracleError, match=f"^{message}$"):
         verify_paradoxical(glued, window, 2)
+
+
+def swapped_decoding(x):
+    """Copy 0 decoded with -4 and -3 swapped: not equivariant."""
+    return {-4: -3, -3: -4}.get(x[0], x[0])
+
+
+@pytest.mark.parametrize("how", ["hand-built", "replaced", "other-action"])
+def test_an_unproved_decoding_keeps_the_scan(how):
+    # the glue carries the inner claimants only through a decoding that
+    # product_orbit_structure proved equivariant, for that action; the
+    # swapped decoding, read through the claimants, would refute (2, 0) as a
+    # b-cover-membership failure after 4 points instead
+    action = ProductAction(LeftTranslation(Z), 1)
+    proved = product_orbit_structure(action)
+    assert proved.equivariant_for == (action, proved.coset_of)
+    orbits = {
+        "hand-built": OrbitStructure(proved.rep_of, swapped_decoding, proved.point_of,
+                                     proved.rep_index, proved.rep_at, proved.count),
+        "replaced": dataclasses.replace(proved, coset_of=swapped_decoding),
+        "other-action": product_orbit_structure(ProductAction(LeftTranslation(Z), 1)),
+    }[how]
+    glued = glue_orbit_decompositions(action, orbits, lambda rep: singleton_decomposition(Z))
+    assert glued.a_pieces.claimants is None and glued.b_pieces.claimants is None
+    window = action.window({"box": 6, "indices": [0, 0]})
+    verdict = verify_paradoxical(glued, window, 10)
+    assert verdict == verify_paradoxical(scanned(glued), window, 10)
+    assert fast_outcome(glued, window, 10) == oracles.naive_verify_paradoxical(
+        glued, window.points, 10)
+    if how == "other-action":
+        assert verdict.verified
+    else:
+        assert verdict.witness.point == (1, 0)
+        assert verdict.witness.equation == "b-cover-uniqueness"
+        assert verdict.points_checked == 2
+
+
+def test_claimants_carry_over_left_translations_only():
+    # a decoding is proved equivariant only over a left-translation base, and
+    # the inner claimants name translates under left multiplication: an inner
+    # decomposition presented over another action does not lend them
+    trivial = TrivialAction(Z, countable=True)
+    assert product_orbit_structure(ProductAction(trivial, 2)).equivariant_for is None
+    action = ProductAction(LeftTranslation(Z), 2)
+    orbits = product_orbit_structure(action)
+    dec = singleton_decomposition(Z)
+    assert glue_orbit_decompositions(action, orbits, lambda rep: dec).a_pieces.claimants
+    other = dataclasses.replace(dec, action=trivial)
+    glued = glue_orbit_decompositions(action, orbits, lambda rep: other)
+    assert glued.a_pieces.claimants is None and glued.b_pieces.claimants is None
 
 
 def test_a_classifier_returning_true_names_piece_1():
