@@ -187,6 +187,28 @@ MUTANTS = (
         "return half if pos % 2 else -half",
         ("tests/test_groups.py::test_integers_zigzag_enumeration",),
     ),
+    # enumeration ranks: the closed form, the table and the free-group pass
+    Mutant(
+        "closed-form-rank-drops-the-minus-r-offset",
+        "src/confpara/groups.py",
+        "                index += a * (box - inner) + (box if c < 0 else 0)\n",
+        "                index += a * (box - inner)\n",
+        ("tests/test_groups.py::test_far_ranks_match_a_brute_force_count",),
+    ),
+    Mutant(
+        "table-grows-on-a-query-two-shells-out",
+        "src/confpara/groups.py",
+        "        if len(walked) == start:\n",
+        "        if len(walked) >= self._inside(r - 1):\n",
+        ("tests/test_groups.py::test_far_queries_build_no_shell_and_grow_no_table",),
+    ),
+    Mutant(
+        "free-rank-skips-the-reducedness-test",
+        "src/confpara/groups.py",
+        "                for i, v in enumerate(self._letters) if v != -u}\n",
+        "                for i, v in enumerate(self._letters)}\n",
+        ("tests/test_groups.py::test_enumeration_input_errors_keep_their_messages",),
+    ),
     Mutant(
         "f2-claimants-swap-the-empty-word",
         "src/confpara/paradox.py",

@@ -195,9 +195,11 @@ class ProductAction(Action):
     g . (x, i) = (g . x, i)."""
 
     def __init__(self, base, index_count=None):
+        if index_count is not None:  # None means countable N
+            _require_int("copy count", index_count, 1)
         self.base = base
         self.group = base.group
-        self.index_count = index_count  # None means countable N
+        self.index_count = index_count
         self.is_finite_points = base.is_finite_points and index_count is not None
 
     def act(self, g, x):

@@ -13,17 +13,20 @@ Element conventions:
   it: the type first (``_is_int``: a bool is refused and other int
   subclasses are kept), then the range.
 
-Group objects are immutable after construction and safe to share.  Countable
+Group objects are immutable after construction and safe to share; the one
+cache, a free-abelian group's table of its walked prefix, only grows, and
+growing it twice by the same shell writes the same entries.  Countable
 groups expose a canonical enumeration (``element_at`` / ``position_of``,
 1-based) used by prefix windows and by the decomposition constructors:
 shortlex order for free groups, box-shell order (zigzag within a shell) for
 free-abelian groups, the oracle's own indexing for enumerated groups.
 ``walk`` yields the enumeration in order, and every window (``ball``,
 ``box``, ``prefix_window``) is a prefix of it, so a window costs O(window).
-A free group's walk extends each shell of words by one letter, in order;
-a free-abelian shell is generated in its own order and cached with an
-index, so a rank costs O(1) once its shell is built, and a free-group rank
-O(word length).
+A free group's walk extends each shell of words by one letter, in order,
+and its rank checks and ranks a word in one pass, in O(word length).  A
+free-abelian walk generates each shell in its own order into the table, so
+a rank or unrank inside the walked prefix is a table read, and one further
+out is computed in closed form in O(rank).
 """
 
 from __future__ import annotations
@@ -269,6 +272,10 @@ def _iroot(n, k):
         m = t
 
 
+# ``_EXACT_INT.issuperset(map(type, v))``: every item of v is exactly an int,
+# tested in C; a bool or another int subclass fails it and takes the slow path
+_EXACT_INT = frozenset({int})
+
 # "e" is the identity's token, so no generator takes it
 _GENERATOR_NAMES = string.ascii_lowercase.replace("e", "")
 
@@ -291,6 +298,14 @@ class FreeGroup(Group):
             s * g for g in range(1, rank + 1) for s in (1, -1)
         )
         self._letter_rank = {v: i for i, v in enumerate(self._letters)}
+        # the rank's summands (see position_of): letter -> step as the first
+        # letter, and after each letter u, every letter but u's inverse -> step
+        self._first_steps = {v: i + 1 for i, v in enumerate(self._letters)}
+        self._steps_after = {
+            u: {v: 2 + i - (i > self._letter_rank[-u])
+                for i, v in enumerate(self._letters) if v != -u}
+            for u in self._letters
+        }
 
     @property
     def identity(self):
@@ -354,20 +369,25 @@ class FreeGroup(Group):
     # among the letters that do not cancel w's last letter.
 
     def position_of(self, w):
-        """1-based shortlex position of a reduced word."""
-        if not self.contains(w):
-            raise InputError(f"not a reduced word: {w!r}")
-        q = 2 * self.rank - 1
-        n = 0
-        for i, v in enumerate(w):
-            order = self._letter_rank[v]
-            if i:
-                banned = self._letter_rank[-w[i - 1]]
-                order -= 1 if order > banned else 0
-                n = q * n + 2 + order
+        """1-based shortlex position of a reduced word, checked and ranked in
+        one pass: a letter that is not an integer, names no generator or
+        cancels the letter before it has no step, and ends the pass."""
+        if isinstance(w, tuple):
+            q = 2 * self.rank - 1
+            after = self._steps_after
+            steps = self._first_steps
+            n = 0
+            for v in w:
+                if type(v) is not int and not _is_int(v):
+                    break
+                step = steps.get(v)
+                if step is None:
+                    break
+                n = q * n + step
+                steps = after[v]
             else:
-                n = order + 1
-        return n + 1
+                return n + 1
+        raise InputError(f"not a reduced word: {w!r}")
 
     def element_at(self, pos):
         if type(pos) is not int or pos < 1:
@@ -443,15 +463,26 @@ class FreeAbelianGroup(Group):
     For rank 1, ``position_of`` and ``element_at`` compute the zigzag index
     inline, and ``position_of`` asks ``contains`` only about an argument
     whose type is not exactly ``int``.
+
+    For rank >= 2 the group keeps one table of the canonical prefix walked so
+    far: the vectors in order, and each vector's position.  ``walk`` (so
+    ``box`` and ``prefix_window``) grows it one shell at a time, by the shell
+    generator ``_shell``, and so does a rank or unrank in the shell just past
+    its end; within it a rank or unrank is a table read.  Further out both
+    are computed in closed form in O(k) and the table does not grow.  The
+    table grows by writing shell r at its own offset, so growing it twice by
+    the same shell (two walks, or two threads) writes the same entries
+    twice, and the group stays safe to share.
     """
 
     def __init__(self, rank):
         _require_int("free-abelian rank", rank, 1)
         self.rank = rank
         self.name = f"free-abelian({rank})"
-        # rank >= 2: shell r and its vector -> index map, built on first use
-        self._shells = {}
-        self._indices = {}
+        # rank >= 2: the walked prefix, position - 1 -> vector and
+        # vector -> position
+        self._walked = []
+        self._positions = {}
 
     @property
     def identity(self):
@@ -478,35 +509,93 @@ class FreeAbelianGroup(Group):
         Built from the last coordinate up: a vector whose first coordinate c
         has |c| < r goes on in the shell of one rank less, one with |c| = r
         anywhere in the box of one rank less."""
-        shell = self._shells.get(r)
-        if shell is None:
-            if r == 0:
-                shell = ((0,) * self.rank,)
-            else:
-                line = (0, *itertools.chain.from_iterable((c, -c) for c in range(1, r + 1)))
-                shell = [(r,), (-r,)]
-                for m in range(1, self.rank):
-                    box = list(itertools.product(line, repeat=m))
-                    shell = [(c, *t) for c in line for t in (box if abs(c) == r else shell)]
-                shell = tuple(shell)
-            self._shells[r] = shell
+        if r == 0:
+            return [(0,) * self.rank]
+        line = (0, *itertools.chain.from_iterable((c, -c) for c in range(1, r + 1)))
+        shell = [(r,), (-r,)]
+        for m in range(1, self.rank):
+            box = list(itertools.product(line, repeat=m))
+            shell = [(c, *t) for c in line for t in (box if abs(c) == r else shell)]
         return shell
-
-    def _shell_index(self, r):
-        """vector -> 0-based index in ``_shell(r)``."""
-        index = self._indices.get(r)
-        if index is None:
-            index = self._indices[r] = {v: i for i, v in enumerate(self._shell(r))}
-        return index
 
     def _inside(self, r):
         """Number of vectors of max-norm < r: the box of radius r - 1."""
         return (2 * r - 1) ** self.rank if r else 0
 
+    def _walks_to(self, r):
+        """Whether the table holds shell r, once it has grown by shell r if
+        that is the shell just past its end."""
+        start = self._inside(r)
+        walked = self._walked
+        if len(walked) == start:
+            shell = self._shell(r)
+            walked[start:start + len(shell)] = shell
+            self._positions.update(zip(shell, itertools.count(start + 1)))
+        return len(walked) > start
+
+    def _walked_shell(self, r):
+        """Shell r, read from the table, which has grown by it if need be."""
+        self._walks_to(r)
+        return self._walked[self._inside(r):self._inside(r + 1)]
+
+    # Closed form for shell r >= 1, with a = 2r - 1 and b = 2r + 1.  The
+    # values |c| <= r of a coordinate take the zigzag positions 0..2r, r and
+    # -r the last two (a and a + 1).  Fix a vector's first coordinates and
+    # let m follow.  Before its first coordinate of absolute value r, the m
+    # others must still reach the shell, in b^m - a^m ways; from it on they
+    # are free in the box, in b^m ways.  So the vectors of the shell that
+    # share the earlier coordinates and come first number zigzag(c)·(b^m -
+    # a^m) for a coordinate c before that one, a·(b^m - a^m) for that one,
+    # plus b^m when it is -r, and zigzag(c)·b^m for a coordinate after it.
+
+    def _index_in_shell(self, v, r):
+        """0-based index of ``v`` in shell r >= 1, in O(k)."""
+        a, b = 2 * r - 1, 2 * r + 1
+        first = list(map(abs, v)).index(r)
+        index = 0
+        box = inner = 1  # b^m and a^m, m the coordinates after i
+        for i in range(self.rank - 1, -1, -1):
+            c = v[i]
+            if i > first:
+                index += codec.zigzag_position(c) * box
+            elif i == first:
+                index += a * (box - inner) + (box if c < 0 else 0)
+            else:
+                index += codec.zigzag_position(c) * (box - inner)
+            box *= b
+            inner *= a
+        return index
+
+    def _vector_in_shell(self, r, index):
+        """The vector at 0-based ``index`` of shell r >= 1, in O(k): the
+        inverse of ``_index_in_shell``, from the first coordinate on."""
+        a, b = 2 * r - 1, 2 * r + 1
+        box, inner = b ** (self.rank - 1), a ** (self.rank - 1)
+        v = []
+        reached = False
+        for _ in range(self.rank):
+            if reached:
+                z, index = divmod(index, box)
+                v.append(codec.zigzag_value(z))
+            elif index < a * (box - inner):
+                z, index = divmod(index, box - inner)
+                v.append(codec.zigzag_value(z))
+            else:
+                index -= a * (box - inner)
+                reached = True
+                if index < box:
+                    v.append(r)
+                else:
+                    index -= box
+                    v.append(-r)
+            box //= b
+            inner //= a
+        return tuple(v)
+
     def walk(self):
         if self.rank == 1:
             return map(codec.zigzag_value, itertools.count())
-        return itertools.chain.from_iterable(map(self._shell, itertools.count()))
+        return itertools.chain.from_iterable(map(self._walked_shell, itertools.count()))
 
     def element_at(self, pos):
         if type(pos) is not int or pos < 1:
@@ -514,19 +603,35 @@ class FreeAbelianGroup(Group):
         if self.rank == 1:
             half = pos // 2
             return -half if pos % 2 else half
+        return self._vector_at(pos)
+
+    def _vector_at(self, pos):
+        if pos <= len(self._walked):
+            return self._walked[pos - 1]
         n = pos - 1
         # the least r with n < (2r + 1)^k
         r = (_iroot(n, self.rank) + 1) // 2
-        return self._shell(r)[n - self._inside(r)]
+        if self._walks_to(r):
+            return self._walked[n]
+        return self._vector_in_shell(r, n - self._inside(r))
 
     def position_of(self, v):
         if self.rank == 1:
             if type(v) is int or self.contains(v):
                 return 2 * v if v > 0 else 1 - 2 * v
-        elif self.contains(v):
-            r = max(map(abs, v))
-            return self._inside(r) + self._shell_index(r)[v] + 1
+        elif (type(v) is tuple and len(v) == self.rank and _EXACT_INT.issuperset(map(type, v))
+              or self.contains(v)):
+            return self._vector_position(v)
         raise InputError(f"not an element of {self.name}: {v!r}")
+
+    def _vector_position(self, v):
+        pos = self._positions.get(v)
+        if pos is None:
+            r = max(map(abs, v))
+            if self._walks_to(r):
+                return self._positions[v]
+            pos = self._inside(r) + self._index_in_shell(v, r) + 1
+        return pos
 
     def box(self, radius):
         """Window of all vectors with every coordinate in [-radius, radius],

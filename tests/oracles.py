@@ -228,6 +228,20 @@ def box_in_order(rank, radius):
                                        [zigzag_inverse(c) for c in v]))
 
 
+def box_position(v):
+    """1-based position of the vector ``v`` in the order of
+    ``box_in_order``, by counting the vectors of its cube that sort before
+    it under the same key."""
+    r = max(abs(c) for c in v)
+    zig = {c: zigzag_inverse(c) for c in range(-r, r + 1)}
+
+    def key(u):
+        return max(abs(c) for c in u), [zig[c] for c in u]
+
+    mine = key(v)
+    return 1 + sum(key(u) < mine for u in itertools.product(range(-r, r + 1), repeat=len(v)))
+
+
 def cantor(i, j):
     """Pairing of (i, j) >= (0, 0), walking diagonal by diagonal."""
     n = 0

@@ -3,11 +3,12 @@ finite-group utilities the reconstruction suite leans on."""
 
 import ast
 import functools
+import itertools
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -221,6 +222,15 @@ def test_free_group_parse_inverts_format_on_the_ball(rank):
         assert g.parse(g.format(w)) == w
 
 
+def test_free_group_contains_exactly_the_words_position_of_ranks():
+    g = FreeGroup(2)
+    assert all(g.contains(u) and g.position_of(u) == p for p, u in enumerate(g.ball(3), 1))
+    for w in [(1, -1), (2, 1, -1), (0,), (3,), [1], (1.0,), (True, -2)]:
+        assert not g.contains(w)
+        with pytest.raises(InputError):
+            g.position_of(w)
+
+
 def test_free_group_generator_names_skip_the_identity_token():
     g = FreeGroup(25)
     assert [g.format((k,)) for k in (4, 5, 25)] == ["d", "f", "z"]
@@ -385,16 +395,16 @@ def test_free_group_far_positions_match_the_reference(rank, pos):
     assert g.position_of(w) == pos
 
 
-def counting_unranks(group):
-    """Record every position the instance's ``element_at`` is asked for."""
+def counting_calls(group, name):
+    """Record the argument of every call to the instance's method ``name``."""
     calls = []
-    unrank = group.element_at
+    method = getattr(group, name)
 
-    def element_at(pos):
-        calls.append(pos)
-        return unrank(pos)
+    def counted(arg):
+        calls.append(arg)
+        return method(arg)
 
-    group.element_at = element_at
+    setattr(group, name, counted)
     return calls
 
 
@@ -406,9 +416,101 @@ def counting_unranks(group):
 ], ids=["free-ball", "free-abelian-box", "free-prefix", "free-abelian-prefix"])
 def test_windows_walk_the_enumeration_without_unranking(make, build):
     g = make()
-    calls = counting_unranks(g)
+    calls = counting_calls(g, "element_at")
     build(g)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# far free-abelian points: closed form against the table and a brute force
+
+
+@given(st.integers(min_value=2, max_value=4), st.data())
+def test_far_vectors_round_trip(rank, data):
+    v = data.draw(st.tuples(*[st.integers(min_value=-10**6, max_value=10**6)] * rank))
+    g = FreeAbelianGroup(rank)
+    u = g.element_at(g.position_of(v))
+    assert u == v and all(type(c) is int for c in u)
+
+
+@st.composite
+def shell_vectors(draw, rank, max_radius):
+    """A vector of max-norm r in 1..max_radius: any coordinates in [-r, r],
+    with one of them set to r or -r."""
+    r = draw(st.integers(min_value=1, max_value=max_radius))
+    v = draw(st.lists(st.integers(min_value=-r, max_value=r), min_size=rank, max_size=rank))
+    v[draw(st.integers(min_value=0, max_value=rank - 1))] = draw(st.sampled_from((r, -r)))
+    return tuple(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(shell_vectors(2, 40), shell_vectors(3, 9)))
+@example((40, 0))
+@example((-40, -40))
+@example((-17, -40))
+@example((39, 40))
+@example((0, 9, -9))
+@example((-9, 3, 9))
+def test_far_ranks_match_a_brute_force_count(v):
+    # a fresh group ranks in closed form, one that walked past v's shell
+    # reads its table
+    pos = oracles.box_position(v)
+    fresh = FreeAbelianGroup(len(v))
+    assert fresh.position_of(v) == pos
+    assert fresh.element_at(pos) == v
+    walked = FreeAbelianGroup(len(v))
+    walked.box(max(map(abs, v)))
+    assert walked.position_of(v) == pos
+    assert walked.element_at(pos) == v
+
+
+@pytest.mark.parametrize("query", [
+    lambda g: g.position_of((300,) + (0,) * (g.rank - 1)),
+    lambda g: g.element_at(10**12),
+    lambda g: g.position_of((0,) * (g.rank - 1) + (-4,)),
+    lambda g: g.element_at((2 * 4 + 1) ** g.rank),
+], ids=["far-rank", "far-unrank", "rank-two-shells-out", "unrank-two-shells-out"])
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("walked", [None, 2], ids=["fresh", "box-2"])
+def test_far_queries_build_no_shell_and_grow_no_table(query, rank, walked):
+    g = FreeAbelianGroup(rank)
+    if walked is not None:
+        g.box(walked)
+    size = len(g._walked)
+    calls = counting_calls(g, "_shell")
+    query(g)
+    assert calls == []
+    assert len(g._walked) == len(g._positions) == size
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_a_query_just_past_the_table_grows_it_by_one_shell(rank):
+    g = FreeAbelianGroup(rank)
+    g.box(2)
+    calls = counting_calls(g, "_shell")
+    assert g.position_of((0,) * (rank - 1) + (3,)) == 5 ** rank + 1
+    assert calls == [3] and len(g._walked) == len(g._positions) == 7 ** rank
+    assert g.element_at(7 ** rank + 1) == (0,) * (rank - 1) + (4,)
+    assert calls == [3, 4] and len(g._walked) == 9 ** rank
+    assert g.box(4).points == reference_order("free-abelian", rank)[:9 ** rank]
+    assert calls == [3, 4]
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_table_and_closed_form_agree_when_near_and_far_queries_interleave(rank):
+    # downwards every shell but the origin's is met past the table, so it is
+    # ranked in closed form; upwards each shell is met just past it and grows
+    # it.  A far point between each pair of near queries.
+    ref = reference_order("free-abelian", rank)
+    far = [tuple((-1) ** i * (7 ** (i + 1) + j) for i in range(rank)) for j in range(len(ref))]
+    g = FreeAbelianGroup(rank)
+    order = [*range(len(ref), 0, -1), *range(1, len(ref) + 1)]
+    for pos, v in zip(order, far + far):
+        assert g.element_at(pos) == ref[pos - 1]
+        assert g.position_of(ref[pos - 1]) == pos
+        assert g.element_at(g.position_of(v)) == v
+    assert g._walked == list(ref)
+    assert tuple(itertools.islice(g.walk(), len(ref))) == ref
 
 
 @pytest.mark.parametrize("call,message", [
@@ -424,6 +526,10 @@ def test_windows_walk_the_enumeration_without_unranking(make, build):
     (lambda: FreeAbelianGroup(2).position_of((1, True)),
      "not an element of free-abelian(2): (1, True)"),
     (lambda: FreeGroup(2).position_of((True, -2)), "not a reduced word: (True, -2)"),
+    (lambda: FreeGroup(2).position_of((0,)), "not a reduced word: (0,)"),
+    (lambda: FreeGroup(2).position_of((3,)), "not a reduced word: (3,)"),
+    (lambda: FreeGroup(2).position_of([1]), "not a reduced word: [1]"),
+    (lambda: FreeGroup(2).position_of((1.0,)), "not a reduced word: (1.0,)"),
     (lambda: cyclic(4).position_of(True), "not an element index: True"),
     (lambda: FreeGroup(2).ball(-1), "radius must be >= 0"),
     (lambda: FreeAbelianGroup(2).box(-1), "radius must be >= 0"),
@@ -434,7 +540,8 @@ def test_windows_walk_the_enumeration_without_unranking(make, build):
     (lambda: FreeAbelianGroup(0), "free-abelian rank must be >= 1"),
     (lambda: FreeGroup(2).generator(3), "generator index must be between 1 and 2"),
 ], ids=["free-at-0", "z-at-0", "z2-at-0", "free-unreduced", "z2-short", "z-bool",
-        "z-float", "z-tuple", "z2-bool-coordinate", "free-bool-letter", "table-bool",
+        "z-float", "z-tuple", "z2-bool-coordinate", "free-bool-letter", "free-letter-0",
+        "free-letter-3", "free-list", "free-float-letter", "table-bool",
         "ball-negative", "box-negative", "free-prefix-negative", "z2-prefix-negative",
         "finite-prefix-too-long", "free-abelian-rank-0", "free-generator-3"])
 def test_enumeration_input_errors_keep_their_messages(call, message):
@@ -512,6 +619,7 @@ def test_element_at_keeps_int_subclasses_and_range_messages(name):
     (lambda v: cf.config_equiv_bounded(None, None, 2, v), "block count m must be an integer, got {v!r}"),
     (lambda v: cf.config_equiv_bounded(None, None, 2, 2, cap=v), "cap must be an integer, got {v!r}"),
     (lambda v: q_group_refinement_check(None, None, v), "cap must be an integer, got {v!r}"),
+    (lambda v: ProductAction(LeftTranslation(cyclic(2)), v), "copy count must be an integer, got {v!r}"),
     (lambda v, a=ProductAction(LeftTranslation(FreeAbelianGroup(1))): glue_orbit_decompositions(
         a, product_orbit_structure(a), lambda rep: singleton_decomposition(a.group),
         validate_reps=v),
@@ -519,12 +627,20 @@ def test_element_at_keeps_int_subclasses_and_range_messages(name):
 ], ids=["ball", "box", "prefix-window", "trivial-prefix", "free-rank", "free-generator",
         "free-abelian-rank", "index-bound", "equidecomposition-index-bound", "detection-bound",
         "identity-index", "first-product-index", "last-product-index", "depth", "block-index",
-        "cutoff", "equiv-n", "equiv-m", "equiv-cap", "refinement-cap", "glue-validate-reps"])
+        "cutoff", "equiv-n", "equiv-m", "equiv-cap", "refinement-cap", "copy-count",
+        "glue-validate-reps"])
 @pytest.mark.parametrize("v", [True, 2.5, "2", -1.5], ids=["bool", "float", "str", "negative-float"])
 def test_every_integer_argument_refuses_a_non_int(call, message, v):
     with pytest.raises(InputError) as exc:
         call(v)
     assert str(exc.value) == message.format(v=v)
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_a_product_action_needs_at_least_one_copy(count):
+    with pytest.raises(InputError) as exc:
+        ProductAction(LeftTranslation(cyclic(2)), count)
+    assert str(exc.value) == "copy count must be >= 1"
 
 
 def _call_sites(node, matches, where=None):
