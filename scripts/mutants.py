@@ -205,8 +205,8 @@ MUTANTS = (
     Mutant(
         "free-rank-skips-the-reducedness-test",
         "src/confpara/groups.py",
-        "                for i, v in enumerate(self._letters) if v != -u}\n",
-        "                for i, v in enumerate(self._letters)}\n",
+        "tuple(v for v in self._letters if v != -u)",
+        "tuple(v for v in self._letters)",
         ("tests/test_groups.py::test_enumeration_input_errors_keep_their_messages",),
     ),
     Mutant(
@@ -222,6 +222,31 @@ MUTANTS = (
         "for j in range(1, limit + 1):",
         "for j in range(2, limit + 1):",
         ("tests/test_paradox.py::test_claimed_point_is_refuted_by_the_table_as_by_the_scan",),
+    ),
+    Mutant(
+        "f2-a-claimants-swapped",
+        "src/confpara/paradox.py",
+        "            return (1,)\n"
+        "        return (2,)\n",
+        "            return (2,) if self.absorb else (1,)\n"
+        "        return (1,) if self.absorb else (2,)\n",
+        ("tests/test_paradox.py::test_f2_cover_and_claimants_agree_with_the_classifier",),
+    ),
+    Mutant(
+        "f2-b-claimant-widened",
+        "src/confpara/paradox.py",
+        "            return (1,)\n"
+        "        return (2,)\n",
+        "            return (1,)\n"
+        "        return (2,) if self.absorb else (1, 2)\n",
+        ("tests/test_paradox.py::test_f2_and_refined_claimants_are_exact",),
+    ),
+    Mutant(
+        "refined-claimants-rank-off-by-one",
+        "src/confpara/paradox.py",
+        "                    named.append(cantor_pair(p - 1, got[1] - 1) + 1)\n",
+        "                    named.append(cantor_pair(p - 1, got[1]) + 1)\n",
+        ("tests/test_paradox.py::test_f2_and_refined_claimants_are_exact",),
     ),
     # the cover checks and the rank scan of the paradox verifier
     Mutant(
@@ -269,6 +294,13 @@ MUTANTS = (
         "        if ia is not None and not (type(ia) is int and 0 < ia <= top_a):\n",
         "        if ia is not None and not (type(ia) is int and 0 <= ia <= top_a):\n",
         ("tests/test_paradox.py::test_a_malformed_answer_is_refused_at_the_partition_check",),
+    ),
+    Mutant(
+        "partition-check-b-one-past-the-size",
+        "src/confpara/paradox.py",
+        "        if ib is not None and not (type(ib) is int and 0 < ib <= top_b):\n",
+        "        if ib is not None and not (type(ib) is int and 0 < ib <= top_b + 1):\n",
+        ("tests/test_paradox.py::test_a_malformed_b_answer_is_refused_at_the_partition_check",),
     ),
     Mutant(
         "claimed-membership-probe-takes-a-bool",
@@ -350,6 +382,49 @@ MUTANTS = (
         "    if isinstance(action.base, LeftTranslation):\n",
         "    if True:\n",
         ("tests/test_paradox.py::test_claimants_carry_over_left_translations_only",),
+    ),
+    # the search's orbit split and its code maps
+    Mutant(
+        "orbits-follow-the-first-generator-only",
+        "src/confpara/configurations.py",
+        "                for s in gens:\n"
+        "                    if s[x] not in placed:\n",
+        "                for s in gens[:1]:\n"
+        "                    if s[x] not in placed:\n",
+        ("tests/test_configurations.py::test_left_translation_maps_are_the_holomorph",
+         "tests/test_configurations.py::test_maps_conjugate_every_row_to_a_row"),
+    ),
+    Mutant(
+        "code-maps-ignore-the-relabeling",
+        "src/confpara/configurations.py",
+        "            codes = [c * m + s for c in codes for s in sigma]\n",
+        "            codes = [c * m + s for c in codes for s in range(m)]\n",
+        ("tests/test_configurations.py::test_family_matches_the_naive_family",),
+    ),
+    # independent glue: one decomposition, re-indexed by (piece, orbit)
+    Mutant(
+        "independent-glue-orbit-index-off-by-one",
+        "src/confpara/paradox.py",
+        "                return None\n"
+        "            return cantor_pair(i - 1, orbits.rep_index(orbits.rep_of(x)) - 1) + 1\n",
+        "                return None\n"
+        "            return cantor_pair(i - 1, orbits.rep_index(orbits.rep_of(x))) + 1\n",
+        ("tests/test_paradox.py::test_independent_glue_is_uniform_glue_reindexed",),
+    ),
+    Mutant(
+        "independent-glue-drops-the-orbit-count-test",
+        "src/confpara/paradox.py",
+        "            if orbits.count is not None and r0 >= orbits.count:\n"
+        "                return identity  # no such orbit: an empty flat piece\n",
+        "",
+        ("tests/test_paradox.py::test_independent_glue_is_uniform_glue_reindexed",),
+    ),
+    Mutant(
+        "independent-glue-reads-an-unchecked-classifier",
+        "src/confpara/paradox.py",
+        "            i = fam.classify_checked(coset_of(x))\n",
+        "            i = fam.classifier(coset_of(x))\n",
+        ("tests/test_paradox.py::test_refinement_keeps_the_parent_classifier_contract",),
     ),
     Mutant(
         "conjugate-skips-its-final-check",

@@ -297,14 +297,14 @@ class FreeGroup(Group):
         self._letters = tuple(
             s * g for g in range(1, rank + 1) for s in (1, -1)
         )
-        self._letter_rank = {v: i for i, v in enumerate(self._letters)}
+        # the shortlex rule, stated once: the letters that may follow u, in order
+        self._after = {u: tuple(v for v in self._letters if v != -u) for u in self._letters}
         # the rank's summands (see position_of): letter -> step as the first
-        # letter, and after each letter u, every letter but u's inverse -> step
+        # letter, and after each letter u, each letter that may follow it -> step
         self._first_steps = {v: i + 1 for i, v in enumerate(self._letters)}
         self._steps_after = {
-            u: {v: 2 + i - (i > self._letter_rank[-u])
-                for i, v in enumerate(self._letters) if v != -u}
-            for u in self._letters
+            u: {v: i + 2 for i, v in enumerate(after)}
+            for u, after in self._after.items()
         }
 
     @property
@@ -312,13 +312,11 @@ class FreeGroup(Group):
         return ()
 
     def contains(self, w):
-        if not isinstance(w, tuple):
+        """Whether ``w`` is a reduced word: exactly when ``position_of`` ranks it."""
+        try:
+            self.position_of(w)
+        except InputError:
             return False
-        for i, v in enumerate(w):
-            if type(v) is not int and not _is_int(v) or v == 0 or abs(v) > self.rank:
-                return False
-            if i and w[i - 1] == -v:
-                return False
         return True
 
     def mul(self, a, b):
@@ -352,13 +350,13 @@ class FreeGroup(Group):
         """Reduced words in shortlex order: shell k + 1 extends each word of
         shell k, in order, by each non-cancelling letter in canonical order."""
         yield ()
-        follow = {v: tuple(u for u in self._letters if u != -v) for v in self._letters}
+        after = self._after
         shell = [(v,) for v in self._letters]
         yield from shell
         while True:
             nxt = []
             for w in shell:
-                for v in follow[w[-1]]:
+                for v in after[w[-1]]:
                     u = w + (v,)
                     nxt.append(u)
                     yield u
@@ -402,8 +400,7 @@ class FreeGroup(Group):
             return ()
         word = [self._letters[n - 1]]
         for order in reversed(orders):
-            banned = self._letter_rank[-word[-1]]
-            word.append(self._letters[order + 1 if order >= banned else order])
+            word.append(self._after[word[-1]][order])
         return tuple(word)
 
     def ball(self, radius):

@@ -822,47 +822,49 @@ def _validate_orbit_equivariance(action, orbits, rep, window, probes=3):
 def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
                               validate_window=None, validate_reps=2,
                               validate_index_bound=40):
-    """Assemble paradoxical decompositions of the group (``per_orbit(rep)``,
+    """Assemble a paradoxical decomposition of the group (``per_orbit(rep)``,
     presented over the group by left translation) into one decomposition of
     the whole free action.
 
-    ``uniform`` mode carries one decomposition, ``per_orbit(rep_at(1))``,
-    along the orbits through the representatives (Tomkowicz & Wagon, *The
-    Banach-Tarski Paradox*, 2nd ed., 2016, ch. 1): x lies in piece
+    Both modes ask for one decomposition, ``per_orbit(rep_at(1))``, and carry
+    it along the orbits through the representatives (Tomkowicz & Wagon, *The
+    Banach-Tarski Paradox*, 2nd ed., 2016, ch. 1), so every orbit uses the
+    same translators by construction.  A caller whose ``per_orbit`` answers
+    differently for other representatives gets the first answer everywhere.
+
+    ``uniform`` mode keeps the inner indices: x lies in piece
     inner(coset_of(x)), covered by cover(coset_of(x)), under the inner
-    translators, so every orbit uses the same translators by construction.
-    When the decoding is proved equivariant (``equivariant_for`` names this
-    action and decoding) and the inner action is a left translation, the
-    inner claimants carry over too: j claims x iff
+    translators.  When the decoding is proved equivariant (``equivariant_for``
+    names this action and decoding) and the inner action is a left
+    translation, the inner claimants carry over too: j claims x iff
     inner(coset_of(t_j^-1·x)) = inner(t_j^-1·coset_of(x)) = j iff j is an
     inner claimant of coset_of(x).  Otherwise the glued families name none
     and the verifier scans.
 
-    ``independent`` mode asks ``per_orbit`` for each orbit's own
-    decomposition and pairs (piece, orbit) into a single countable index
-    family, each flattened piece keeping its own orbit's translator.
+    ``independent`` mode re-indexes the same decomposition: flat piece
+    cantor_pair(i - 1, r - 1) + 1 is inner piece i on the r-th orbit, with
+    inner translator i; it is empty, translated by the identity, when i
+    exceeds a finite family or r the orbit count.  The inner classifier and
+    cover are read through their contract (a malformed index raises), and the
+    flat families name no claimants.
 
-    When a validation window is supplied, the decompositions of the first
-    ``validate_reps`` orbits that exist (the one decomposition, in uniform
-    mode) are verified first, so a hopeless candidate (a fixed point's
+    When a validation window is supplied, the decomposition is verified on
+    ``validate_window(rep_at(1))``, so a hopeless candidate (a fixed point's
     one-element orbit, say) is refused here, and the decoding is checked to
-    commute with the action on each of those orbits."""
+    commute with the action on each of the first ``validate_reps`` orbits
+    that exist."""
     if mode not in ("uniform", "independent"):
         raise InputError(f"unknown glue mode {mode!r}")
     if orbits.rep_at is None:
         raise InputError("glue needs rep_at on the orbit structure")
     _require_int("validate reps", validate_reps, 0)
-    dec = per_orbit(orbits.rep_at(1)) if mode == "uniform" else None
-    cache = {}  # rep -> per_orbit(rep).sides(), in independent mode
+    dec = per_orbit(orbits.rep_at(1))
     if validate_window is not None:
         last = validate_reps if orbits.count is None else min(validate_reps, orbits.count)
         for pos in range(1, last + 1):
             rep = orbits.rep_at(pos)
             w = validate_window(rep)
-            if mode == "independent":
-                dec = per_orbit(rep)
-                cache[rep] = dec.sides()
-            if mode == "independent" or pos == 1:
+            if pos == 1:
                 verdict = verify_paradoxical(dec, w, validate_index_bound)
                 if not verdict.verified:
                     raise PreconditionError(
@@ -872,8 +874,8 @@ def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
                     )
             _validate_orbit_equivariance(action, orbits, rep, w)
 
+    coset_of = orbits.coset_of
     if mode == "uniform":
-        coset_of = orbits.coset_of
         proved_action, proved_coset_of = orbits.equivariant_for or (None, None)
         carried = (proved_action is action and proved_coset_of is coset_of
                    and isinstance(dec.action, LeftTranslation))
@@ -892,46 +894,30 @@ def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
 
     identity = action.group.identity
 
-    def sides(rep):
-        """``per_orbit(rep).sides()``, built once: the oracles below read side
-        k's pieces, translator and cover as entries [k][1], [k][2], [k][3]."""
-        if rep not in cache:
-            cache[rep] = per_orbit(rep).sides()
-        return cache[rep]
-
-    def independent_side(k, name):
-        """Flat piece cantor_pair(i - 1, r - 1) + 1 is piece i of side k on
-        the r-th orbit, with that orbit's translator; empty, translated by
-        the identity, when i exceeds a finite family or r the orbit count;
-        a missing orbit's decomposition is never asked for.  The orbit's oracles
-        are read through their contract: a malformed index raises."""
-        cover_name = f"{name}-cover"
+    def independent_side(name, fam, translator, cover, _range):
+        cover_name, size = f"{name}-cover", fam.size
 
         def classifier(x):
-            rep = orbits.rep_of(x)
-            i = sides(rep)[k][1].classify_checked(orbits.coset_of(x))
+            i = fam.classify_checked(coset_of(x))
             if i is None:
                 return None
-            return cantor_pair(i - 1, orbits.rep_index(rep) - 1) + 1
+            return cantor_pair(i - 1, orbits.rep_index(orbits.rep_of(x)) - 1) + 1
 
         def flat_translator(j):
             i0, r0 = cantor_unpair(j - 1)
             if orbits.count is not None and r0 >= orbits.count:
                 return identity  # no such orbit: an empty flat piece
-            _name, fam, translator, _cover, _range = sides(orbits.rep_at(r0 + 1))[k]
-            if fam.size is not None and i0 >= fam.size:
+            if size is not None and i0 >= size:
                 return identity  # empty flat piece; never matched
             return translator(i0 + 1)
 
         def flat_cover(x):
-            rep = orbits.rep_of(x)
-            _name, fam, _translator, cover, _range = sides(rep)[k]
-            i = _checked_index(cover_name, cover(orbits.coset_of(x)), fam.size)
-            return cantor_pair(i - 1, orbits.rep_index(rep) - 1) + 1
+            i = _checked_index(cover_name, cover(coset_of(x)), size)
+            return cantor_pair(i - 1, orbits.rep_index(orbits.rep_of(x)) - 1) + 1
 
         return PieceFamily(classifier), flat_translator, flat_cover, None
 
-    a, b = (independent_side(k, name) for k, name in enumerate("ab"))
+    a, b = (independent_side(*s) for s in dec.sides())
     return _from_sides(action, a, b, "glue", mode="independent", pairing="cantor")
 
 

@@ -802,6 +802,51 @@ def test_recover_countable_target_group_exits_4(files, capsys):
     assert stderr.startswith("error: ") and "not finite" in stderr
 
 
+Z4_TRANSLATION = {"kind": "left-translation", "group": {"family": "cyclic", "order": 4}}
+Z_GROUP = {"family": "free-abelian", "rank": 1}
+F2_EXPLICIT = json.loads((FIXTURES / "decomposition_f2_explicit.json").read_text())["payload"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["con", ("pair", {"action": Z4_TRANSLATION, "tuple": "0",
+                       "partition": {"kind": "blocks", "blocks": [["0", "2"], ["1", "3"]]}})],
+     "expected an array, got str (at /payload/tuple)"),
+    (["con", ("pair", {"action": {"kind": "trivial", "group": {"family": "cyclic", "order": 2},
+                                  "points": ["p"], "countable": True},
+                       "tuple": ["0"], "partition": {"kind": "blocks", "blocks": [["p"]]}})],
+     "countable trivial action takes no explicit points (at /payload/action/points)"),
+    (["con", ("pair", {"action": Z4_TRANSLATION, "tuple": ["0"],
+                       "partition": {"kind": "blocks", "blocks": [["0", "2"], ["1", "2", "3"]]}})],
+     "block 2 overlaps an earlier block (at /payload/partition/blocks)"),
+    (["paradox", "verify", str(FIXTURES / "decomposition_singleton_z.json"),
+      "--window", "box=3,indices=a..b"],
+     "bad index range 'a..b'"),
+    (["paradox", "verify", ("decomposition", {**F2_EXPLICIT, "a-pieces": [
+        {"family": "circle"}, F2_EXPLICIT["a-pieces"][1]]}), "--window", "ball=1"],
+     "unknown piece family 'circle' (at /payload/a-pieces/0/family)"),
+    (["paradox", "verify", ("decomposition", {
+        "construction": "glue", "copies": 2, "inner": {
+            "construction": "glue", "copies": 2,
+            "inner": {"construction": "singleton", "group": Z_GROUP}}}), "--window", "box=1"],
+     "glue expects an inner decomposition of the group itself (at /payload/inner)"),
+    (["paradox", "verify", ("decomposition", {**F2_EXPLICIT, "a-translators": ["e", "a^x"]}),
+      "--window", "ball=1"],
+     "bad exponent in 'a^x' (at /payload/a-translators/1)"),
+    (["prefixes", ("pair", {"action": {"kind": "trivial", "group": Z_GROUP, "countable": True},
+                            "tuple": ["0"],
+                            "partition": {"kind": "blocks", "blocks": [["0"], ["1"]]}}),
+      "--depth", "1", "--window", "ball=2"],
+     "no window of kind ['ball'] for trivial action"),
+], ids=["tuple-not-an-array", "countable-trivial-with-points", "overlapping-blocks",
+        "bad-index-range", "unknown-piece-family", "glue-of-a-glue", "bad-exponent",
+        "no-ball-for-a-trivial-action"])
+def test_refused_input_exits_4_with_its_message(tmp_path, capsys, argv, message):
+    # a (kind, payload) argument is written to a manifest file first
+    argv = [write_manifest(tmp_path, f"m{i}.json", *a) if isinstance(a, tuple) else a
+            for i, a in enumerate(argv)]
+    assert run(capsys, argv) == (4, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # paradox construct
 

@@ -643,7 +643,8 @@ def test_independent_glue_of_finite_pieces_verifies(fixture, copies):
     # flat indices whose piece index exceeds the inner size, or whose orbit
     # is past the last of finitely many copies, are empty pieces with the
     # identity translator; probing them must neither crash nor reach the
-    # inner translator beyond its range, nor ask for a copy that does not exist
+    # inner translator beyond its range, and the decomposition is asked for
+    # once, for the first copy
     _kind, payload, _meta = loads_manifest(
         (FIXTURES / f"decomposition_{fixture}.json").read_text(), "decomposition"
     )
@@ -662,8 +663,57 @@ def test_independent_glue_of_finite_pieces_verifies(fixture, copies):
     )
     assert verdict.verified
     assert verdict.points_checked == 2 * 17
-    if copies is not None:
-        assert sorted(asked) == [(F2.identity, r) for r in range(copies)]
+    assert asked == {(F2.identity, 0)}
+
+
+@pytest.mark.parametrize("copies", [2, None])
+@pytest.mark.parametrize("mode", ["uniform", "independent"])
+@pytest.mark.parametrize("validated", [False, True])
+def test_glue_asks_for_one_decomposition(mode, copies, validated):
+    action = ProductAction(LeftTranslation(Z), copies)
+    asked = []
+    glued = glue_orbit_decompositions(
+        action, product_orbit_structure(action),
+        lambda rep: asked.append(rep) or singleton_decomposition(Z), mode=mode,
+        validate_window=(lambda rep: Z.box(3)) if validated else None)
+    assert verify_paradoxical(
+        glued, action.window({"box": 4, "indices": [0, 1]}), 12
+    ).verified
+    assert asked == [(0, 0)]
+
+
+@pytest.mark.parametrize("group, inner, window, copies", [
+    (Z, singleton_decomposition(Z), {"box": 6}, None),
+    (F2, f2_standard_decomposition(F2), {"ball": 2}, 2),
+], ids=["singleton-z", "free2-standard"])
+def test_independent_glue_is_uniform_glue_reindexed(group, inner, window, copies):
+    # flat piece cantor_pair(u - 1, r) + 1 is uniform piece u on copy r, and
+    # flat translator j is the inner translator of j's piece index; it is the
+    # identity when that piece or copy does not exist
+    action = ProductAction(LeftTranslation(group), copies)
+    orbits = product_orbit_structure(action)
+    uniform, independent = (
+        glue_orbit_decompositions(action, orbits, lambda rep: inner, mode=mode)
+        for mode in ("uniform", "independent")
+    )
+    indices = range(4 if copies is None else copies)
+    points = [(g, r) for r in indices for g in LeftTranslation(group).window(window).points]
+    for side in "ab":
+        glued_pieces = getattr(uniform, f"{side}_pieces").classifier
+        flat_pieces = getattr(independent, f"{side}_pieces").classifier
+        glued_cover = getattr(uniform, f"{side}_cover")
+        flat_cover = getattr(independent, f"{side}_cover")
+        for x in points:
+            u = glued_pieces(x)
+            assert flat_pieces(x) == (None if u is None else cantor_pair(u - 1, x[1]) + 1)
+            assert flat_cover(x) == cantor_pair(glued_cover(x) - 1, x[1]) + 1
+        size = getattr(inner, f"{side}_pieces").size
+        translator = getattr(inner, f"{side}_translator")
+        flat_translator = getattr(independent, f"{side}_translator")
+        for j in range(1, 40):
+            i0, r0 = cantor_unpair(j - 1)
+            missing = (size is not None and i0 >= size) or (copies is not None and r0 >= copies)
+            assert flat_translator(j) == (group.identity if missing else translator(i0 + 1))
 
 
 @pytest.mark.parametrize("mode", ["uniform", "independent"])
@@ -1375,12 +1425,13 @@ MALFORMED_ANSWERS = pytest.mark.parametrize("bad, message", [
 ], ids=["zero", "true", "size-plus-one"])
 
 
-def planted(dec, point, bad):
-    """``dec`` with the a-classifier answering ``bad`` at ``point``; the
-    claimants, which read the first letter, stay exact elsewhere."""
-    base = dec.a_pieces.classifier
-    return dataclasses.replace(dec, a_pieces=dataclasses.replace(
-        dec.a_pieces, classifier=lambda w: bad if w == point else base(w)))
+def planted(dec, point, bad, side="a"):
+    """``dec`` with the ``side`` classifier answering ``bad`` at ``point``;
+    the claimants, which read the first letter, stay exact elsewhere."""
+    pieces = getattr(dec, f"{side}_pieces")
+    base = pieces.classifier
+    return dataclasses.replace(dec, **{f"{side}_pieces": dataclasses.replace(
+        pieces, classifier=lambda w: bad if w == point else base(w))})
 
 
 @MALFORMED_ANSWERS
@@ -1392,6 +1443,16 @@ def test_a_malformed_answer_is_refused_at_the_partition_check(bad, message):
     assert verify_paradoxical(dec, fwin(1), 2).verified
     with pytest.raises(MalformedOracleError, match=f"^{message}$"):
         verify_paradoxical(planted(dec, (2,), bad), fwin(1), 2)
+
+
+@MALFORMED_ANSWERS
+def test_a_malformed_b_answer_is_refused_at_the_partition_check(bad, message):
+    # the b-side twin: a is read by the b-classifier in the partition check
+    # alone, since its b-cover names piece 2, whose preimage b^-1 a, and ba,
+    # whose preimage a is, lie outside ball(1)
+    dec = f2_standard_decomposition(F2)
+    with pytest.raises(MalformedOracleError, match=f"^{message}$"):
+        verify_paradoxical(planted(dec, (1,), bad, "b"), fwin(1), 2)
 
 
 @MALFORMED_ANSWERS
