@@ -259,33 +259,44 @@ MUTANTS = (
     Mutant(
         "scanned-cover-index-one-past-the-size",
         "src/confpara/paradox.py",
-        "    def scanned(x):\n"
-        "        i = cover(x)\n"
-        "        if not (type(i) is int and 0 < i <= top):\n",
-        "    def scanned(x):\n"
-        "        i = cover(x)\n"
-        "        if not (type(i) is int and 0 < i <= top + 1):\n",
+        "        if not (type(i) is int and 0 < i <= top_b):\n",
+        "        if not (type(i) is int and 0 < i <= top_b + 1):\n",
         ("tests/test_paradox.py::test_refinement_keeps_the_parent_cover_contract",),
     ),
     Mutant(
         "claimed-cover-index-one-past-the-size",
         "src/confpara/paradox.py",
-        "    def claimed(x):\n"
-        "        i = cover(x)\n"
-        "        if not (type(i) is int and 0 < i <= top):\n",
-        "    def claimed(x):\n"
-        "        i = cover(x)\n"
-        "        if not (type(i) is int and 0 < i <= top + 1):\n",
+        "        if not (type(i) is int and 0 < i <= top_a):\n",
+        "        if not (type(i) is int and 0 < i <= top_a + 1):\n",
         ("tests/test_paradox.py::test_refinement_keeps_the_parent_cover_contract",),
     ),
     Mutant(
         "claimed-check-skips-claimants-for-f2-points",
         "src/confpara/paradox.py",
-        "        named = claimants(x)\n",
-        "        if isinstance(x, tuple):  # a free-group word\n"
-        "            return None\n"
-        "        named = claimants(x)\n",
+        "        named = None if claimants_a is None else claimants_a(x)\n",
+        "        named = (i,) if isinstance(x, tuple) else (  # a free-group word\n"
+        "            None if claimants_a is None else claimants_a(x))\n",
         ("tests/test_paradox.py::test_claimants_cost_two_acts_covers_and_claimants_per_point",),
+    ),
+    # the claimant entries, checked where they are read
+    Mutant(
+        "claimant-entries-go-unchecked",
+        "src/confpara/paradox.py",
+        "        for j in named:\n"
+        "            if not (type(j) is int and 0 < j <= top):\n"
+        "                _checked_index(claimants_name, j, size)\n",
+        "",
+        ("tests/test_paradox.py::test_claimant_entries_are_checked_against_the_index_contract",
+         "tests/test_paradox.py::test_a_claimant_past_the_family_size_is_malformed"),
+    ),
+    Mutant(
+        "claimants-fast-test-reads-true-as-piece-1",
+        "src/confpara/paradox.py",
+        "        if named != (i,) or type(named[0]) is not int:\n"
+        "            other = other_b(x, i, named)\n",
+        "        if named != (i,):\n"
+        "            other = other_b(x, i, named)\n",
+        ("tests/test_paradox.py::test_claimant_entries_are_checked_against_the_index_contract",),
     ),
     # the index checks written where the verifier reads a classifier answer
     Mutant(
@@ -305,38 +316,22 @@ MUTANTS = (
     Mutant(
         "claimed-membership-probe-takes-a-bool",
         "src/confpara/paradox.py",
-        "        if c is not None and not (type(c) is int and 0 < c <= top):\n"
-        "            c = _checked_index(\"classifier\", c, size)\n"
-        "        if c != i:\n"
-        "            return f\"{side}-cover-membership\", {\"index\": i}\n"
-        "        named = claimants(x)\n",
-        "        if c is not None and not (0 < c <= top):\n"
-        "            c = _checked_index(\"classifier\", c, size)\n"
-        "        if c != i:\n"
-        "            return f\"{side}-cover-membership\", {\"index\": i}\n"
-        "        named = claimants(x)\n",
+        "        if c is not None and not (type(c) is int and 0 < c <= top_a):\n",
+        "        if c is not None and not (0 < c <= top_a):\n",
         ("tests/test_paradox.py::test_a_malformed_answer_is_refused_at_the_membership_probe",),
     ),
     Mutant(
         "scanned-membership-probe-one-past-the-size",
         "src/confpara/paradox.py",
-        "        if c is not None and not (type(c) is int and 0 < c <= top):\n"
-        "            c = _checked_index(\"classifier\", c, size)\n"
-        "        if c != i:\n"
-        "            return f\"{side}-cover-membership\", {\"index\": i}\n"
-        "        for j in range(1, limit + 1):\n",
-        "        if c is not None and not (type(c) is int and 0 < c <= top + 1):\n"
-        "            c = _checked_index(\"classifier\", c, size)\n"
-        "        if c != i:\n"
-        "            return f\"{side}-cover-membership\", {\"index\": i}\n"
-        "        for j in range(1, limit + 1):\n",
-        ("tests/test_paradox.py::test_a_malformed_answer_is_refused_at_the_membership_probe",),
+        "        if c is not None and not (type(c) is int and 0 < c <= top_b):\n",
+        "        if c is not None and not (type(c) is int and 0 < c <= top_b + 1):\n",
+        ("tests/test_paradox.py::test_a_malformed_b_answer_is_refused_at_the_membership_probe",),
     ),
     Mutant(
         "index-scan-takes-index-0",
         "src/confpara/paradox.py",
-        "            if c is not None and not (type(c) is int and 0 < c <= top):\n",
-        "            if c is not None and not (type(c) is int and 0 <= c <= top):\n",
+        "                if c is not None and not (type(c) is int and 0 < c <= top):\n",
+        "                if c is not None and not (type(c) is int and 0 <= c <= top):\n",
         ("tests/test_paradox.py::test_a_malformed_answer_is_refused_inside_the_index_scan",),
     ),
     Mutant(

@@ -50,6 +50,7 @@ class LeftTranslation(Action):
     def __init__(self, group):
         self.group = group
         self.is_finite_points = group.is_finite
+        self.act = group.mul  # one call per act; shadows the method below
 
     def act(self, g, x):
         return self.group.mul(g, x)

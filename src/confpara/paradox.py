@@ -58,10 +58,11 @@ class PieceFamily:
     index, or None for points outside the family).  ``size`` is None for
     countably indexed families.
 
-    ``claimants(x)``, when given, names every piece index j whose translate
-    t_j·(piece j) holds x, under the translators the family is paired with,
-    no more and no fewer; the verifier then reads cover uniqueness off it
-    instead of probing every index.  It is tied to the classifier and the
+    ``claimants(x)``, when given, is the tuple of every piece index j whose
+    translate t_j·(piece j) holds x, under the translators the family is
+    paired with, no more and no fewer; the verifier then reads cover
+    uniqueness off it instead of probing every index, and refuses an entry
+    that is not a piece index.  It is tied to the classifier and the
     translators: a family built with either changed must drop it
     (``claimants=None``) or supply a new one."""
 
@@ -72,8 +73,8 @@ class PieceFamily:
     def classify_checked(self, x):
         i = self.classifier(x)
         # the common case without a call; anything else, bools included,
-        # goes through _checked_index.  verify_paradoxical and
-        # _cover_failure write this test inline where they read an answer
+        # goes through _checked_index.  The verifiers and _cover_failure
+        # write this test inline where they read an answer
         if i is None or type(i) is int and 0 < i and (self.size is None or i <= self.size):
             return i
         return _checked_index("classifier", i, self.size)
@@ -143,72 +144,47 @@ def _refuted(window, bound, checked, point, equation, **detail):
     )
 
 
-def _cover_failure(action, side, fam, translator, cover, index_bound):
-    """Cover check of one side for one verifier call: x -> the first failure
-    at x as (equation, detail), or None.  The cover must name a piece whose
-    translate holds x, and no other piece index up to the index bound (and
-    the family size) may.
+def _cover_failure(action, side, fam, translator, inverses, index_bound):
+    """Cover uniqueness of one side for one verifier call: (x, i, named) ->
+    the smallest piece index other than i, up to the index bound (and the
+    family size), whose translate holds x, or None.  Here i is the cover's
+    index at x, whose translate holds x, and ``named`` the claimants of x.
 
-    The check is picked once: a family that names its claimants is checked
-    at the smallest claimant other than the cover's index, rechecked against
-    the classifier; other families are probed index by index."""
+    The verifier calls it only where ``named == (i,)`` does not settle
+    uniqueness: a family without claimants is probed index by index, and
+    one whose claimants differ from (i,) is checked at the smallest claimant
+    other than i, rechecked against the classifier.  ``inverses`` is the
+    verifier's cache of this side's translator inverses."""
     act, inv = action.act, action.group.inv
     size, classify, claimants = fam.size, fam.classifier, fam.claimants
     top = _INLINE_TOP if size is None else size
-    cover_name = f"{side}-cover"
+    claimants_name = f"{side}-claimants"
     limit = index_bound if size is None else min(index_bound, size)
-    inverses = {}
 
-    # Both checks open with the same cover-membership test, written out in
-    # each: a shared helper costs a call per side and point, about 5% of
-    # ``f2-standard``.  The cover's index, and every classifier answer of
-    # the membership probe and the index scan, is checked against the index
-    # contract where it is read: None or a plain int in 1..top passes
-    # inline, and anything else goes to ``_checked_index``, which raises
-    # (or passes an index of a countable family above ``_INLINE_TOP``).
-    # The translator inverses are cached with ``dict.get``, so a miss,
-    # which a singleton family meets at every point, raises nothing.
+    # Every classifier answer of the index scan, and every claimant entry,
+    # is checked against the index contract where it is read: a plain int in
+    # 1..top (or None, for an answer) passes inline, and anything else goes
+    # to ``_checked_index``, which raises (or passes an index of a countable
+    # family above ``_INLINE_TOP``).  The translator inverses are cached
+    # with ``dict.get``, so a miss raises nothing.
 
-    def scanned(x):
-        i = cover(x)
-        if not (type(i) is int and 0 < i <= top):
-            i = _checked_index(cover_name, i, size)
-        t = inverses.get(i, _MISSING)
-        if t is _MISSING:
-            t = inverses[i] = inv(translator(i))
-        c = classify(act(t, x))
-        if c is not None and not (type(c) is int and 0 < c <= top):
-            c = _checked_index("classifier", c, size)
-        if c != i:
-            return f"{side}-cover-membership", {"index": i}
-        for j in range(1, limit + 1):
-            if j == i:
-                continue
-            t = inverses.get(j, _MISSING)
-            if t is _MISSING:
-                t = inverses[j] = inv(translator(j))
-            c = classify(act(t, x))
-            if c is not None and not (type(c) is int and 0 < c <= top):
-                c = _checked_index("classifier", c, size)
-            if c == j:
-                return f"{side}-cover-uniqueness", {"index": i, "other": j}
-        return None
-
-    def claimed(x):
-        i = cover(x)
-        if not (type(i) is int and 0 < i <= top):
-            i = _checked_index(cover_name, i, size)
-        t = inverses.get(i, _MISSING)
-        if t is _MISSING:
-            t = inverses[i] = inv(translator(i))
-        c = classify(act(t, x))
-        if c is not None and not (type(c) is int and 0 < c <= top):
-            c = _checked_index("classifier", c, size)
-        if c != i:
-            return f"{side}-cover-membership", {"index": i}
-        named = claimants(x)
-        if named == (i,):
+    def other_holder(x, i, named):
+        if claimants is None:
+            for j in range(1, limit + 1):
+                if j == i:
+                    continue
+                t = inverses.get(j, _MISSING)
+                if t is _MISSING:
+                    t = inverses[j] = inv(translator(j))
+                c = classify(act(t, x))
+                if c is not None and not (type(c) is int and 0 < c <= top):
+                    c = _checked_index("classifier", c, size)
+                if c == j:
+                    return j
             return None
+        for j in named:
+            if not (type(j) is int and 0 < j <= top):
+                _checked_index(claimants_name, j, size)
         if i in named:
             other = min((j for j in named if j != i and j <= limit), default=None)
             if other is None:
@@ -217,45 +193,50 @@ def _cover_failure(action, side, fam, translator, cover, index_bound):
             if t is _MISSING:
                 t = inverses[other] = inv(translator(other))
             if fam.classify_checked(act(t, x)) == other:
-                return f"{side}-cover-uniqueness", {"index": i, "other": other}
+                return other
         raise MalformedOracleError(
-            f"{side}-claimants {tuple(named)!r} of {x!r} disagree with "
+            f"{claimants_name} {tuple(named)!r} of {x!r} disagree with "
             f"the classifier (cover piece {i})"
         )
 
-    return scanned if claimants is None else claimed
+    return other_holder
 
 
 def verify_paradoxical(dec, window, index_bound):
     """Check, on every window point, that the two families partition the
     point set and that each point lies in exactly one translated a-piece and
     exactly one translated b-piece (uniqueness among indices up to
-    ``index_bound``).  First failure in canonical window order wins.
+    ``index_bound``).  First failure in canonical window order wins; at a
+    point the checks run partition, a-membership, a-uniqueness,
+    b-membership, b-uniqueness.
 
     Cost: O(window) classifier calls when both families name their
     claimants (singletons and their lifts, the free group's four pieces,
     singleton refinements and the uniform glue of any of these over a
     decoding proved equivariant: four per point until a failure; a
     refinement's claimants add one rank lookup per parent piece), else
-    O(window x index_bound).  Each side's check is picked once per call, and
-    the index scan is one loop with the translator inverses cached, so a
-    probe costs the action, the classifier and its index check.
+    O(window x index_bound).  The partition check, each side's membership
+    probe and its claimants test ``named == (i,)`` are written out in the
+    point loop, with the translator inverses cached, so a point costs its
+    oracle calls and no other call; only the index scan and a recheck of
+    other claimants go to ``_cover_failure``.
 
-    The classifiers are called directly, and each answer is checked against
-    the index contract where it is read: here for the partition check, in
-    ``_cover_failure`` for the membership probe and the index scan.  None or
-    a plain int in 1..size passes inline; anything else goes to
-    ``_checked_index``, so a malformed answer raises the same
+    The classifiers are called directly, and each answer, cover index and
+    claimant entry is checked against the index contract where it is read:
+    None (for an answer) or a plain int in 1..size passes inline; anything
+    else goes to ``_checked_index``, so a malformed answer raises the same
     ``MalformedOracleError`` as ``PieceFamily.classify_checked``."""
     _require_int("index bound", index_bound, 1)
-    failure_a, failure_b = (
-        _cover_failure(dec.action, name, fam, translator, cover, index_bound)
-        for name, fam, translator, cover, _range in dec.sides()
-    )
-    classify_a, size_a = dec.a_pieces.classifier, dec.a_pieces.size
-    classify_b, size_b = dec.b_pieces.classifier, dec.b_pieces.size
+    act, inv = dec.action.act, dec.action.group.inv
+    fam_a, fam_b = dec.a_pieces, dec.b_pieces
+    classify_a, size_a, claimants_a = fam_a.classifier, fam_a.size, fam_a.claimants
+    classify_b, size_b, claimants_b = fam_b.classifier, fam_b.size, fam_b.claimants
+    cover_a, cover_b = dec.a_cover, dec.b_cover
     top_a = _INLINE_TOP if size_a is None else size_a
     top_b = _INLINE_TOP if size_b is None else size_b
+    inverses_a, inverses_b = {}, {}
+    other_a = _cover_failure(dec.action, "a", fam_a, dec.a_translator, inverses_a, index_bound)
+    other_b = _cover_failure(dec.action, "b", fam_b, dec.b_translator, inverses_b, index_bound)
     checked = 0
     for x in window.points:
         checked += 1
@@ -270,10 +251,40 @@ def verify_paradoxical(dec, window, index_bound):
                 window, index_bound, checked, x, "combined-partition",
                 a_piece=ia, b_piece=ib,
             )
-        failure = failure_a(x) or failure_b(x)
-        if failure is not None:
-            equation, detail = failure
-            return _refuted(window, index_bound, checked, x, equation, **detail)
+        i = cover_a(x)
+        if not (type(i) is int and 0 < i <= top_a):
+            i = _checked_index("a-cover", i, size_a)
+        t = inverses_a.get(i, _MISSING)
+        if t is _MISSING:
+            t = inverses_a[i] = inv(dec.a_translator(i))
+        c = classify_a(act(t, x))
+        if c is not None and not (type(c) is int and 0 < c <= top_a):
+            c = _checked_index("classifier", c, size_a)
+        if c != i:
+            return _refuted(window, index_bound, checked, x, "a-cover-membership", index=i)
+        named = None if claimants_a is None else claimants_a(x)
+        if named != (i,) or type(named[0]) is not int:
+            other = other_a(x, i, named)
+            if other is not None:
+                return _refuted(window, index_bound, checked, x, "a-cover-uniqueness",
+                                index=i, other=other)
+        i = cover_b(x)
+        if not (type(i) is int and 0 < i <= top_b):
+            i = _checked_index("b-cover", i, size_b)
+        t = inverses_b.get(i, _MISSING)
+        if t is _MISSING:
+            t = inverses_b[i] = inv(dec.b_translator(i))
+        c = classify_b(act(t, x))
+        if c is not None and not (type(c) is int and 0 < c <= top_b):
+            c = _checked_index("classifier", c, size_b)
+        if c != i:
+            return _refuted(window, index_bound, checked, x, "b-cover-membership", index=i)
+        named = None if claimants_b is None else claimants_b(x)
+        if named != (i,) or type(named[0]) is not int:
+            other = other_b(x, i, named)
+            if other is not None:
+                return _refuted(window, index_bound, checked, x, "b-cover-uniqueness",
+                                index=i, other=other)
     return Verdict("verified-up-to", window.label, index_bound, checked, None)
 
 
@@ -289,13 +300,15 @@ class EquidecompositionWitness:
 
 def verify_equidecomposable(source, target, witness, action, window, index_bound):
     """Check on the window that the witness pieces tile ``source`` and their
-    translates tile ``target`` (membership predicates, not point lists)."""
+    translates tile ``target`` (membership predicates, not point lists);
+    the target cover is checked as ``verify_paradoxical`` checks a side's."""
     _require_int("index bound", index_bound, 1)
-    act = action.act
-    fam = witness.pieces
-    failure = _cover_failure(
-        action, "target", fam, witness.translator, witness.cover, index_bound
-    )
+    act, inv = action.act, action.group.inv
+    fam, translator, cover = witness.pieces, witness.translator, witness.cover
+    classify, size, claimants = fam.classifier, fam.size, fam.claimants
+    top = _INLINE_TOP if size is None else size
+    inverses = {}
+    other_holder = _cover_failure(action, "target", fam, translator, inverses, index_bound)
     checked = 0
     for x in window.points:
         checked += 1
@@ -308,15 +321,29 @@ def verify_equidecomposable(source, target, witness, action, window, index_bound
                 return _refuted(
                     window, index_bound, checked, x, "piece-inside-source", index=i
                 )
-            if not target(act(witness.translator(i), x)):
+            if not target(act(translator(i), x)):
                 return _refuted(
                     window, index_bound, checked, x, "translated-inside-target", index=i
                 )
         if target(x):
-            found = failure(x)
-            if found is not None:
-                equation, detail = found
-                return _refuted(window, index_bound, checked, x, equation, **detail)
+            i = cover(x)
+            if not (type(i) is int and 0 < i <= top):
+                i = _checked_index("target-cover", i, size)
+            t = inverses.get(i, _MISSING)
+            if t is _MISSING:
+                t = inverses[i] = inv(translator(i))
+            c = classify(act(t, x))
+            if c is not None and not (type(c) is int and 0 < c <= top):
+                c = _checked_index("classifier", c, size)
+            if c != i:
+                return _refuted(window, index_bound, checked, x, "target-cover-membership",
+                                index=i)
+            named = None if claimants is None else claimants(x)
+            if named != (i,) or type(named[0]) is not int:
+                other = other_holder(x, i, named)
+                if other is not None:
+                    return _refuted(window, index_bound, checked, x,
+                                    "target-cover-uniqueness", index=i, other=other)
     return Verdict("verified-up-to", window.label, index_bound, checked, None)
 
 
@@ -382,9 +409,10 @@ class _F2Side:
     e and the powers of the inverse of ``letter`` move from piece 2 (or from
     no piece, for e) into piece 1.
 
-    A class, not closures, so that both sides share one function per oracle:
-    the verifier calls either side's oracles from one call site, which
-    CPython 3.11 specializes per function object.  ``cover`` and
+    A class, so that the rule is written once and a side is its two slots.
+    The verifier calls each side's oracles from that side's own call sites,
+    so per-side closures would cost no more; the class is kept for the one
+    definition both sides share.  ``cover`` and
     ``claimants`` read the first letter themselves rather than call
     ``classifier``: piece 1 is where the classifier says 1, and everything
     else, the words outside both pieces included, goes to piece 2.  The

@@ -707,6 +707,29 @@ def test_enumerated_even_integers(a):
     assert g.mul(a, g.inv(a)) == g.identity == 0
 
 
+def test_enumerated_elements_round_trip_through_their_index_tokens():
+    g = even_integers_enumerated()
+    for a in range(40):
+        assert g.parse(g.format(a)) == a
+    for token, message in (("x", "bad element index 'x'"), ("2.5", "bad element index '2.5'"),
+                           ("-1", "element index must be >= 0")):
+        with pytest.raises(InputError) as exc:
+            g.parse(token)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", EVERY_FAMILY)
+def test_left_translation_acts_by_the_group_mul(name):
+    # an instance acts through the group's mul itself; the class keeps its
+    # act method, which code that looks methods up on the class reads
+    group = EVERY_FAMILY[name]
+    action, method = LeftTranslation(group), vars(LeftTranslation)["act"]
+    sample = group.prefix_window(min(group.order(), 6) if group.is_finite else 6).points
+    for h in sample:
+        for x in sample:
+            assert action.act(h, x) == method(action, h, x) == group.mul(h, x)
+
+
 # ---------------------------------------------------------------------------
 # finite-group utilities
 

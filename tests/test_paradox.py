@@ -7,7 +7,7 @@ import pathlib
 import types
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from confpara.actions import LeftTranslation, ProductAction, TrivialAction
@@ -308,6 +308,24 @@ def test_equidecomposable_source_gap_is_refuted():
     assert verdict.witness.point == 2
 
 
+@pytest.mark.parametrize("cover, bad_at, message", [
+    (lambda v: 0 if v == 2 else Z.position_of(v // 2), None,
+     "target-cover returned bad index 0"),
+    (lambda v: Z.position_of(5) if v == 2 else Z.position_of(v // 2), -3,
+     "classifier returned bad index 0"),
+], ids=["cover", "membership-probe"])
+def test_a_malformed_target_read_is_refused(cover, bad_at, message):
+    # at 2 the cover names 0, or piece {5}, whose preimage 2 - 5 = -3 lies
+    # outside box(2); at bound 1 no index scan reads -3 first, so only the
+    # target's membership probe reads it
+    w = galileo_witness()
+    pieces = PieceFamily(lambda v: 0 if v == bad_at else Z.position_of(v))
+    broken = EquidecompositionWitness(pieces, w.translator, cover)
+    with pytest.raises(MalformedOracleError, match=f"^{message}$"):
+        verify_equidecomposable(lambda v: True, lambda v: v % 2 == 0, broken,
+                                LeftTranslation(Z), zwin(2), 1)
+
+
 # ---------------------------------------------------------------------------
 # subgroup witnesses
 
@@ -562,6 +580,7 @@ def test_refinement_keeps_the_parent_classifier_contract():
 @pytest.mark.parametrize("side, index, message", [
     ("a", 3, "a-cover returned index 3 beyond the family size 2"),
     ("b", 0, "b-cover returned bad index 0"),
+    ("b", 3, "b-cover returned index 3 beyond the family size 2"),
 ])
 def test_refinement_keeps_the_parent_cover_contract(side, index, message):
     # a derived cover checks the parent cover's index before it looks the
@@ -1126,6 +1145,36 @@ def test_wrong_claimants_are_malformed(claimants, named):
         verify_paradoxical(broken, zwin(3), 6)
 
 
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("claimants, message", [
+    (lambda x: (Z.position_of(x), 0), "bad index 0"),
+    (lambda x: (Z.position_of(x), -3), "bad index -3"),
+    (lambda x: (Z.position_of(x), "2"), "bad index '2'"),
+    (lambda x: (1, True), "bad index True"),
+    (lambda x: (True,) if x == 0 else (Z.position_of(x),), "bad index True"),
+], ids=["zero", "negative", "str", "true-beside-1", "true-alone"])
+def test_claimant_entries_are_checked_against_the_index_contract(side, claimants, message):
+    # at 0 = at(1) both covers name piece 1; every claimant entry is checked
+    # where the verifier reads it, before it is ordered, translated or read
+    # as piece 1
+    dec = singleton_decomposition(Z)
+    fam = getattr(dec, f"{side}_pieces")
+    broken = dataclasses.replace(
+        dec, **{f"{side}_pieces": dataclasses.replace(fam, claimants=claimants)})
+    with pytest.raises(MalformedOracleError, match=f"^{side}-claimants returned {message}$"):
+        verify_paradoxical(broken, zwin(3), 10)
+
+
+def test_a_claimant_past_the_family_size_is_malformed():
+    # the size-2 a-family names a piece 3 beside the cover's piece 1 at e
+    dec = f2_standard_decomposition(F2)
+    broken = dataclasses.replace(dec, a_pieces=dataclasses.replace(
+        dec.a_pieces, claimants=lambda w: (1, 3)))
+    with pytest.raises(MalformedOracleError,
+                       match="^a-claimants returned index 3 beyond the family size 2$"):
+        verify_paradoxical(broken, fwin(1), 2)
+
+
 def test_lift_claimants_hold_through_any_transversal():
     # exact on finite transversals ({0, 1}, {0}) and an infinite one (the
     # words not starting with the first generator or its inverse)
@@ -1242,6 +1291,14 @@ def fast_outcome(dec, window, bound):
     return v.status, v.points_checked, w.point, w.equation, w.detail
 
 
+# two failures at the first point: at bound 2 a's uniqueness fails before
+# b's membership; at bound 1 a's other holder lies past the bound (its
+# claimants differ from (i,) but name no other piece within it), so b's
+# membership is read and fails.  Once over claimants, once by scan
+@example(kind="f2-standard", radius=1, bound=2, mutation="a-and-b-at-e", side="a", data=None)
+@example(kind="f2-explicit", radius=1, bound=2, mutation="a-and-b-at-e", side="a", data=None)
+@example(kind="f2-standard", radius=1, bound=1, mutation="a-and-b-at-e", side="a", data=None)
+@example(kind="f2-explicit", radius=1, bound=1, mutation="a-and-b-at-e", side="a", data=None)
 @settings(max_examples=200, deadline=None)
 @given(
     kind=st.sampled_from(["f2-standard", "f2-explicit", "refined-f2", "refined-explicit",
@@ -1274,6 +1331,12 @@ def test_verifier_matches_its_slow_reference(kind, radius, bound, mutation, side
     elif mutation == "rerouted" and member is not None:
         positions = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
         dec = reroute(dec, side, member, positions, data.draw(st.booleans()))
+    elif mutation == "a-and-b-at-e":
+        # a-pieces 1 and 2 both land on e, which the a-cover gives to piece
+        # 1, and the b-cover gives e to piece 1, whose translate misses it
+        dec = reroute(dec, "a", member, [1, 1], last=False)
+        cover = dec.b_cover
+        dec = dataclasses.replace(dec, b_cover=lambda w: 1 if w == () else cover(w))
     window = window_of(radius)
     assert reference_outcome(fast_outcome, dec, window, bound) == reference_outcome(
         oracles.naive_verify_paradoxical, dec, window.points, bound)
@@ -1467,6 +1530,18 @@ def test_a_malformed_answer_is_refused_at_the_membership_probe(claims, bad, mess
     assert verify_paradoxical(dec, fwin(1), 2).verified
     with pytest.raises(MalformedOracleError, match=f"^{message}$"):
         verify_paradoxical(planted(dec, (-1, 2), bad), fwin(1), 2)
+
+
+@MALFORMED_ANSWERS
+@pytest.mark.parametrize("claims", [True, False], ids=["claimants", "scan"])
+def test_a_malformed_b_answer_is_refused_at_the_membership_probe(claims, bad, message):
+    # the b-side twin: b^-1 a lies outside ball(1), and the b-cover names
+    # piece 2 at a, so the b-membership probe at a reads it first
+    dec = f2_standard_decomposition(F2)
+    dec = dec if claims else scanned(dec)
+    assert (-2, 1) not in fwin(1).points
+    with pytest.raises(MalformedOracleError, match=f"^{message}$"):
+        verify_paradoxical(planted(dec, (-2, 1), bad, "b"), fwin(1), 2)
 
 
 @MALFORMED_ANSWERS
