@@ -280,6 +280,15 @@ MUTANTS = (
     ),
     # the claimant entries, checked where they are read
     Mutant(
+        "claimants-need-not-be-a-tuple",
+        "src/confpara/paradox.py",
+        "        if not isinstance(named, tuple):\n"
+        "            raise MalformedOracleError(\n"
+        "                f\"{claimants_name} returned {named!r} for {x!r}, not a tuple\")\n",
+        "",
+        ("tests/test_paradox.py::test_claimants_that_are_not_a_tuple_are_malformed",),
+    ),
+    Mutant(
         "claimant-entries-go-unchecked",
         "src/confpara/paradox.py",
         "        for j in named:\n"

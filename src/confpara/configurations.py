@@ -18,7 +18,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import add
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import InputError, PreconditionError, ResourceCapExceeded
 from .groups import _is_int, _perm_closure, _require_int, is_generating
@@ -114,8 +114,7 @@ class ConfigPair:
         object.__setattr__(self, "elements", tuple(self.elements))
 
 
-@dataclass(frozen=True)
-class CountablePair:
+class CountablePair(NamedTuple):
     """Countable tuple given by a 1-based oracle; ``identity_tail_after``
     declares that every entry past that position is the identity."""
 
@@ -179,8 +178,7 @@ def configurations_with_cells(action, pair, window=None):
     return {c: _cells(action, pair.elements, by_config[c]) for c in sorted(by_config)}
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(NamedTuple):
     ok: bool
     violation: Optional[dict]
 
@@ -249,8 +247,7 @@ def _point_key(x):
 # countable tuples / partitions
 
 
-@dataclass(frozen=True)
-class PrefixResult:
+class PrefixResult(NamedTuple):
     prefixes: tuple
     exact: bool
     depth: int
@@ -281,8 +278,7 @@ def countable_config_prefixes(action, pair, depth, window):
     return PrefixResult(tuple(prefixes), exact, depth, window.label, note)
 
 
-@dataclass(frozen=True)
-class SplitPair:
+class SplitPair(NamedTuple):
     pair: CountablePair
     relabeling: tuple  # 1-based: relabeling[old - 1] = new block index
 
@@ -843,16 +839,14 @@ def _first_unmatched(family, other, code_maps):
     ), None)
 
 
-@dataclass(frozen=True)
-class PairWitness:
+class PairWitness(NamedTuple):
     direction: str
     tuple_tokens: tuple
     blocks: tuple  # tuple of tuples of point tokens
     configurations: tuple
 
 
-@dataclass(frozen=True)
-class EquivVerdict:
+class EquivVerdict(NamedTuple):
     equivalent: bool
     n: int
     m: int

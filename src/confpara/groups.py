@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import string
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -276,8 +275,8 @@ def _iroot(n, k):
 # tested in C; a bool or another int subclass fails it and takes the slow path
 _EXACT_INT = frozenset({int})
 
-# "e" is the identity's token, so no generator takes it
-_GENERATOR_NAMES = string.ascii_lowercase.replace("e", "")
+# the lowercase letters but "e", the identity's token, which no generator takes
+_GENERATOR_NAMES = "abcdfghijklmnopqrstuvwxyz"
 
 
 class FreeGroup(Group):

@@ -24,8 +24,7 @@ setwise definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .actions import LeftTranslation
 from .configurations import (
@@ -38,8 +37,7 @@ from .errors import InputError, PreconditionError, ResourceCapExceeded
 from .groups import Window, _cosets, _require_int, quotient_group
 
 
-@dataclass(frozen=True)
-class MultiplicationIndexTable:
+class MultiplicationIndexTable(NamedTuple):
     """Partial 1-based multiplication table over enumeration indices.
 
     ``entry(i, j)`` is the index of g_i g_j or None when the product falls
@@ -212,8 +210,7 @@ def _full_canonical_set(table):
     )
 
 
-@dataclass(frozen=True)
-class CosetFamily:
+class CosetFamily(NamedTuple):
     """Recovered coset structure: ``blocks[0]`` is the subgroup F_1."""
 
     blocks: tuple  # tuple of frozensets, 1-based indices shifted by one
@@ -307,8 +304,7 @@ def recover_cosets(group, pair, table, configurations=None):
     return CosetFamily(blocks, tuple(pair.elements), relabeling, ident_block)
 
 
-@dataclass(frozen=True)
-class IsoReport:
+class IsoReport(NamedTuple):
     ok: bool
     failures: tuple
     iso: tuple  # (enumeration label, 1-based block index) pairs
@@ -407,8 +403,7 @@ def verify_normal_and_iso(group, family, table):
     return IsoReport(not failures, tuple(failures), iso, len(f1), n)
 
 
-@dataclass(frozen=True)
-class RefinementSearchReport:
+class RefinementSearchReport(NamedTuple):
     subgroup_trivial: bool
     conclusion: str
     refined_block_count: Optional[int]

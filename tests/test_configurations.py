@@ -259,6 +259,20 @@ def test_refinement_flags_overlap():
     assert not report.ok
 
 
+def test_refinement_flags_a_cell_in_the_wrong_block():
+    act = LeftTranslation(cyclic(4))
+    pair = ConfigPair((1,), Partition.explicit([[0, 2], [1, 3]]))
+    # the cells of test_z4_cells with the translates swapped: each position
+    # still tiles the group once, but the translate of (1, 2) lies in block 1
+    swapped = {(1, 2): ({0, 2}, {0, 2}), (2, 1): ({1, 3}, {1, 3})}
+    report = verify_refinement(act, pair, swapped)
+    assert not report.ok
+    assert report.violation == {
+        "kind": "wrong-block", "position": 1, "point": 0, "config": (1, 2),
+        "expected-block": 2, "actual-block": 1,
+    }
+
+
 def _windowed_case(kind):
     z = LeftTranslation(FreeAbelianGroup(1))
     if kind == "z-box":

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 import oracles
 from confpara import codec
 from confpara import configurations as cf
+from confpara import paradox as px
+from confpara import reconstruction as rc
 from confpara.actions import LeftTranslation, ProductAction, TrivialAction
 from confpara.catalog import alternating4, cyclic, dihedral, fixture_groups, quaternion8, symmetric
 from confpara.errors import InputError, PreconditionError, UnsupportedOperationError
@@ -653,11 +655,17 @@ def _call_sites(node, matches, where=None):
         yield from _call_sites(child, matches, inner)
 
 
+def _package_trees():
+    """File name -> parsed module, for each module of the package."""
+    package = Path(__file__).resolve().parent.parent / "src" / "confpara"
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
 def _package_call_sites(matches):
     """(file name, enclosing function) of each matching call in the package."""
-    package = Path(__file__).resolve().parent.parent / "src" / "confpara"
-    return [(path.name, where) for path in sorted(package.glob("*.py"))
-            for where in _call_sites(ast.parse(path.read_text(encoding="utf-8")), matches)]
+    return [(name, where) for name, tree in _package_trees().items()
+            for where in _call_sites(tree, matches)]
 
 
 def _tests_for_a_bool(call):
@@ -685,6 +693,94 @@ def test_only_require_int_words_an_integer_argument_refusal():
     assert _package_call_sites(_words_an_integer_argument) == [
         ("configurations.py", "default_partition_cap"),
         ("groups.py", "_require_int"), ("groups.py", "_require_int"), ("groups.py", "_require_int")]
+
+
+# A read-only record is a typing.NamedTuple: on CPython 3.11 each @dataclass
+# decoration execs its generated methods at import, several times the cost of
+# a NamedTuple class.  These keep the decorator, each for a reason a
+# NamedTuple cannot carry.  An object whose method runs per point, such as
+# paradox._FirstLetter, takes slots instead: a NamedTuple field read is not
+# specialized on 3.11.
+DATACLASSES = {
+    ("groups.py", "Window"): "cached_property point_set, and its own __len__, __iter__ "
+                             "and __contains__",
+    ("configurations.py", "ConfigPair"): "__post_init__ coerces elements to a tuple",
+    ("paradox.py", "PieceFamily"): "dataclasses.replace builds altered families",
+    ("paradox.py", "Decomposition"): "dataclasses.replace builds altered decompositions",
+    ("paradox.py", "OrbitStructure"): "equivariant_for is set after construction",
+}
+
+
+def _is_dataclass_decorator(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def test_only_records_that_need_it_are_dataclasses():
+    decorated = {(name, node.name) for name, tree in _package_trees().items()
+                 for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 and any(map(_is_dataclass_decorator, node.decorator_list))}
+    assert decorated == set(DATACLASSES)
+
+
+def test_no_module_imports_string_and_reconstruction_not_dataclasses():
+    imported = {}
+    for name, tree in _package_trees().items():
+        imported[name] = {alias.name.split(".")[0] for node in ast.walk(tree)
+                          if isinstance(node, ast.Import) for alias in node.names}
+        imported[name] |= {node.module.split(".")[0] for node in ast.walk(tree)
+                           if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert [name for name, modules in imported.items() if "string" in modules] == []
+    assert "dataclasses" not in imported["reconstruction.py"]
+
+
+# every read-only record, with its fields in constructor order
+RECORDS = {
+    cf.CountablePair: ("element_at", "partition", "generating", "identity_tail_after"),
+    cf.RefinementReport: ("ok", "violation"),
+    cf.PrefixResult: ("prefixes", "exact", "depth", "window_label", "note"),
+    cf.SplitPair: ("pair", "relabeling"),
+    cf.PairWitness: ("direction", "tuple_tokens", "blocks", "configurations"),
+    cf.EquivVerdict: ("equivalent", "n", "m", "only_in_first", "only_in_second", "family_sizes"),
+    px.RefutationWitness: ("point", "equation", "detail"),
+    px.Verdict: ("status", "window_label", "index_bound", "points_checked", "witness"),
+    px.EquidecompositionWitness: ("pieces", "translator", "cover"),
+    px.SubgroupWitness: ("subgroup", "from_subgroup", "decompose", "label"),
+    px.CompressionResult: ("status", "decomposition", "a_range", "b_range", "bound", "detection"),
+    rc.MultiplicationIndexTable: ("bound", "rows", "labels"),
+    rc.CosetFamily: ("blocks", "representatives", "relabeling", "identity_block_before"),
+    rc.IsoReport: ("ok", "failures", "iso", "subgroup_order", "coset_count"),
+    rc.RefinementSearchReport: ("subgroup_trivial", "conclusion", "refined_block_count",
+                                "available_points", "pairs_searched", "matched"),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_a_read_only_record_keeps_the_dataclass_repr_and_is_frozen_and_hashable(record):
+    fields = RECORDS[record]
+    assert record._fields == fields
+    values = tuple(range(len(fields)))
+    built = record(*values)
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values))
+    assert repr(built) == f"{record.__name__}({shown})"
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(built, name, -1)
+    twin = record(*values)
+    assert twin == built and twin is not built and hash(twin) == hash(built)
+    assert record(*values[:-1], -1) != built
+
+
+def test_read_only_records_keep_their_defaults_and_a_verdict_reads_as_before():
+    assert {record.__name__: record._field_defaults for record in RECORDS
+            if record._field_defaults} == {
+        "CountablePair": {"generating": False, "identity_tail_after": None},
+        "SubgroupWitness": {"label": "subgroup"},
+    }
+    assert repr(px.Verdict("refuted", "box(3)", 10, 2, None)) == (
+        "Verdict(status='refuted', window_label='box(3)', index_bound=10, "
+        "points_checked=2, witness=None)")
 
 
 # ---------------------------------------------------------------------------

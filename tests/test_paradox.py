@@ -2,9 +2,12 @@
 transformations between presentations (lift, compress, refine, glue)."""
 
 import dataclasses
+import functools
 import itertools
 import pathlib
+import re
 import types
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -42,6 +45,7 @@ from confpara.paradox import (
     verify_equidecomposable,
     verify_paradoxical,
     _FirstLetter,
+    _validate_orbit_equivariance,
 )
 from confpara.schemas import build_decomposition, loads_manifest
 
@@ -748,6 +752,24 @@ def test_glue_validates_only_orbits_that_exist(mode):
     assert asked == windows == [(0, 0)]
 
 
+@pytest.mark.parametrize("group", [cyclic(4), Z], ids=["finite", "infinite"])
+@pytest.mark.parametrize("decoding, message", [
+    (lambda inv: {"rep_of": lambda x: x},
+     "orbit decoding does not return the representative at (1, 0)"),
+    (lambda inv: {"coset_of": lambda x: inv(x[0])}, "orbit decoding does not invert at (1, 0)"),
+    (lambda inv: {"coset_of": lambda x: inv(x[0]), "point_of": lambda rep, g: (inv(g), rep[1])},
+     "orbit map not translation-invariant at (0, 0) under 1"),
+], ids=["representative", "inverse", "translation"])
+def test_orbit_validation_refuses_a_decoding_that_does_not_commute(group, decoding, message):
+    # over the prefix window 0, 1, ... of either group, the decoding breaks at
+    # the second point, or at the first under the sampled element 1; a finite
+    # group samples its first elements, an infinite one its prefix window
+    action = ProductAction(LeftTranslation(group), 2)
+    orbits = dataclasses.replace(product_orbit_structure(action), **decoding(group.inv))
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        _validate_orbit_equivariance(action, orbits, (group.identity, 0), group.prefix_window(4))
+
+
 def test_glue_argument_errors():
     action, orbits = product_setup()
     per = lambda rep: singleton_decomposition(Z)
@@ -1173,6 +1195,69 @@ def test_a_claimant_past_the_family_size_is_malformed():
     with pytest.raises(MalformedOracleError,
                        match="^a-claimants returned index 3 beyond the family size 2$"):
         verify_paradoxical(broken, fwin(1), 2)
+
+
+@pytest.mark.parametrize("side", ["a", "b", "target"])
+@pytest.mark.parametrize("claimants, shown", [
+    (lambda x: None, "None"),
+    (lambda x: Z.position_of(x), "1"),
+    (lambda x: [Z.position_of(x)], r"\[1\]"),
+], ids=["none", "int", "list"])
+def test_claimants_that_are_not_a_tuple_are_malformed(side, claimants, shown):
+    # at 0 = at(1) every cover names piece 1; None and 1 used to escape as a
+    # bare TypeError, and [1], equal to no tuple, passed as the lone claimant
+    if side == "target":
+        w = galileo_witness()
+        pieces = dataclasses.replace(w.pieces, claimants=claimants)
+        broken = EquidecompositionWitness(pieces, w.translator, w.cover)
+        run = functools.partial(verify_equidecomposable, lambda v: True,
+                                lambda v: v % 2 == 0, broken, LeftTranslation(Z))
+    else:
+        dec = singleton_decomposition(Z)
+        fam = getattr(dec, f"{side}_pieces")
+        broken = dataclasses.replace(
+            dec, **{f"{side}_pieces": dataclasses.replace(fam, claimants=claimants)})
+        run = functools.partial(verify_paradoxical, broken)
+    with pytest.raises(MalformedOracleError,
+                       match=f"^{side}-claimants returned {shown} for 0, not a tuple$"):
+        run(zwin(3), 10)
+
+
+class OneClaimant(NamedTuple):
+    piece: int
+
+
+class TwoClaimants(NamedTuple):
+    first: int
+    second: int
+
+
+def test_claimants_may_answer_with_a_tuple_subclass():
+    # one entry takes the fast test named == (i,), two entries the full
+    # read; either way a NamedTuple answer reads as the plain tuple does
+    dec = singleton_decomposition(Z)
+    one = dataclasses.replace(dec, a_pieces=dataclasses.replace(
+        dec.a_pieces, claimants=lambda x: OneClaimant(Z.position_of(x))))
+    assert verify_paradoxical(one, zwin(3), 10) == verify_paradoxical(dec, zwin(3), 10)
+    # at 0 translates of both a-pieces hold the point: a uniqueness failure
+    overlap = Decomposition(
+        action=LeftTranslation(Z),
+        a_pieces=PieceFamily(
+            lambda x: (1 if x % 4 == 0 else 2) if x % 2 == 0 else None, size=2,
+            claimants=lambda x: TwoClaimants(1, 2),
+        ),
+        b_pieces=PieceFamily(lambda x: 1 if x % 2 == 1 else None, size=1),
+        a_translator=lambda i: (0, 2)[i - 1],
+        b_translator=lambda i: (1,)[i - 1],
+        a_cover=lambda x: 1 if x % 4 == 0 else 2,
+        b_cover=lambda x: 1,
+    )
+    plain = dataclasses.replace(overlap, a_pieces=dataclasses.replace(
+        overlap.a_pieces, claimants=lambda x: (1, 2)))
+    verdict = verify_paradoxical(overlap, zwin(6), 10)
+    assert verdict == verify_paradoxical(plain, zwin(6), 10)
+    assert verdict.witness.equation == "a-cover-uniqueness"
+    assert dict(verdict.witness.detail) == {"index": 1, "other": 2}
 
 
 def test_lift_claimants_hold_through_any_transversal():
