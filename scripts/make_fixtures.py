@@ -49,6 +49,10 @@ MANIFESTS = {
         "partition",
         {"kind": "blocks", "blocks": [["0", "2"], ["1", "3"]]},
     ),
+    "partition_z4_halves.json": (
+        "partition",
+        {"kind": "blocks", "blocks": [["0", "1"], ["2", "3"]]},
+    ),
     "partition_z_residue2.json": ("partition", {"kind": "residue", "modulus": 2}),
     "partition_f2_first_letter.json": ("partition", {"kind": "first-letter"}),
     "pair_z4_parity.json": (

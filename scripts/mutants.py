@@ -110,6 +110,29 @@ MUTANTS = (
         "            l = max(failing)\n",
         ("tests/test_reconstruction.py::test_coset_law_failure_names_the_least_block",),
     ),
+    # the certificate's table shape, its coset test, and the generating claim
+    Mutant(
+        "certificate-takes-a-table-of-another-bound",
+        "src/confpara/reconstruction.py",
+        "    if rows is None or table.bound != n or len(table.labels) != n:\n",
+        "    if rows is None or len(table.labels) != n:\n",
+        ("tests/test_reconstruction.py::test_verify_refuses_a_table_not_shaped_to_the_blocks",),
+    ),
+    Mutant(
+        "coset-representatives-skip-the-block-size",
+        "src/confpara/reconstruction.py",
+        "        if len(block) != len(f1):\n"
+        "            break\n",
+        "",
+        ("tests/test_reconstruction.py::test_verify_names_the_first_block_that_is_no_coset",),
+    ),
+    Mutant(
+        "pair-reader-skips-the-generating-claim",
+        "src/confpara/cli.py",
+        "        check_generating_assertion(action, pair)\n",
+        "",
+        ("tests/test_cli.py::test_every_command_refutes_a_false_generating_claim",),
+    ),
     # the shape filter of bounded equivalence
     Mutant(
         "shape-of-the-raw-codes",

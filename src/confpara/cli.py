@@ -99,10 +99,13 @@ def _load_group(path_arg):
 
 
 def _pair_from_args(args, what):
-    """A pair given either as one manifest or assembled from flags."""
+    """A pair given either as one manifest or assembled from flags; only a
+    manifest can claim a generating tuple, and a false claim is refuted."""
     if args.manifest is not None:
         _kind, payload, _meta = _read_manifest(args.manifest, "pair")
-        return schemas.build_pair(payload)
+        action, pair = schemas.build_pair(payload)
+        check_generating_assertion(action, pair)
+        return action, pair
     if args.action is None or args.tuple is None or args.partition is None:
         raise InputError(
             f"{what} needs a pair manifest, or all of "
@@ -162,7 +165,6 @@ def _cmd_con(args):
     action, pair = _pair_from_args(args, "con")
     with _naming_partition(args):
         check_partition_covers(action, pair.partition)
-    check_generating_assertion(action, pair)
     if args.window is None:
         if not action.is_finite_points:
             raise InputError("countable point sets need --window")
@@ -277,15 +279,18 @@ def _cmd_recover(args):
         table = table_from_configurations(action, pair, configs)
     family = recover_cosets(group, pair, table, configs)
     report = verify_normal_and_iso(group, family, table)
-    try:
-        refinement = q_group_refinement_check(group, family, cap=cap)
-        refinement_data = {
-            "conclusion": refinement.conclusion,
-            "matched": refinement.matched,
-            "pairs-searched": refinement.pairs_searched,
-        }
-    except ResourceCapExceeded as exc:
-        refinement_data = {"skipped": str(exc)}
+    if not report.ok:
+        refinement_data = {"skipped": "recovery not certified"}
+    else:
+        try:
+            refinement = q_group_refinement_check(group, family, cap=cap)
+            refinement_data = {
+                "conclusion": refinement.conclusion,
+                "matched": refinement.matched,
+                "pairs-searched": refinement.pairs_searched,
+            }
+        except ResourceCapExceeded as exc:
+            refinement_data = {"skipped": str(exc)}
     data = {
         "status": "recovered" if report.ok else "refuted",
         "subgroup": _format_block(group, family.subgroup),

@@ -305,10 +305,7 @@ def verify_equidecomposable(source, target, witness, action, window, index_bound
     _require_int("index bound", index_bound, 1)
     act, inv = action.act, action.group.inv
     fam, translator, cover = witness.pieces, witness.translator, witness.cover
-    classify, size, claimants = fam.classifier, fam.size, fam.claimants
-    top = _INLINE_TOP if size is None else size
-    inverses = {}
-    other_holder = _cover_failure(action, "target", fam, translator, inverses, index_bound)
+    other_holder = _cover_failure(action, "target", fam, translator, {}, index_bound)
     checked = 0
     for x in window.points:
         checked += 1
@@ -326,19 +323,11 @@ def verify_equidecomposable(source, target, witness, action, window, index_bound
                     window, index_bound, checked, x, "translated-inside-target", index=i
                 )
         if target(x):
-            i = cover(x)
-            if not (type(i) is int and 0 < i <= top):
-                i = _checked_index("target-cover", i, size)
-            t = inverses.get(i, _MISSING)
-            if t is _MISSING:
-                t = inverses[i] = inv(translator(i))
-            c = classify(act(t, x))
-            if c is not None and not (type(c) is int and 0 < c <= top):
-                c = _checked_index("classifier", c, size)
-            if c != i:
+            i = _checked_index("target-cover", cover(x), fam.size)
+            if fam.classify_checked(act(inv(translator(i)), x)) != i:
                 return _refuted(window, index_bound, checked, x, "target-cover-membership",
                                 index=i)
-            named = None if claimants is None else claimants(x)
+            named = None if fam.claimants is None else fam.claimants(x)
             if named != (i,) or type(named[0]) is not int:
                 other = other_holder(x, i, named)
                 if other is not None:

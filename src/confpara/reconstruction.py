@@ -8,18 +8,18 @@ group these are exactly the configurations of the left translation action
 partitioned into singletons.
 
 Conversely, when a pair (h_1, ..., h_N) with an N-block partition of a group
-H realizes exactly the canonical configuration set of a finite group G, the
-blocks are forced to be the left cosets of a normal subgroup F_1 (the block
-containing the identity, relabeled to index 1) and j -> F_j is an
-isomorphism G -> H / F_1.  ``recover_cosets`` performs the recovery and
+H realizes exactly the canonical configuration set of a finite group G and
+the h_j generate H, the blocks are forced to be the left cosets of a normal
+subgroup F_1 (the block containing the identity, relabeled to index 1) and
+j -> F_j is an isomorphism G -> H / F_1; without the generating condition
+they need not be cosets.  ``recover_cosets`` performs the recovery and
 ``verify_normal_and_iso`` certifies it from scratch.  Both test membership
 in blocks rather than compare sets, and the certificate multiplies one
-element per coset when the blocks are the cosets of a normal F_1, so a
-certified recovery costs O(|H| (n + |F_1|)) multiplications for n blocks
-in place of O(|H|^2); each docstring gives its cost.  A multiplication is a
-read of H's Cayley table (``group.table``), with the row of a fixed left
-factor read once, not a call of ``mul``.  Their outputs are those of the
-setwise definitions.
+element per coset, so a certified recovery costs O(|H| (n + |F_1|))
+multiplications for n blocks; each docstring gives its cost.  A
+multiplication is a read of H's Cayley table (``group.table``), with the row
+of a fixed left factor read once, not a call of ``mul``.  Their outputs are
+those of the setwise definitions.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ _ENTRY_TYPES = frozenset({int, type(None)})
 def _rows_in_range(table):
     """``table.rows`` when they are ``bound`` rows of ``bound`` entries, each
     None or an int in 1..bound, else None.  Such rows are read directly,
-    with no range check per read; any other table is read through ``entry``,
-    which raises its ``InputError`` at the first index out of range."""
+    with no range check per read; ``validate_table`` reads any other table
+    through ``entry``, which raises its ``InputError`` at the first index out
+    of range, and ``verify_normal_and_iso`` refuses it."""
     n = table.bound
     rows = table.rows
     allowed = {None, *range(1, n + 1)}
@@ -230,11 +231,11 @@ def recover_cosets(group, pair, table, configurations=None):
     group, already computed by the caller.
 
     The pair's tuple must have one entry per enumeration index (its first
-    entry plays the identity's role and must preserve every block).  The
-    matching configuration set alone forces the coset structure; the tuple
-    need not generate the group.  The block containing the identity is
-    relabeled to index 1 by the right-translation relabeling that fixes the
-    canonical configuration set.
+    entry plays the identity's role and must preserve every block).  A
+    generating tuple's matching set forces the blocks to be the cosets of a
+    normal subgroup; another tuple's may not, and ``verify_normal_and_iso``
+    refutes them.  The block containing the identity is relabeled to index
+    1 by the right-translation relabeling that fixes the canonical set.
 
     Cost, for |H| elements and a table bound n: the configuration set takes
     n + 1 block lookups per element, and the coset law h_j F_l = F_pi(j,l)
@@ -313,47 +314,50 @@ class IsoReport(NamedTuple):
 
 
 def _coset_representatives(group, blocks):
-    """One element a_k of each block F_k with F_k = a_k F_1, or None when
-    some block, an empty one included, is no left coset of F_1.  F_1 must be
-    a subgroup: then a F_1 has |F_1| elements, and it is the coset holding a,
-    so any one element of a block decides."""
+    """Elements a_k with F_k = a_k F_1, one per block in order, up to the
+    first block that is no left coset of F_1 (an empty one included).  F_1
+    must be a subgroup: then a F_1 has |F_1| elements, and it is the coset
+    holding a, so any one element of a block decides."""
     f1 = blocks[0]
     t = group.table
     reps = []
     for block in blocks:
-        if not block:
-            return None
-        a = next(iter(block))
         if len(block) != len(f1):
-            return None
+            break
+        a = next(iter(block))
         row = t[a]
         if not all(row[s] in block for s in f1):
-            return None
+            break
         reps.append(a)
     return reps
 
 
 def verify_normal_and_iso(group, family, table):
     """Certify from scratch that F_1 is a normal subgroup, that blocks
-    multiply like the table (F_k F_j = F_{pi(k,j)} setwise), and that
-    index -> block is a group isomorphism onto the coset group.  A table
-    with an unknown entry is refused, as ``recover_cosets`` refuses it.
+    multiply like the table (F_k F_j = F_{pi(k,j)}), and that index -> block
+    is a group isomorphism onto the coset group.  A table with an unknown
+    entry is refused, as ``recover_cosets`` refuses it, and so is one that
+    is not n rows of n entries in 1..n with n labels, for n blocks.  Once
+    F_1 has passed the subgroup and normality checks, the first block that
+    is no left coset of F_1 is the one ``coset-block`` failure; otherwise
+    the coset products are checked.
 
     Cost, for |H| elements, n blocks and s = |F_1|: s**2 multiplications for
     closure and up to 2 |H| s for normality, each checked by membership,
-    since conjugation is injective.  When every check so far has passed and
-    every block is a left coset a_k F_1, F_k F_j is the coset of a_k a_j, so
-    each coset product is one multiplication and one membership test: |H|
-    multiplications to find the a_k, n**2 for the products.  Otherwise, an
-    empty block included, each product is built setwise from |F_k| |F_j|
-    multiplications, about |H|**2 in all.  Each multiplication is a read of
-    H's Cayley table, made after ``group.elements()``, so an infinite group
-    raises its ``UnsupportedOperationError``."""
+    since conjugation is injective.  With every block a left coset a_k F_1,
+    F_k F_j is the coset of a_k a_j, so each coset product is one
+    multiplication and one membership test: |H| multiplications to find the
+    a_k, n**2 for the products.  Each multiplication is a read of H's Cayley
+    table, made after ``group.elements()``, so an infinite group raises its
+    ``UnsupportedOperationError``."""
     if not table.total:
         raise InputError("coset recovery needs a total index table")
     blocks = family.blocks
     f1 = blocks[0]
     n = len(blocks)
+    rows = _rows_in_range(table)
+    if rows is None or table.bound != n or len(table.labels) != n:
+        raise InputError(f"{n} blocks need {n} rows of {n} entries in 1..{n} and {n} labels")
     failures = []
     inv = group.inv
     e = group.identity
@@ -375,25 +379,16 @@ def verify_normal_and_iso(group, family, table):
         if not (within and all(t[row[s]][xi] in f1 for s in f1)):
             failures.append({"identity": "normality", "witness": group.format(x)})
             break
-    reps = None if failures else _coset_representatives(group, blocks)
-    rows = None if reps is None or table.bound != n else _rows_in_range(table)
-    if rows is not None:
-        for k, (ak, row) in enumerate(zip(reps, rows), start=1):
-            products = t[ak]
-            for j, aj in enumerate(reps, start=1):
-                if products[aj] not in blocks[row[j - 1] - 1]:
-                    failures.append({"identity": "coset-product", "witness": (k, j)})
-    else:
-        for k in range(1, n + 1):
-            for j in range(1, n + 1):
-                prod = frozenset(
-                    t[a][b] for a in blocks[k - 1] for b in blocks[j - 1]
-                )
-                if prod != blocks[table.entry(k, j) - 1]:
-                    failures.append({
-                        "identity": "coset-product",
-                        "witness": (k, j),
-                    })
+    if not failures:
+        reps = _coset_representatives(group, blocks)
+        if len(reps) < n:
+            failures.append({"identity": "coset-block", "witness": len(reps) + 1})
+        else:
+            for k, (ak, row) in enumerate(zip(reps, rows), start=1):
+                products = t[ak]
+                for j, aj in enumerate(reps, start=1):
+                    if products[aj] not in blocks[row[j - 1] - 1]:
+                        failures.append({"identity": "coset-product", "witness": (k, j)})
     if group.order() != n * len(f1):
         failures.append({
             "identity": "coset-count",

@@ -207,6 +207,9 @@ def build_group(payload, path="/payload"):
                 _as_str(v, f"{path}/labels/{i}")
                 for i, v in enumerate(_as_list(labels, f"{path}/labels"))
             ]
+            # the constructor's own check, made here to name its field
+            if len(labels) != len(table):
+                _fail("labels length must match table size", f"{path}/labels")
         try:
             return CayleyTableGroup(table, identity, labels, name=name)
         except InputError as exc:

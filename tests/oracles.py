@@ -379,14 +379,23 @@ def naive_recover_cosets(elements, mul, identity, translators, block_of, table):
 
 
 def naive_verify_normal_and_iso(group, blocks, table):
-    """F_1 a normal subgroup (identity, inverses, closure, x F_1 x^-1 = F_1),
-    the setwise products F_k F_j = F_pi(k,j) and the coset count, with the
-    failures in that order.  Returns (ok, failures, iso, |F_1|, #blocks), the
-    fields of an ``IsoReport``.  A table with an unknown entry is refused."""
+    """F_1 a normal subgroup (identity, inverses, closure, x F_1 x^-1 = F_1);
+    once it is, the first block that is none of the left cosets x F_1, or,
+    when every block is one, the setwise products F_k F_j = F_pi(k,j); then
+    the coset count, with the failures in that order.  Returns (ok, failures,
+    iso, |F_1|, #blocks), the fields of an ``IsoReport``.  A table with an
+    unknown entry is refused, and so is one that is not n rows of n entries
+    in 1..n with n labels, for n blocks."""
     if any(None in row for row in table.rows):
         raise Refusal("InputError", "coset recovery needs a total index table")
     f1 = blocks[0]
     n = len(blocks)
+    entries = [v for row in table.rows for v in row]
+    if (table.bound != n or len(table.labels) != n or len(table.rows) != n
+            or any(len(row) != n for row in table.rows)
+            or not all(type(v) is int and 1 <= v <= n for v in entries)):
+        raise Refusal("InputError",
+                      f"{n} blocks need {n} rows of {n} entries in 1..{n} and {n} labels")
     failures = []
     if group.identity not in f1:
         failures.append({"identity": "identity-in-subgroup"})
@@ -400,11 +409,18 @@ def naive_verify_normal_and_iso(group, blocks, table):
         if frozenset(group.mul(group.mul(x, s), group.inv(x)) for s in f1) != f1:
             failures.append({"identity": "normality", "witness": group.format(x)})
             break
-    for k in range(1, n + 1):
-        for j in range(1, n + 1):
-            product = frozenset(group.mul(a, b) for a in blocks[k - 1] for b in blocks[j - 1])
-            if product != blocks[table.entry(k, j) - 1]:
-                failures.append({"identity": "coset-product", "witness": (k, j)})
+    if not failures:
+        cosets = {frozenset(group.mul(x, s) for s in f1) for x in group.elements()}
+        k = next((k for k, block in enumerate(blocks, start=1) if block not in cosets), None)
+        if k is not None:
+            failures.append({"identity": "coset-block", "witness": k})
+        else:
+            for k in range(1, n + 1):
+                for j in range(1, n + 1):
+                    product = frozenset(group.mul(a, b)
+                                        for a in blocks[k - 1] for b in blocks[j - 1])
+                    if product != blocks[table.rows[k - 1][j - 1] - 1]:
+                        failures.append({"identity": "coset-product", "witness": (k, j)})
     if group.order() != n * len(f1):
         failures.append({"identity": "coset-count",
                          "witness": (group.order(), n, len(f1))})

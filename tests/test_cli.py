@@ -647,6 +647,46 @@ def test_recover_non_matching_pair_is_refuted(files, capsys):
     assert doc["payload"]["reason"]
 
 
+@pytest.mark.parametrize("group, elements, blocks, failures", [
+    ({"family": "cyclic", "order": 4}, "0,2", [["0", "1"], ["2", "3"]],
+     ["{'identity': 'subgroup-inverse', 'witness': '1'}", "{'identity': 'subgroup-closure'}"]),
+    ({"family": "symmetric", "degree": 3}, "0,3,4", [["0", "2"], ["3", "5"], ["1", "4"]],
+     ["{'identity': 'normality', 'witness': '1'}"]),
+], ids=["z4-over-z2", "s3-over-z3"])
+def test_recover_prints_the_certificate_of_a_refuted_recovery(
+        tmp_path, capsys, group, elements, blocks, failures):
+    # each tuple realizes the canonical set of Z_n, n blocks, but does not
+    # generate, and the recovered blocks are no cosets of a normal subgroup
+    h = write_manifest(tmp_path, "h.json", "group", group)
+    g = write_manifest(tmp_path, "g.json", "group", {"family": "cyclic", "order": len(blocks)})
+    part = write_manifest(tmp_path, "part.json", "partition", {"kind": "blocks", "blocks": blocks})
+    argv = ["recover", "--h", h, "--tuple", elements, "--partition", part, "--g", g]
+    code, doc, _ = run_json(capsys, argv, "report")
+    p = doc["payload"]
+    assert (code, p["status"], p["normal-and-iso"]) == (2, "refuted", False)
+    assert p["failures"] == failures
+    assert p["refinement"] == {"skipped": "recovery not certified"}
+    code, stdout, _ = run(capsys, argv + ["--format", "text"])
+    assert code == 2
+    assert f"normal subgroup and index isomorphism FAILED: {failures}\n" in stdout
+    assert stdout.endswith("refinement: skipped (recovery not certified)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["con"], ["prefixes", "--depth", "1", "--window", "all"], ["recover"],
+], ids=["con", "prefixes", "recover"])
+def test_every_command_refutes_a_false_generating_claim(tmp_path, capsys, argv):
+    pair = json.loads((FIXTURES / "pair_z4_parity.json").read_text())["payload"]
+    path = write_manifest(tmp_path, "pair.json", "pair",
+                          {**pair, "tuple": ["0", "2"], "generating": True})
+    code, doc, _ = run_json(capsys, [argv[0], path, *argv[1:]], "report")
+    assert code == 2
+    assert doc["payload"] == {
+        "status": "refuted",
+        "reason": "pair asserts a generating tuple but the elements do not generate",
+    }
+
+
 def test_recover_refutes_a_pair_with_more_configurations_than_elements(tmp_path, capsys):
     pair = write_manifest(tmp_path, "pair.json", "pair", {
         "action": {"kind": "left-translation", "group": {"family": "cyclic", "order": 4}},
@@ -802,6 +842,14 @@ def test_recover_countable_target_group_exits_4(files, capsys):
     assert stderr.startswith("error: ") and "not finite" in stderr
 
 
+def _table_pair(table, **group):
+    """A pair manifest argument over left translation of a table group."""
+    return ("pair", {"action": {"kind": "left-translation",
+                                "group": {"family": "table", "table": table, "identity": 0,
+                                          **group}},
+                     "tuple": ["0"], "partition": {"kind": "blocks", "blocks": [["0"]]}})
+
+
 Z4_TRANSLATION = {"kind": "left-translation", "group": {"family": "cyclic", "order": 4}}
 Z_GROUP = {"family": "free-abelian", "rank": 1}
 F2_EXPLICIT = json.loads((FIXTURES / "decomposition_f2_explicit.json").read_text())["payload"]
@@ -837,9 +885,26 @@ F2_EXPLICIT = json.loads((FIXTURES / "decomposition_f2_explicit.json").read_text
                             "partition": {"kind": "blocks", "blocks": [["0"], ["1"]]}}),
       "--depth", "1", "--window", "ball=2"],
      "no window of kind ['ball'] for trivial action"),
+    (["con", _table_pair([])],
+     "bad multiplication table: empty multiplication table (at /payload/action/group/table)"),
+    (["con", _table_pair([[0, 1, 2], [2, 0, 1], [1, 2, 0]])],
+     "bad multiplication table: index 0 is not a two-sided identity "
+     "(at /payload/action/group/table)"),
+    (["con", _table_pair([[0, 1], [1, 0]], labels=["e"])],
+     "labels length must match table size (at /payload/action/group/labels)"),
+    (["con", ("pair", {"action": {"kind": "left-translation",
+                                  "group": {"family": "free-abelian", "rank": 2}},
+                       "tuple": ["1"], "partition": {"kind": "blocks", "blocks": [["[0,0]"]]}})],
+     "bad element '1' for free-abelian(2) (at /payload/tuple/0)"),
+    (["con", ("pair", {"action": {"kind": "trivial", "group": {"family": "cyclic", "order": 2},
+                                  "points": ["p", "p"]},
+                       "tuple": ["0"], "partition": {"kind": "blocks", "blocks": [["p"]]}})],
+     "duplicate points (at /payload/action/points)"),
 ], ids=["tuple-not-an-array", "countable-trivial-with-points", "overlapping-blocks",
         "bad-index-range", "unknown-piece-family", "glue-of-a-glue", "bad-exponent",
-        "no-ball-for-a-trivial-action"])
+        "no-ball-for-a-trivial-action", "empty-table", "one-sided-identity",
+        "labels-of-the-wrong-length", "rank-2-token-without-brackets",
+        "trivial-action-with-duplicate-points"])
 def test_refused_input_exits_4_with_its_message(tmp_path, capsys, argv, message):
     # a (kind, payload) argument is written to a manifest file first
     argv = [write_manifest(tmp_path, f"m{i}.json", *a) if isinstance(a, tuple) else a

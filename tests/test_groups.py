@@ -112,6 +112,11 @@ def test_table_group_rejects_ragged_rows():
         CayleyTableGroup([[0, 1], [1]], 0)
 
 
+def test_table_group_rejects_labels_of_the_wrong_length():
+    with pytest.raises(InputError, match="^labels length must match table size$"):
+        CayleyTableGroup([[0, 1], [1, 0]], 0, ["e"])
+
+
 def test_dihedral_is_nonabelian():
     d4 = dihedral(4)
     assert any(

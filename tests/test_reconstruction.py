@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from confpara import configurations, reconstruction
 from confpara.actions import LeftTranslation
-from confpara.catalog import cyclic, reconstruction_groups
+from confpara.catalog import cyclic, reconstruction_groups, symmetric
 from confpara.configurations import ConfigPair, Partition
 from confpara.errors import (
     InputError,
@@ -46,6 +46,10 @@ from confpara.reconstruction import (
 
 # ---------------------------------------------------------------------------
 # index tables
+
+
+def _index_table(group):
+    return multiplication_index_table(group, group.elements())
 
 
 def test_z4_table_rows():
@@ -165,14 +169,31 @@ def test_recover_normalizes_identity_block():
 
 
 def test_recover_accepts_non_generating_tuple():
-    # the tuple need not generate: blocks of Z2 x Z2 by first coordinate,
-    # translators e and (1,0); the second coordinate is never reached
+    # blocks of Z2 x Z2 by first coordinate, translators e and (1,0), which
+    # do not generate; this example happens to give the cosets of a normal
+    # subgroup, though a non-generating tuple need not (see below)
     h = direct_product(cyclic(2), cyclic(2))  # 0=(0,0) 1=(0,1) 2=(1,0) 3=(1,1)
     t = multiplication_index_table(cyclic(2), cyclic(2).elements())
     pair = ConfigPair((0, 2), Partition.explicit([[0, 1], [2, 3]]))
     family = recover_cosets(h, pair, t)
     assert family.subgroup == frozenset({0, 1})
     assert verify_normal_and_iso(h, family, t).ok
+
+
+@pytest.mark.parametrize("group, elements, blocks, failures", [
+    (cyclic(4), (0, 2), [[0, 1], [2, 3]], ("subgroup-inverse", "subgroup-closure")),
+    (symmetric(3), (0, 3, 4), [[0, 2], [3, 5], [1, 4]], ("normality",)),
+], ids=["z4-over-z2", "s3-over-z3"])
+def test_a_non_generating_tuple_may_recover_blocks_the_certificate_refutes(
+        group, elements, blocks, failures):
+    # each pair realizes the canonical set of Z_n for n blocks, yet {0, 1} is
+    # no subgroup of Z4, and S3 has no quotient Z3
+    t = _index_table(cyclic(len(blocks)))
+    family = recover_cosets(group, ConfigPair(elements, Partition.explicit(blocks)), t)
+    assert family.blocks == tuple(map(frozenset, blocks))
+    report = verify_normal_and_iso(group, family, t)
+    assert (report.ok, report.subgroup_order) == (False, 2)
+    assert tuple(f["identity"] for f in report.failures) == failures
 
 
 def test_recover_rejects_wrong_configuration_set():
@@ -261,24 +282,40 @@ def test_coset_law_failure_names_the_least_block():
                                      pair.partition.block_of, t)
 
 
-def test_verify_takes_setwise_products_off_the_coset_shortcut():
-    # Z4 over {0, 2}: an empty block, a block that is a coset plus one
-    # element, and tables of other bounds each fall back to setwise
-    # products, with the reference's failures or error
+def test_verify_names_the_first_block_that_is_no_coset():
+    # Z4 over the normal subgroup {0, 2}: an empty block, and a block that is
+    # a coset plus one element, each give one coset-block failure, with no
+    # coset product checked
     z4 = cyclic(4)
     t = multiplication_index_table(cyclic(2), cyclic(2).elements())
-    cosets = (frozenset({0, 2}), frozenset({1, 3}))
-    cases = [
-        ((frozenset({0, 2}), frozenset()), t),
-        ((frozenset({0, 2}), frozenset({1, 2, 3})), t),
-        (cosets, multiplication_index_table(cyclic(1), cyclic(1).elements())),
-        (cosets, multiplication_index_table(z4, z4.elements())),
-    ]
-    outcomes = [_outcome(_verified, z4, blocks, table) for blocks, table in cases]
-    assert outcomes == [_outcome(oracles.naive_verify_normal_and_iso, z4, blocks, table)
-                        for blocks, table in cases]
-    assert [o[0] for o in outcomes[:3]] == ["ok", "ok", "InputError"]
-    assert not outcomes[0][1][0] and not outcomes[1][1][0]
+    for second in (frozenset(), frozenset({1, 2, 3})):
+        blocks = (frozenset({0, 2}), second)
+        report = _verified(z4, blocks, t)
+        assert report == oracles.naive_verify_normal_and_iso(z4, blocks, t)
+        assert report[:2] == (False, ({"identity": "coset-block", "witness": 2},))
+
+
+@pytest.mark.parametrize("table", [
+    _index_table(cyclic(1)),
+    _index_table(cyclic(4)),
+    MultiplicationIndexTable(2, ((1, 2), (2, 0)), ("e", "g")),
+    MultiplicationIndexTable(2, ((1, 2), (2, 3)), ("e", "g")),
+    MultiplicationIndexTable(2, ((1, 2), (2, True)), ("e", "g")),
+    MultiplicationIndexTable(2, ((1, 2), (2, 1, 1)), ("e", "g")),
+    MultiplicationIndexTable(2, ((1, 2),), ("e", "g")),
+    MultiplicationIndexTable(2, ((1, 2), (2, 1)), ("e",)),
+    _index_table(cyclic(3))._replace(labels=("0", "1")),
+], ids=["fewer-indices", "more-indices", "entry-0", "entry-past-the-bound", "bool-entry",
+        "long-row", "missing-row", "missing-label", "a-label-per-block-but-more-indices"])
+def test_verify_refuses_a_table_not_shaped_to_the_blocks(table):
+    # the cosets of {0, 2} in Z4 are two blocks, so the table must be 2 rows
+    # of 2 entries in 1..2 with 2 labels; an entry 0 would index the last
+    # block and a larger table would index past the blocks
+    z4 = cyclic(4)
+    blocks = (frozenset({0, 2}), frozenset({1, 3}))
+    refusal = ("InputError", "2 blocks need 2 rows of 2 entries in 1..2 and 2 labels")
+    assert _outcome(_verified, z4, blocks, table) == refusal
+    assert _outcome(oracles.naive_verify_normal_and_iso, z4, blocks, table) == refusal
 
 
 def test_certificate_refuses_a_table_with_an_unknown_entry():
@@ -293,7 +330,7 @@ def test_certificate_refuses_a_table_with_an_unknown_entry():
 
 @pytest.mark.parametrize("order,blocks,failure", [
     (4, ({1, 3}, {0, 2}), "identity-in-subgroup"),
-    (6, ({0, 3}, {1, 2}, {4, 5}), "coset-product"),
+    (6, ({0, 3}, {1, 2}, {4, 5}), "coset-block"),
 ], ids=["identity-outside-f1", "block-of-the-size-of-f1-but-no-coset"])
 def test_hand_made_families_match_the_reference(order, blocks, failure):
     group, blocks = cyclic(order), tuple(map(frozenset, blocks))
@@ -316,7 +353,8 @@ def test_a_subset_outside_the_group_is_not_normal():
     t = multiplication_index_table(cyclic(2), cyclic(2).elements())
     report = _verified(z4, blocks, t)
     assert report == oracles.naive_verify_normal_and_iso(z4, blocks, t)
-    assert {"identity": "normality", "witness": "0"} in report[1]
+    assert report[1] == ({"identity": "normality", "witness": "0"},
+                         {"identity": "coset-count", "witness": (4, 2, 3)})
 
 
 # ---------------------------------------------------------------------------
