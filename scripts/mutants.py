@@ -88,29 +88,23 @@ MUTANTS = (
          "tests/test_reconstruction.py::test_coset_arithmetic_matches_its_slow_reference"),
     ),
     Mutant(
-        "coset-law-reads-the-wrong-row",
-        "src/confpara/reconstruction.py",
-        "        products = t[hj]\n",
-        "        products = t[j - 1]\n",
-        ("tests/test_reconstruction.py::test_recover_accepts_non_generating_tuple",),
-    ),
-    Mutant(
         "certificate-reads-the-table-before-elements",
         "src/confpara/reconstruction.py",
-        "    elements = group.elements()  # an infinite group raises here\n"
+        "    group.elements()  # an infinite group raises here\n"
         "    t = group.table\n",
         "    t = group.table\n"
-        "    elements = group.elements()\n",
+        "    group.elements()\n",
         ("tests/test_reconstruction.py::test_coset_routines_refuse_an_infinite_group",),
     ),
+    # the table shapes of recovery and certificate, the coset test, the
+    # generating claim and the associativity of a table manifest
     Mutant(
-        "coset-law-names-the-greatest-block",
+        "recovery-takes-a-table-not-shaped-to-its-bound",
         "src/confpara/reconstruction.py",
-        "            l = min(failing)\n",
-        "            l = max(failing)\n",
-        ("tests/test_reconstruction.py::test_coset_law_failure_names_the_least_block",),
+        "    if _rows_in_range(table) is None:\n",
+        "    if False:\n",
+        ("tests/test_reconstruction.py::test_recover_refuses_a_table_not_shaped_to_its_bound",),
     ),
-    # the certificate's table shape, its coset test, and the generating claim
     Mutant(
         "certificate-takes-a-table-of-another-bound",
         "src/confpara/reconstruction.py",
@@ -127,11 +121,26 @@ MUTANTS = (
         ("tests/test_reconstruction.py::test_verify_names_the_first_block_that_is_no_coset",),
     ),
     Mutant(
+        "coset-representatives-read-a-row-outside-the-group",
+        "src/confpara/reconstruction.py",
+        "        if a not in members:\n"
+        "            break\n",
+        "",
+        ("tests/test_reconstruction.py::test_verify_names_the_first_block_that_is_no_coset",),
+    ),
+    Mutant(
         "pair-reader-skips-the-generating-claim",
         "src/confpara/cli.py",
         "        check_generating_assertion(action, pair)\n",
         "",
         ("tests/test_cli.py::test_every_command_refutes_a_false_generating_claim",),
+    ),
+    Mutant(
+        "table-group-skips-associativity",
+        "src/confpara/schemas.py",
+        "                if t[ta[b]] != tuple(map(ta.__getitem__, tb)):\n",
+        "                if False:\n",
+        ("tests/test_cli.py::test_refused_input_exits_4_with_its_message",),
     ),
     # the shape filter of bounded equivalence
     Mutant(

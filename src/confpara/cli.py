@@ -553,10 +553,7 @@ def main(argv=None):
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
     except PreconditionError as exc:
-        manifest = schemas.make_manifest(
-            "report", {"status": "refuted", "reason": str(exc)}, dict(_CODEC_NAMES)
-        )
-        sys.stdout.write(schemas.dumps_canonical(manifest))
+        _emit(args, "report", {"status": "refuted", "reason": str(exc)}, [f"refuted: {exc}"])
         return 2
     except ConfparaError as exc:  # input errors, inconsistent oracles, unsupported operations
         print(f"error: {exc}", file=sys.stderr)

@@ -785,20 +785,26 @@ def subgroups(group):
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def is_normal(group, subset):
-    """Whether x S x^-1 = S for every x.  Conjugation is injective, so for S
-    within the group that holds iff every conjugate lies in S: |G| |S|
-    membership tests, no set built per x."""
+def _normality_witness(group, subset):
+    """The first x with x S x^-1 != S, the first element when S is not
+    within the group, or None when S is normal.  Conjugation is injective,
+    so for S within the group x S x^-1 = S iff every conjugate lies in S:
+    |G| |S| membership tests, no set built per x."""
     sub = frozenset(subset)
     elements = group.elements()
     if not sub.issubset(elements):
-        return False
+        return elements[0]
     t = group.table
     for x in elements:
         row, xi = t[x], group.inv(x)
         if not all(t[row[s]][xi] in sub for s in sub):
-            return False
-    return True
+            return x
+    return None
+
+
+def is_normal(group, subset):
+    """Whether x S x^-1 = S for every x."""
+    return _normality_witness(group, subset) is None
 
 
 def normal_subgroups(group):

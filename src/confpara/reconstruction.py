@@ -12,14 +12,15 @@ H realizes exactly the canonical configuration set of a finite group G and
 the h_j generate H, the blocks are forced to be the left cosets of a normal
 subgroup F_1 (the block containing the identity, relabeled to index 1) and
 j -> F_j is an isomorphism G -> H / F_1; without the generating condition
-they need not be cosets.  ``recover_cosets`` performs the recovery and
-``verify_normal_and_iso`` certifies it from scratch.  Both test membership
-in blocks rather than compare sets, and the certificate multiplies one
-element per coset, so a certified recovery costs O(|H| (n + |F_1|))
-multiplications for n blocks; each docstring gives its cost.  A
-multiplication is a read of H's Cayley table (``group.table``), with the row
-of a fixed left factor read once, not a call of ``mul``.  Their outputs are
-those of the setwise definitions.
+they need not be cosets.  ``recover_cosets`` reads the blocks off the
+pair and ``verify_normal_and_iso`` certifies them from scratch.  Both test
+membership in blocks rather than compare sets.  For n blocks the recovery
+costs about n |H| multiplications and block lookups, and the certificate,
+which multiplies one element per coset, O(|H| |F_1| + n**2)
+multiplications; each docstring gives its cost.  A multiplication is a read
+of H's Cayley table (``group.table``), with the row of a fixed left factor
+read once, not a call of ``mul``.  Their outputs are those of the setwise
+definitions.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .configurations import (
     windowed_configuration_set,
 )
 from .errors import InputError, PreconditionError, ResourceCapExceeded
-from .groups import Window, _cosets, _require_int, quotient_group
+from .groups import Window, _cosets, _normality_witness, _require_int, quotient_group
 
 
 class MultiplicationIndexTable(NamedTuple):
@@ -72,7 +73,8 @@ def _rows_in_range(table):
     None or an int in 1..bound, else None.  Such rows are read directly,
     with no range check per read; ``validate_table`` reads any other table
     through ``entry``, which raises its ``InputError`` at the first index out
-    of range, and ``verify_normal_and_iso`` refuses it."""
+    of range, and ``recover_cosets`` and ``verify_normal_and_iso`` refuse
+    it."""
     n = table.bound
     rows = table.rows
     allowed = {None, *range(1, n + 1)}
@@ -231,23 +233,25 @@ def recover_cosets(group, pair, table, configurations=None):
     group, already computed by the caller.
 
     The pair's tuple must have one entry per enumeration index (its first
-    entry plays the identity's role and must preserve every block).  A
-    generating tuple's matching set forces the blocks to be the cosets of a
-    normal subgroup; another tuple's may not, and ``verify_normal_and_iso``
-    refutes them.  The block containing the identity is relabeled to index
-    1 by the right-translation relabeling that fixes the canonical set.
+    entry plays the identity's role), and the table must be ``bound`` rows
+    of ``bound`` entries in 1..bound.  The block containing the identity is
+    relabeled to index 1 by the right-translation relabeling that fixes the
+    canonical set.  The blocks are read, not checked: on a group table the
+    match forces the coset law h_j F_l = F_pi(j,l) and leaves no block
+    empty, yet only a generating tuple forces the cosets of a normal
+    subgroup.  ``verify_normal_and_iso`` certifies the blocks and refutes
+    any that are not such cosets, whatever the tuple or table.
 
     Cost, for |H| elements and a table bound n: the configuration set takes
-    n + 1 block lookups per element, and the coset law h_j F_l = F_pi(j,l)
-    takes one table read in the row of h_j and one block-index lookup per
-    element and tuple entry, about n |H| of each, with no set built per
-    (j, l).
+    n + 1 block lookups per element, and the blocks one more.
     """
     if not group.is_finite:
         raise InputError("coset recovery runs on finite instances")
     if not table.total:
         raise InputError("coset recovery needs a total index table")
     n = table.bound
+    if _rows_in_range(table) is None:
+        raise InputError(f"a table of bound {n} needs {n} rows of {n} entries in 1..{n}")
     if len(pair.elements) != n:
         raise PreconditionError(
             f"tuple length {len(pair.elements)} must equal the table bound {n}"
@@ -264,7 +268,6 @@ def recover_cosets(group, pair, table, configurations=None):
             f"{len(got ^ expected)} configurations differ"
         )
 
-    rows = table.rows  # every entry lies in 1..n: the matched set holds them
     block_of = pair.partition.block_of
     ident_block = block_of(group.identity)
     if ident_block == 1:
@@ -275,33 +278,12 @@ def recover_cosets(group, pair, table, configurations=None):
             raise PreconditionError(
                 f"index {ident_block} has no inverse in the table"
             )
-        relabeling = tuple(rows[j][inv_pos - 1] for j in range(n))
+        relabeling = tuple(row[inv_pos - 1] for row in table.rows)
 
-    index_of = {}  # element -> relabeled block index
     blocks = [set() for _ in range(n)]
     for x in group.elements():
-        b = relabeling[block_of(x) - 1]
-        index_of[x] = b
-        blocks[b - 1].add(x)
-    blocks = tuple(frozenset(b) for b in blocks)
-    if any(not b for b in blocks):
-        raise PreconditionError("partition must have exactly one block per index")
-
-    # the coset law h_j F_l = F_{pi(j, l)}, forced by the matching
-    # configuration sets; checked outright.  The match makes h_j carry each
-    # block into one block, and h_j permutes H while no block is empty, so
-    # h_j F_l is a whole block: the law holds at (j, l) iff h_j x lies in
-    # F_pi(j,l) for every x in F_l.  The least failing l is reported.
-    t = group.table
-    for j, (hj, row) in enumerate(zip(pair.elements, rows), start=1):
-        products = t[hj]
-        failing = [l for x, l in index_of.items() if index_of[products[x]] != row[l - 1]]
-        if failing:
-            l = min(failing)
-            raise PreconditionError(
-                f"translate of block {l} by tuple entry {j} is not block "
-                f"{row[l - 1]}"
-            )
+        blocks[relabeling[block_of(x) - 1] - 1].add(x)
+    blocks = tuple(map(frozenset, blocks))
     return CosetFamily(blocks, tuple(pair.elements), relabeling, ident_block)
 
 
@@ -316,15 +298,18 @@ class IsoReport(NamedTuple):
 def _coset_representatives(group, blocks):
     """Elements a_k with F_k = a_k F_1, one per block in order, up to the
     first block that is no left coset of F_1 (an empty one included).  F_1
-    must be a subgroup: then a F_1 has |F_1| elements, and it is the coset
-    holding a, so any one element of a block decides."""
+    must be a subgroup: then for a in H, a F_1 has |F_1| elements, and it is
+    the coset holding a, so any one element of a block decides."""
     f1 = blocks[0]
     t = group.table
+    members = frozenset(group.elements())
     reps = []
     for block in blocks:
         if len(block) != len(f1):
             break
         a = next(iter(block))
+        if a not in members:
+            break
         row = t[a]
         if not all(row[s] in block for s in f1):
             break
@@ -359,26 +344,20 @@ def verify_normal_and_iso(group, family, table):
     if rows is None or table.bound != n or len(table.labels) != n:
         raise InputError(f"{n} blocks need {n} rows of {n} entries in 1..{n} and {n} labels")
     failures = []
-    inv = group.inv
-    e = group.identity
-    if e not in f1:
+    if group.identity not in f1:
         failures.append({"identity": "identity-in-subgroup"})
     for a in sorted(f1):
-        if inv(a) not in f1:
+        if group.inv(a) not in f1:
             failures.append({"identity": "subgroup-inverse", "witness": group.format(a)})
             break
-    elements = group.elements()  # an infinite group raises here
+    group.elements()  # an infinite group raises here
     t = group.table
     closed = all(all(row[b] in f1 for b in f1) for row in map(t.__getitem__, f1))
     if not closed:
         failures.append({"identity": "subgroup-closure"})
-    # x F_1 x^-1 = F_1 iff every conjugate lies in F_1, for F_1 within H
-    within = set(elements).issuperset(f1)
-    for x in elements:
-        row, xi = t[x], inv(x)
-        if not (within and all(t[row[s]][xi] in f1 for s in f1)):
-            failures.append({"identity": "normality", "witness": group.format(x)})
-            break
+    x = _normality_witness(group, f1)
+    if x is not None:
+        failures.append({"identity": "normality", "witness": group.format(x)})
     if not failures:
         reps = _coset_representatives(group, blocks)
         if len(reps) < n:

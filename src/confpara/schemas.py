@@ -211,9 +211,17 @@ def build_group(payload, path="/payload"):
             if len(labels) != len(table):
                 _fail("labels length must match table size", f"{path}/labels")
         try:
-            return CayleyTableGroup(table, identity, labels, name=name)
+            group = CayleyTableGroup(table, identity, labels, name=name)
         except InputError as exc:
             _fail(f"bad multiplication table: {exc}", f"{path}/table")
+        # (ab)c = a(bc) for every c, one row composition per (a, b)
+        t = group.table
+        for a, ta in enumerate(t):
+            for b, tb in enumerate(t):
+                if t[ta[b]] != tuple(map(ta.__getitem__, tb)):
+                    _fail(f"bad multiplication table: not associative at ({a}, {b})",
+                          f"{path}/table")
+        return group
     _fail(f"unknown group family {family!r}", f"{path}/family")
 
 

@@ -342,12 +342,16 @@ def naive_quotient(elements, mul, inv, identity, normal):
 def naive_recover_cosets(elements, mul, identity, translators, block_of, table):
     """The blocks of a pair realizing the table's full canonical
     configuration set, relabeled so the identity's block is 1 by right
-    translation with the inverse of its old index, and checked against the
-    coset law h_j F_l = F_pi(j,l) setwise in (j, l) order.  Returns
+    translation with the inverse of its old index; the blocks are not
+    checked.  A table with an unknown entry is refused, and so is one that
+    is not ``bound`` rows of ``bound`` entries in 1..bound.  Returns
     (blocks, relabeling, old identity block) or raises ``Refusal``."""
     n = table.bound
-    if any(table.entry(i, j) is None for i in range(1, n + 1) for j in range(1, n + 1)):
+    if any(None in row for row in table.rows):
         raise Refusal("InputError", "coset recovery needs a total index table")
+    if (len(table.rows) != n or any(len(row) != n for row in table.rows)
+            or not all(type(v) is int and 1 <= v <= n for row in table.rows for v in row)):
+        raise Refusal("InputError", f"a table of bound {n} needs {n} rows of {n} entries in 1..{n}")
     if len(translators) != n:
         raise Refusal("PreconditionError",
                       f"tuple length {len(translators)} must equal the table bound {n}")
@@ -367,14 +371,6 @@ def naive_recover_cosets(elements, mul, identity, translators, block_of, table):
         relabeling = tuple(table.entry(b, inverse) for b in range(1, n + 1))
     blocks = tuple(frozenset(x for x in elements if relabeling[block_of(x) - 1] == b)
                    for b in range(1, n + 1))
-    if any(not b for b in blocks):
-        raise Refusal("PreconditionError", "partition must have exactly one block per index")
-    for j in range(1, n + 1):
-        for l in range(1, n + 1):
-            target = table.entry(j, l)
-            if {mul(translators[j - 1], x) for x in blocks[l - 1]} != blocks[target - 1]:
-                raise Refusal("PreconditionError",
-                              f"translate of block {l} by tuple entry {j} is not block {target}")
     return blocks, relabeling, old
 
 

@@ -676,15 +676,26 @@ def test_recover_prints_the_certificate_of_a_refuted_recovery(
     ["con"], ["prefixes", "--depth", "1", "--window", "all"], ["recover"],
 ], ids=["con", "prefixes", "recover"])
 def test_every_command_refutes_a_false_generating_claim(tmp_path, capsys, argv):
+    # the same report bytes from every command, and one line under text
     pair = json.loads((FIXTURES / "pair_z4_parity.json").read_text())["payload"]
     path = write_manifest(tmp_path, "pair.json", "pair",
                           {**pair, "tuple": ["0", "2"], "generating": True})
-    code, doc, _ = run_json(capsys, [argv[0], path, *argv[1:]], "report")
-    assert code == 2
-    assert doc["payload"] == {
-        "status": "refuted",
-        "reason": "pair asserts a generating tuple but the elements do not generate",
-    }
+    reason = "pair asserts a generating tuple but the elements do not generate"
+    assert run(capsys, [argv[0], path, *argv[1:]]) == (2, f"""{{
+  "metadata": {{
+    "enumeration-codec": "zigzag-shortlex",
+    "pairing-function": "cantor"
+  }},
+  "object-kind": "report",
+  "payload": {{
+    "reason": "{reason}",
+    "status": "refuted"
+  }},
+  "schema-version": 1
+}}
+""", "")
+    assert run(capsys, [argv[0], path, *argv[1:], "--format", "text"]) == (
+        2, f"refuted: {reason}\n", "")
 
 
 def test_recover_refutes_a_pair_with_more_configurations_than_elements(tmp_path, capsys):
@@ -851,6 +862,11 @@ def _table_pair(table, **group):
 
 
 Z4_TRANSLATION = {"kind": "left-translation", "group": {"family": "cyclic", "order": 4}}
+# an order-5 loop: a Latin square with an identity, yet (1 1) c differs
+# from 1 (1 c), so its left translation is no action
+LOOP5 = {"family": "table", "identity": 0,
+         "table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                   [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}
 Z_GROUP = {"family": "free-abelian", "rank": 1}
 F2_EXPLICIT = json.loads((FIXTURES / "decomposition_f2_explicit.json").read_text())["payload"]
 
@@ -890,6 +906,8 @@ F2_EXPLICIT = json.loads((FIXTURES / "decomposition_f2_explicit.json").read_text
     (["con", _table_pair([[0, 1, 2], [2, 0, 1], [1, 2, 0]])],
      "bad multiplication table: index 0 is not a two-sided identity "
      "(at /payload/action/group/table)"),
+    (["equiv", ("group", LOOP5), ("group", LOOP5), "-n", "1", "-m", "2"],
+     "bad multiplication table: not associative at (1, 1) (at /payload/table)"),
     (["con", _table_pair([[0, 1], [1, 0]], labels=["e"])],
      "labels length must match table size (at /payload/action/group/labels)"),
     (["con", ("pair", {"action": {"kind": "left-translation",
@@ -903,7 +921,7 @@ F2_EXPLICIT = json.loads((FIXTURES / "decomposition_f2_explicit.json").read_text
 ], ids=["tuple-not-an-array", "countable-trivial-with-points", "overlapping-blocks",
         "bad-index-range", "unknown-piece-family", "glue-of-a-glue", "bad-exponent",
         "no-ball-for-a-trivial-action", "empty-table", "one-sided-identity",
-        "labels-of-the-wrong-length", "rank-2-token-without-brackets",
+        "non-associative-table", "labels-of-the-wrong-length", "rank-2-token-without-brackets",
         "trivial-action-with-duplicate-points"])
 def test_refused_input_exits_4_with_its_message(tmp_path, capsys, argv, message):
     # a (kind, payload) argument is written to a manifest file first

@@ -268,27 +268,51 @@ def test_partial_table_reports_every_associativity_failure():
     ]
 
 
-def test_coset_law_failure_names_the_least_block():
+def test_a_non_group_table_recovers_blocks_the_certificate_refutes():
     # the table read off this pair's configurations is no group table (its
-    # identity sits in row 2), so the relabeled blocks break the coset law
+    # identity sits in row 2); the relabeled blocks are read as they fall,
+    # and the certificate refutes the coset products of rows 1 and 2
     z3 = cyclic(3)
     pair = ConfigPair((1, 0, 2), Partition.explicit([[1], [2], [0]]))
     t = MultiplicationIndexTable(3, ((2, 3, 1), (1, 2, 3), (3, 1, 2)), ("1", "2", "3"))
-    message = "translate of block 1 by tuple entry 1 is not block 2"
-    with pytest.raises(PreconditionError, match=f"^{message}$"):
-        recover_cosets(z3, pair, t)
-    with pytest.raises(oracles.Refusal, match=f"^{message}$"):
-        oracles.naive_recover_cosets(z3.elements(), z3.mul, z3.identity, pair.elements,
-                                     pair.partition.block_of, t)
+    blocks = (frozenset({0}), frozenset({2}), frozenset({1}))
+    assert _recovered(z3, pair, t) == oracles.naive_recover_cosets(
+        z3.elements(), z3.mul, z3.identity, pair.elements, pair.partition.block_of, t
+    ) == (blocks, (3, 2, 1), 3)
+    report = _verified(z3, blocks, t)
+    assert report == oracles.naive_verify_normal_and_iso(z3, blocks, t)
+    assert report[1] == tuple({"identity": "coset-product", "witness": (k, j)}
+                              for k in (1, 2) for j in (1, 2, 3))
+
+
+@pytest.mark.parametrize("rows", [
+    ((1, 2), (2,)),
+    ((1, 2), (2, 3)),
+    ((1, 2), (2, 0)),
+    ((1, 2), (2, True)),
+    ((1, 2),),
+    ((1, 2), (2, 1), (1, 2)),
+], ids=["ragged", "entry-past-the-bound", "entry-0", "bool-entry", "missing-row", "extra-row"])
+def test_recover_refuses_a_table_not_shaped_to_its_bound(rows):
+    # read as it stands, a short row raises IndexError and an entry out of
+    # range only fails to match; both are input errors
+    z4 = cyclic(4)
+    pair = ConfigPair((0, 1), Partition.explicit([[0, 2], [1, 3]]))
+    t = MultiplicationIndexTable(2, rows, ("e", "g"))
+    refusal = ("InputError", "a table of bound 2 needs 2 rows of 2 entries in 1..2")
+    assert _outcome(_recovered, z4, pair, t) == refusal
+    assert _outcome(oracles.naive_recover_cosets, z4.elements(), z4.mul, z4.identity,
+                    pair.elements, pair.partition.block_of, t) == refusal
 
 
 def test_verify_names_the_first_block_that_is_no_coset():
-    # Z4 over the normal subgroup {0, 2}: an empty block, and a block that is
-    # a coset plus one element, each give one coset-block failure, with no
-    # coset product checked
+    # Z4 over the normal subgroup {0, 2}: an empty block, a block that is a
+    # coset plus one element, and blocks of elements outside Z4, none read
+    # as a table row, each give one coset-block failure, with no coset
+    # product checked
     z4 = cyclic(4)
     t = multiplication_index_table(cyclic(2), cyclic(2).elements())
-    for second in (frozenset(), frozenset({1, 2, 3})):
+    for second in (frozenset(), frozenset({1, 2, 3}), frozenset({5, 7}), frozenset("ab")):
         blocks = (frozenset({0, 2}), second)
         report = _verified(z4, blocks, t)
         assert report == oracles.naive_verify_normal_and_iso(z4, blocks, t)
