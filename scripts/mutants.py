@@ -88,12 +88,19 @@ MUTANTS = (
          "tests/test_reconstruction.py::test_coset_arithmetic_matches_its_slow_reference"),
     ),
     Mutant(
+        "certificate-skips-the-membership-test",
+        "src/confpara/reconstruction.py",
+        "    if not f1.issubset(elements):\n",
+        "    if False:\n",
+        ("tests/test_reconstruction.py::test_certificate_refuses_an_f1_outside_the_group",),
+    ),
+    Mutant(
         "certificate-reads-the-table-before-elements",
         "src/confpara/reconstruction.py",
-        "    group.elements()  # an infinite group raises here\n"
+        "    elements = group.elements()  # an infinite group raises here\n"
         "    t = group.table\n",
         "    t = group.table\n"
-        "    group.elements()\n",
+        "    elements = group.elements()\n",
         ("tests/test_reconstruction.py::test_coset_routines_refuse_an_infinite_group",),
     ),
     # the table shapes of recovery and certificate, the coset test, the
@@ -389,6 +396,15 @@ MUTANTS = (
         "            return (not self.exclude_neg_powers\n",
         ("tests/test_paradox.py::test_first_letter_members_match_their_definition",),
     ),
+    # the construction kind, the one field of a decomposition the CLI reports
+    Mutant(
+        "construction-kind-is-not-recorded",
+        "src/confpara/paradox.py",
+        "a[3], b[3], kind)\n",
+        "a[3], b[3])\n",
+        ("tests/test_cli.py::test_construct_singleton_inline_group",
+         "tests/test_cli.py::test_construct_compress_takes_its_detection_bound"),
+    ),
     # the equivariance proof that lets the uniform glue carry claimants
     Mutant(
         "uniform-glue-ignores-the-proof",
@@ -415,8 +431,8 @@ MUTANTS = (
     Mutant(
         "product-orbits-proved-over-any-base",
         "src/confpara/paradox.py",
-        "    if isinstance(action.base, LeftTranslation):\n",
-        "    if True:\n",
+        "if isinstance(action.base, LeftTranslation) else None,\n",
+        "if True else None,\n",
         ("tests/test_paradox.py::test_claimants_carry_over_left_translations_only",),
     ),
     # the search's orbit split and its code maps
@@ -442,15 +458,15 @@ MUTANTS = (
         "independent-glue-orbit-index-off-by-one",
         "src/confpara/paradox.py",
         "                return None\n"
-        "            return cantor_pair(i - 1, orbits.rep_index(orbits.rep_of(x)) - 1) + 1\n",
+        "            return cantor_pair(i - 1, rep_index(rep_of(x)) - 1) + 1\n",
         "                return None\n"
-        "            return cantor_pair(i - 1, orbits.rep_index(orbits.rep_of(x))) + 1\n",
+        "            return cantor_pair(i - 1, rep_index(rep_of(x))) + 1\n",
         ("tests/test_paradox.py::test_independent_glue_is_uniform_glue_reindexed",),
     ),
     Mutant(
         "independent-glue-drops-the-orbit-count-test",
         "src/confpara/paradox.py",
-        "            if orbits.count is not None and r0 >= orbits.count:\n"
+        "            if count is not None and r0 >= count:\n"
         "                return identity  # no such orbit: an empty flat piece\n",
         "",
         ("tests/test_paradox.py::test_independent_glue_is_uniform_glue_reindexed",),

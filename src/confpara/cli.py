@@ -401,9 +401,7 @@ def _cmd_paradox_construct(args):
     payload, meta = _construction_payload(args)
     dec = schemas.build_decomposition(payload)
     metadata = dict(meta or {})
-    construction = dec.meta.get("construction")
-    if isinstance(construction, dict):
-        metadata["construction-kind"] = construction.get("kind")
+    metadata["construction-kind"] = dec.kind
     code = 0
     if args.window is not None:
         window = _window_for(dec.action, args.window)

@@ -168,13 +168,12 @@ def _cells(action, elements, base):
     return (frozenset(base), *(frozenset(action.act(g, x) for x in base) for g in elements))
 
 
-def configurations_with_cells(action, pair, window=None):
-    """Mapping configuration -> cells, for every realized configuration.
-    Position 0 of a configuration's cells is the base cell (its realizer
-    set), position j its translate under g_j.  Over a window the base cell
-    is computed from window points only."""
-    pts = _checked_points(action, pair) if window is None else window.points
-    by_config = _realizers(pair.partition.block_of, action.act, pair.elements, pts)
+def configurations_with_cells(action, pair):
+    """Mapping configuration -> cells, for every realized configuration of a
+    finite action.  Position 0 of a configuration's cells is the base cell
+    (its realizer set), position j its translate under g_j."""
+    points = _checked_points(action, pair)
+    by_config = _realizers(pair.partition.block_of, action.act, pair.elements, points)
     return {c: _cells(action, pair.elements, by_config[c]) for c in sorted(by_config)}
 
 
@@ -183,34 +182,20 @@ class RefinementReport(NamedTuple):
     violation: Optional[dict]
 
 
-def verify_refinement(action, pair, cells_by_config, window=None):
+def verify_refinement(action, pair, cells_by_config):
     """Check that for every position j the cells at position j refine the
     partition: each block is the disjoint union of the cells carrying its
-    index, and the cells at one position tile the whole point set.
-
-    Over a window, position j is checked on points whose base preimage also
-    lies in the window, so no spurious boundary violations are reported.
+    index, and the cells at one position tile the whole (finite) point set.
     Returns the first violation in canonical order, if any.
     """
     n = len(pair.elements)
     block = pair.partition.block_of
-    inv = action.group.inv
     items = sorted(cells_by_config.items())
+    domain = action.points()
     for j in range(n + 1):
-        if window is None:
-            domain = list(action.points())
-        elif j == 0:
-            domain = list(window.points)
-        else:
-            g = pair.elements[j - 1]
-            gi = inv(g)
-            domain = [y for y in window.points if action.act(gi, y) in window]
-        domain_set = set(domain)
         owner = {}
         for config, cells in items:
             for y in sorted(cells[j], key=_point_key):
-                if y not in domain_set:
-                    continue
                 if y in owner:
                     return RefinementReport(False, {
                         "kind": "overlap",

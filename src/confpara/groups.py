@@ -80,9 +80,6 @@ class Window:
     def point_set(self):
         return frozenset(self.points)
 
-    def __contains__(self, x):
-        return x in self.point_set
-
     def __len__(self):
         return len(self.points)
 
@@ -122,8 +119,9 @@ class Group:
 class CayleyTableGroup(Group):
     """Finite group given by its full multiplication table over indices 0..n-1.
 
-    The table must be a Latin square with a two-sided identity and inverses;
-    associativity is the caller's responsibility (property tests sample it).
+    The table must be a Latin square with a two-sided identity and inverses.
+    Associativity is not checked here: ``schemas.build_group`` checks it for a
+    ``table`` manifest, and any other caller is responsible for it.
     """
 
     is_finite = True

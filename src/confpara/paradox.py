@@ -20,7 +20,7 @@ Flattened double indices use the Cantor pairing on 0-based components.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional
 
 from .actions import LeftTranslation
@@ -95,7 +95,7 @@ class Decomposition:
     b_cover: Callable[[Any], int]
     a_translator_range: Optional[tuple] = None  # declared finite range
     b_translator_range: Optional[tuple] = None
-    meta: dict = field(default_factory=dict)
+    kind: Optional[str] = None  # the construction that built it
 
     def sides(self):
         """(name, pieces, translator, cover, translator range) of each side."""
@@ -105,13 +105,10 @@ class Decomposition:
         )
 
 
-def _from_sides(action, a, b, kind, **construction):
+def _from_sides(action, a, b, kind):
     """The decomposition whose sides ``a`` and ``b`` are each (pieces,
     translator, cover, translator range), built by construction ``kind``."""
-    return Decomposition(
-        action, a[0], b[0], a[1], b[1], a[2], b[2], a[3], b[3],
-        meta={"construction": {"kind": kind, **construction}},
-    )
+    return Decomposition(action, a[0], b[0], a[1], b[1], a[2], b[2], a[3], b[3], kind)
 
 
 class RefutationWitness(NamedTuple):
@@ -489,7 +486,6 @@ class SubgroupWitness(NamedTuple):
     subgroup: Group
     from_subgroup: Callable[[Any], Any]
     decompose: Callable[[Any], tuple]
-    label: str = "subgroup"
 
 
 def even_integers_witness(group):
@@ -508,7 +504,6 @@ def even_integers_witness(group):
         subgroup=h,
         from_subgroup=from_subgroup,
         decompose=lambda v: (codec.zigzag_position(v // 2), v % 2),
-        label="even-integers",
     )
 
 
@@ -533,7 +528,6 @@ def generator_power_witness(group):
         subgroup=h,
         from_subgroup=from_subgroup,
         decompose=decompose,
-        label="first-generator-powers",
     )
 
 
@@ -543,7 +537,6 @@ def identity_witness(group):
         subgroup=group,
         from_subgroup=lambda x: x,
         decompose=lambda x: (x, group.identity),
-        label="whole-group",
     )
 
 
@@ -564,8 +557,7 @@ def lift_via_transversal(group, witness, dec_of_h):
                 lambda x: cover(decomp(x)[0]), None)
 
     a, b = (side(*s) for s in dec_of_h.sides())
-    return _from_sides(LeftTranslation(group), a, b, "lift", subgroup=witness.label,
-                       inner=dec_of_h.meta.get("construction"))
+    return _from_sides(LeftTranslation(group), a, b, "lift")
 
 
 def countable_paradox_of_infinite(group, witness=None):
@@ -655,7 +647,7 @@ def compress_translators(dec, index_bound=200):
         )
 
     a, b = (side(*s, values) for s, values in zip(dec.sides(), ranges))
-    merged = _from_sides(dec.action, a, b, "compress", inner=dec.meta.get("construction"))
+    merged = _from_sides(dec.action, a, b, "compress")
     detection = hows[0] if hows[0] == hows[1] else "/".join(hows)
     return CompressionResult("compressed", merged, *ranges, index_bound, detection)
 
@@ -752,16 +744,14 @@ def refine_to_singletons(dec):
         )
 
     a, b = (side(*s) for s in dec.sides())
-    return _from_sides(dec.action, a, b, "refine-singletons",
-                       inner=dec.meta.get("construction"))
+    return _from_sides(dec.action, a, b, "refine-singletons")
 
 
 # ---------------------------------------------------------------------------
 # orbit gluing
 
 
-@dataclass
-class OrbitStructure:
+class OrbitStructure(NamedTuple):
     """Decodes points of an action into (orbit representative, group element)
     under the trivial-stabilizer identification of each orbit with the group.
 
@@ -769,13 +759,16 @@ class OrbitStructure:
     coset_of(act(g, x)) = g·coset_of(x) holds by construction.  Only the
     two orbit-structure functions below set it; a consumer trusts it only
     while both are the ones it holds, so a hand-built structure or one with
-    a replaced decoding carries no proof."""
+    a replaced decoding carries no proof.
+
+    A NamedTuple field read is not specialized on CPython 3.11, so a
+    per-point oracle binds the fields it reads to locals when it is built."""
 
     rep_of: Callable[[Any], Any]
     coset_of: Callable[[Any], Any]
     point_of: Callable[[Any, Any], Any]
     rep_index: Callable[[Any], int]  # 1-based position among representatives
-    rep_at: Optional[Callable[[int], Any]] = None
+    rep_at: Callable[[int], Any]
     count: Optional[int] = None  # number of orbits; None means countably many
     equivariant_for: Optional[tuple] = None
 
@@ -784,47 +777,53 @@ def product_orbit_structure(action):
     """Orbits of a product action over a left-translation base: orbit i is
     base x {i}, represented by (identity, i).  The decoding x -> x[0] is
     equivariant, and proved so, when the base is a left translation."""
-    group = action.group
-    e = group.identity
-    orbits = OrbitStructure(
+    e = action.group.identity
+
+    def coset_of(x):
+        return x[0]
+
+    return OrbitStructure(
         rep_of=lambda x: (e, x[1]),
-        coset_of=lambda x: x[0],
+        coset_of=coset_of,
         point_of=lambda rep, g: (g, rep[1]),
         rep_index=lambda rep: rep[1] + 1,
         rep_at=lambda pos: (e, pos - 1),
         count=action.index_count,
+        equivariant_for=(action, coset_of) if isinstance(action.base, LeftTranslation) else None,
     )
-    if isinstance(action.base, LeftTranslation):
-        orbits.equivariant_for = (action, orbits.coset_of)
-    return orbits
 
 
 def transitive_orbit_structure(action):
     """The single orbit of a left translation action: the group itself,
     with the identity decoding, which is equivariant."""
     e = action.group.identity
-    orbits = OrbitStructure(
+
+    def coset_of(x):
+        return x
+
+    return OrbitStructure(
         rep_of=lambda x: e,
-        coset_of=lambda x: x,
+        coset_of=coset_of,
         point_of=lambda rep, g: g,
         rep_index=lambda rep: 1,
         rep_at=lambda pos: e,
         count=1,
+        equivariant_for=(action, coset_of) if isinstance(action, LeftTranslation) else None,
     )
-    if isinstance(action, LeftTranslation):
-        orbits.equivariant_for = (action, orbits.coset_of)
-    return orbits
 
 
-def _validate_orbit_equivariance(action, orbits, rep, window, probes=3):
+_PROBES = 3  # group elements sampled per orbit; twice as many window points
+
+
+def _validate_orbit_equivariance(action, orbits, rep, window):
     """The window ranges over group elements; each is planted on the orbit of
     ``rep`` and the decoding maps are checked to commute with the action."""
     group = action.group
     if group.is_finite:
-        sample_g = list(group.elements())[:probes]
+        sample_g = list(group.elements())[:_PROBES]
     else:
-        sample_g = group.prefix_window(probes).points
-    for c in list(window.points)[: 2 * probes]:
+        sample_g = group.prefix_window(_PROBES).points
+    for c in list(window.points)[: 2 * _PROBES]:
         x = orbits.point_of(rep, c)
         if orbits.rep_of(x) != rep:
             raise PreconditionError(
@@ -877,8 +876,6 @@ def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
     that exist."""
     if mode not in ("uniform", "independent"):
         raise InputError(f"unknown glue mode {mode!r}")
-    if orbits.rep_at is None:
-        raise InputError("glue needs rep_at on the orbit structure")
     _require_int("validate reps", validate_reps, 0)
     dec = per_orbit(orbits.rep_at(1))
     if validate_window is not None:
@@ -912,9 +909,10 @@ def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
             return family, translator, lambda x: cover(coset_of(x)), translator_range
 
         a, b = (uniform_side(*s) for s in dec.sides())
-        return _from_sides(action, a, b, "glue", mode="uniform")
+        return _from_sides(action, a, b, "glue")
 
     identity = action.group.identity
+    rep_index, rep_of, count = orbits.rep_index, orbits.rep_of, orbits.count
 
     def independent_side(name, fam, translator, cover, _range):
         cover_name, size = f"{name}-cover", fam.size
@@ -923,11 +921,11 @@ def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
             i = fam.classify_checked(coset_of(x))
             if i is None:
                 return None
-            return cantor_pair(i - 1, orbits.rep_index(orbits.rep_of(x)) - 1) + 1
+            return cantor_pair(i - 1, rep_index(rep_of(x)) - 1) + 1
 
         def flat_translator(j):
             i0, r0 = cantor_unpair(j - 1)
-            if orbits.count is not None and r0 >= orbits.count:
+            if count is not None and r0 >= count:
                 return identity  # no such orbit: an empty flat piece
             if size is not None and i0 >= size:
                 return identity  # empty flat piece; never matched
@@ -935,26 +933,25 @@ def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
 
         def flat_cover(x):
             i = _checked_index(cover_name, cover(coset_of(x)), size)
-            return cantor_pair(i - 1, orbits.rep_index(orbits.rep_of(x)) - 1) + 1
+            return cantor_pair(i - 1, rep_index(rep_of(x)) - 1) + 1
 
         return PieceFamily(classifier), flat_translator, flat_cover, None
 
     a, b = (independent_side(*s) for s in dec.sides())
-    return _from_sides(action, a, b, "glue", mode="independent", pairing="cantor")
+    return _from_sides(action, a, b, "glue")
 
 
 def restrict_to_orbit(dec, x, orbits):
     """Pull a decomposition of the whole action back to the orbit of ``x``,
     presented over the group via the trivial-stabilizer identification."""
-    rep = orbits.rep_of(x)
+    rep, point_of = orbits.rep_of(x), orbits.point_of
 
     def pull(fn):
-        return lambda g: fn(orbits.point_of(rep, g))
+        return lambda g: fn(point_of(rep, g))
 
     def side(_name, fam, translator, cover, translator_range):
         family = PieceFamily(pull(fam.classifier), size=fam.size)
         return family, translator, pull(cover), translator_range
 
     a, b = (side(*s) for s in dec.sides())
-    return _from_sides(LeftTranslation(dec.action.group), a, b, "restrict",
-                       inner=dec.meta.get("construction"))
+    return _from_sides(LeftTranslation(dec.action.group), a, b, "restrict")

@@ -322,10 +322,12 @@ def verify_normal_and_iso(group, family, table):
     multiply like the table (F_k F_j = F_{pi(k,j)}), and that index -> block
     is a group isomorphism onto the coset group.  A table with an unknown
     entry is refused, as ``recover_cosets`` refuses it, and so is one that
-    is not n rows of n entries in 1..n with n labels, for n blocks.  Once
-    F_1 has passed the subgroup and normality checks, the first block that
-    is no left coset of F_1 is the one ``coset-block`` failure; otherwise
-    the coset products are checked.
+    is not n rows of n entries in 1..n with n labels, for n blocks.  An F_1
+    with a member outside H is one ``subgroup-in-group`` failure, with no
+    witness (its members need not sort together), and its inverses and
+    closure are not read.  Once F_1 has passed the subgroup and normality
+    checks, the first block that is no left coset of F_1 is the one
+    ``coset-block`` failure; otherwise the coset products are checked.
 
     Cost, for |H| elements, n blocks and s = |F_1|: s**2 multiplications for
     closure and up to 2 |H| s for normality, each checked by membership,
@@ -343,18 +345,20 @@ def verify_normal_and_iso(group, family, table):
     rows = _rows_in_range(table)
     if rows is None or table.bound != n or len(table.labels) != n:
         raise InputError(f"{n} blocks need {n} rows of {n} entries in 1..{n} and {n} labels")
+    elements = group.elements()  # an infinite group raises here
+    t = group.table
     failures = []
     if group.identity not in f1:
         failures.append({"identity": "identity-in-subgroup"})
-    for a in sorted(f1):
-        if group.inv(a) not in f1:
-            failures.append({"identity": "subgroup-inverse", "witness": group.format(a)})
-            break
-    group.elements()  # an infinite group raises here
-    t = group.table
-    closed = all(all(row[b] in f1 for b in f1) for row in map(t.__getitem__, f1))
-    if not closed:
-        failures.append({"identity": "subgroup-closure"})
+    if not f1.issubset(elements):
+        failures.append({"identity": "subgroup-in-group"})
+    else:
+        for a in sorted(f1):
+            if group.inv(a) not in f1:
+                failures.append({"identity": "subgroup-inverse", "witness": group.format(a)})
+                break
+        if not all(all(row[b] in f1 for b in f1) for row in map(t.__getitem__, f1)):
+            failures.append({"identity": "subgroup-closure"})
     x = _normality_witness(group, f1)
     if x is not None:
         failures.append({"identity": "normality", "witness": group.format(x)})
@@ -404,9 +408,10 @@ def q_group_refinement_check(group, family, cap=200_000):
     that rules it out.
 
     The blocks of ``family`` must be the left cosets of F_1, as every family
-    from ``recover_cosets`` is (``PreconditionError`` otherwise).  With |F_1| > 1 the refined partition then
-    has qn + 1 nonempty blocks, where qn = |G/F_1|, and every one of them
-    heads a configuration, since the base point ranges over all of G.  A
+    ``verify_normal_and_iso`` certifies is (``PreconditionError``
+    otherwise).  With |F_1| > 1 the refined partition then has qn + 1
+    nonempty blocks, where qn = |G/F_1|, and every one of them heads a
+    configuration, since the base point ranges over all of G.  A
     pair over the quotient's left translation labels its qn points with at
     most qn blocks, so counting rules a match out.  The report gives
     ``pairs_searched`` = S(qn, <=qn) * qn**n in closed form, the number of

@@ -533,7 +533,7 @@ def _build_decomposition_explicit(payload, path):
     group = build_group(f.take("group"), f"{path}/group")
     a, b = (_explicit_side(f, group, side, path) for side in "ab")
     f.finish()
-    return paradox._from_sides(LeftTranslation(group), a, b, "explicit", group=group.name)
+    return paradox._from_sides(LeftTranslation(group), a, b, "explicit")
 
 
 def build_decomposition(payload, path="/payload"):
@@ -559,10 +559,7 @@ def build_decomposition(payload, path="/payload"):
         }
         if witness_name not in makers:
             _fail(f"unknown subgroup witness {witness_name!r}", f"{path}/witness")
-        witness = makers[witness_name](group)
-        return paradox.lift_via_transversal(
-            group, witness, paradox.singleton_decomposition(witness.subgroup)
-        )
+        return paradox.countable_paradox_of_infinite(group, makers[witness_name](group))
     if kind == "infinite-auto":
         group = build_group(f.take("group"), f"{path}/group")
         f.finish()

@@ -375,13 +375,16 @@ def naive_recover_cosets(elements, mul, identity, translators, block_of, table):
 
 
 def naive_verify_normal_and_iso(group, blocks, table):
-    """F_1 a normal subgroup (identity, inverses, closure, x F_1 x^-1 = F_1);
-    once it is, the first block that is none of the left cosets x F_1, or,
-    when every block is one, the setwise products F_k F_j = F_pi(k,j); then
-    the coset count, with the failures in that order.  Returns (ok, failures,
-    iso, |F_1|, #blocks), the fields of an ``IsoReport``.  A table with an
-    unknown entry is refused, and so is one that is not n rows of n entries
-    in 1..n with n labels, for n blocks."""
+    """F_1 a normal subgroup (identity, members in H, inverses, closure,
+    x F_1 x^-1 = F_1); once it is, the first block that is none of the left
+    cosets x F_1, or, when every block is one, the setwise products
+    F_k F_j = F_pi(k,j); then the coset count, with the failures in that
+    order.  An F_1 with a member outside H has its inverses and closure
+    unread, and is not normal at the first element, since every conjugate
+    x F_1 x^-1 lies in H.  Returns (ok, failures, iso, |F_1|, #blocks), the
+    fields of an ``IsoReport``.  A table with an unknown entry is refused,
+    and so is one that is not n rows of n entries in 1..n with n labels,
+    for n blocks."""
     if any(None in row for row in table.rows):
         raise Refusal("InputError", "coset recovery needs a total index table")
     f1 = blocks[0]
@@ -392,21 +395,26 @@ def naive_verify_normal_and_iso(group, blocks, table):
             or not all(type(v) is int and 1 <= v <= n for v in entries)):
         raise Refusal("InputError",
                       f"{n} blocks need {n} rows of {n} entries in 1..{n} and {n} labels")
+    elements = group.elements()
+    within = all(a in elements for a in f1)
     failures = []
     if group.identity not in f1:
         failures.append({"identity": "identity-in-subgroup"})
-    for a in sorted(f1):
-        if group.inv(a) not in f1:
-            failures.append({"identity": "subgroup-inverse", "witness": group.format(a)})
-            break
-    if not all(group.mul(a, b) in f1 for a in f1 for b in f1):
-        failures.append({"identity": "subgroup-closure"})
-    for x in group.elements():
-        if frozenset(group.mul(group.mul(x, s), group.inv(x)) for s in f1) != f1:
+    if not within:
+        failures.append({"identity": "subgroup-in-group"})
+    else:
+        for a in sorted(f1):
+            if group.inv(a) not in f1:
+                failures.append({"identity": "subgroup-inverse", "witness": group.format(a)})
+                break
+        if not all(group.mul(a, b) in f1 for a in f1 for b in f1):
+            failures.append({"identity": "subgroup-closure"})
+    for x in elements:
+        if not within or frozenset(group.mul(group.mul(x, s), group.inv(x)) for s in f1) != f1:
             failures.append({"identity": "normality", "witness": group.format(x)})
             break
     if not failures:
-        cosets = {frozenset(group.mul(x, s) for s in f1) for x in group.elements()}
+        cosets = {frozenset(group.mul(x, s) for s in f1) for x in elements}
         k = next((k for k, block in enumerate(blocks, start=1) if block not in cosets), None)
         if k is not None:
             failures.append({"identity": "coset-block", "witness": k})

@@ -273,31 +273,6 @@ def test_refinement_flags_a_cell_in_the_wrong_block():
     }
 
 
-def _windowed_case(kind):
-    z = LeftTranslation(FreeAbelianGroup(1))
-    if kind == "z-box":
-        return z, ConfigPair((1, -2), residue_partition(3)), z.window({"box": 6})
-    act = ProductAction(z)
-    parity = Partition.classifier(lambda x: (x[0] + x[1]) % 2 + 1, block_count=2)
-    return act, ConfigPair((1, 3), parity), act.window({"box": 3, "indices": [0, 2]})
-
-
-@pytest.mark.parametrize("kind", ["z-box", "product"])
-def test_windowed_cells_match_naive_blocks(kind):
-    act, pair, window = _windowed_case(kind)
-    cells = configurations_with_cells(act, pair, window)
-    assert list(cells) == list(windowed_configuration_set(act, pair, window))
-    naive = oracles.naive_refinement_blocks(
-        window.points, act.act, act.group.inv, pair.elements,
-        pair.partition.block_of, list(cells),
-    )
-    assert cells == {c: tuple(map(frozenset, naive[c])) for c in naive}
-    # translates leave the window; only points with a windowed preimage count
-    assert any(not cell[1] <= window.point_set for cell in cells.values())
-    report = verify_refinement(act, pair, cells, window)
-    assert report.ok, report.violation
-
-
 # ---------------------------------------------------------------------------
 # countable prefixes
 

@@ -707,12 +707,10 @@ def test_only_require_int_words_an_integer_argument_refusal():
 # paradox._FirstLetter, takes slots instead: a NamedTuple field read is not
 # specialized on 3.11.
 DATACLASSES = {
-    ("groups.py", "Window"): "cached_property point_set, and its own __len__, __iter__ "
-                             "and __contains__",
+    ("groups.py", "Window"): "cached_property point_set, and its own __len__ and __iter__",
     ("configurations.py", "ConfigPair"): "__post_init__ coerces elements to a tuple",
     ("paradox.py", "PieceFamily"): "dataclasses.replace builds altered families",
     ("paradox.py", "Decomposition"): "dataclasses.replace builds altered decompositions",
-    ("paradox.py", "OrbitStructure"): "equivariant_for is set after construction",
 }
 
 
@@ -751,7 +749,9 @@ RECORDS = {
     px.RefutationWitness: ("point", "equation", "detail"),
     px.Verdict: ("status", "window_label", "index_bound", "points_checked", "witness"),
     px.EquidecompositionWitness: ("pieces", "translator", "cover"),
-    px.SubgroupWitness: ("subgroup", "from_subgroup", "decompose", "label"),
+    px.SubgroupWitness: ("subgroup", "from_subgroup", "decompose"),
+    px.OrbitStructure: ("rep_of", "coset_of", "point_of", "rep_index", "rep_at", "count",
+                        "equivariant_for"),
     px.CompressionResult: ("status", "decomposition", "a_range", "b_range", "bound", "detection"),
     rc.MultiplicationIndexTable: ("bound", "rows", "labels"),
     rc.CosetFamily: ("blocks", "representatives", "relabeling", "identity_block_before"),
@@ -781,7 +781,7 @@ def test_read_only_records_keep_their_defaults_and_a_verdict_reads_as_before():
     assert {record.__name__: record._field_defaults for record in RECORDS
             if record._field_defaults} == {
         "CountablePair": {"generating": False, "identity_tail_after": None},
-        "SubgroupWitness": {"label": "subgroup"},
+        "OrbitStructure": {"count": None, "equivariant_for": None},
     }
     assert repr(px.Verdict("refuted", "box(3)", 10, 2, None)) == (
         "Verdict(status='refuted', window_label='box(3)', index_bound=10, "

@@ -23,11 +23,13 @@ def test_every_mutant_snippet_occurs_once_and_names_existing_tests():
     script = _mutants()
     assert script.stale(script.MUTANTS) == []
     assert len({m.name for m in script.MUTANTS}) == len(script.MUTANTS)
+    defined = {}  # test file -> its top-level function names; each file parsed once
     for m in script.MUTANTS:
         assert m.path.startswith("src/") and m.replacement != m.snippet, m.name
         assert m.tests, m.name
         for node in m.tests:
             path, name = node.split("::")
-            tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
-            defined = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
-            assert name in defined, (m.name, node)
+            if path not in defined:
+                tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+                defined[path] = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+            assert name in defined[path], (m.name, node)

@@ -89,7 +89,7 @@ def test_singleton_z_piece_shape():
     assert dec.b_pieces.classifier(0) == 1
     assert dec.b_pieces.classifier(-1) == 2
     assert dec.b_pieces.classifier(1) is None
-    assert dec.meta["construction"]["kind"] == "singleton"
+    assert dec.kind == "singleton"
 
 
 def test_singleton_z_verifies_on_boxes():
@@ -372,8 +372,7 @@ def test_generator_power_witness_guards():
 
 def test_lift_through_even_integers_verifies():
     dec = countable_paradox_of_infinite(Z, witness=even_integers_witness(Z))
-    assert dec.meta["construction"]["kind"] == "lift"
-    assert dec.meta["construction"]["subgroup"] == "even-integers"
+    assert dec.kind == "lift"
     verdict = verify_paradoxical(dec, zwin(15), 25)
     assert verdict.verified
     assert verdict.points_checked == 31
@@ -398,7 +397,7 @@ def test_lift_through_identity_witness_is_the_direct_construction():
 
 def test_countable_paradox_defaults_to_own_enumeration():
     dec = countable_paradox_of_infinite(Z)
-    assert dec.meta["construction"]["kind"] == "singleton"
+    assert dec.kind == "singleton"
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +507,7 @@ def test_refinement_flattens_piece_and_rank():
     assert acl((1,)) == cantor_pair(0, 1) + 1
     assert acl((-1, 2)) == cantor_pair(1, 0) + 1
     assert acl((2,)) is None
-    assert refined.meta["construction"]["kind"] == "refine-singletons"
+    assert refined.kind == "refine-singletons"
 
 
 def test_refined_pieces_are_singletons():
@@ -612,7 +611,7 @@ def test_uniform_glue_verifies_on_the_product():
         mode="uniform",
         validate_window=lambda rep: zwin(4),
     )
-    assert glued.meta["construction"] == {"kind": "glue", "mode": "uniform"}
+    assert glued.kind == "glue"
     verdict = verify_paradoxical(
         glued, action.window({"box": 6, "indices": [0, 3]}), 15
     )
@@ -765,7 +764,7 @@ def test_orbit_validation_refuses_a_decoding_that_does_not_commute(group, decodi
     # the second point, or at the first under the sampled element 1; a finite
     # group samples its first elements, an infinite one its prefix window
     action = ProductAction(LeftTranslation(group), 2)
-    orbits = dataclasses.replace(product_orbit_structure(action), **decoding(group.inv))
+    orbits = product_orbit_structure(action)._replace(**decoding(group.inv))
     with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
         _validate_orbit_equivariance(action, orbits, (group.identity, 0), group.prefix_window(4))
 
@@ -775,9 +774,8 @@ def test_glue_argument_errors():
     per = lambda rep: singleton_decomposition(Z)
     with pytest.raises(InputError):
         glue_orbit_decompositions(action, orbits, per, mode="sideways")
-    no_rep_at = dataclasses.replace(orbits, rep_at=None)
-    with pytest.raises(InputError):
-        glue_orbit_decompositions(action, no_rep_at, per, mode="uniform")
+    with pytest.raises(TypeError):  # every orbit structure names its representatives
+        OrbitStructure(orbits.rep_of, orbits.coset_of, orbits.point_of, orbits.rep_index)
 
 
 def test_restriction_recovers_the_per_orbit_input():
@@ -1520,7 +1518,7 @@ def test_an_unproved_decoding_keeps_the_scan(how):
     orbits = {
         "hand-built": OrbitStructure(proved.rep_of, swapped_decoding, proved.point_of,
                                      proved.rep_index, proved.rep_at, proved.count),
-        "replaced": dataclasses.replace(proved, coset_of=swapped_decoding),
+        "replaced": proved._replace(coset_of=swapped_decoding),
         "other-action": product_orbit_structure(ProductAction(LeftTranslation(Z), 1)),
     }[how]
     glued = glue_orbit_decompositions(action, orbits, lambda rep: singleton_decomposition(Z))

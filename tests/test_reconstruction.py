@@ -377,8 +377,22 @@ def test_a_subset_outside_the_group_is_not_normal():
     t = multiplication_index_table(cyclic(2), cyclic(2).elements())
     report = _verified(z4, blocks, t)
     assert report == oracles.naive_verify_normal_and_iso(z4, blocks, t)
-    assert report[1] == ({"identity": "normality", "witness": "0"},
+    assert report[1] == ({"identity": "subgroup-in-group"},
+                         {"identity": "normality", "witness": "0"},
                          {"identity": "coset-count", "witness": (4, 2, 3)})
+
+
+@pytest.mark.parametrize("f1", [{0, 5}, {0, "a"}], ids=["index-past-the-group", "mixed-types"])
+def test_certificate_refuses_an_f1_outside_the_group(f1):
+    # read as elements, 5 indexes no row of Z4's table and "a" does not sort
+    # with 0; the certificate reads neither, and names the failure unwitnessed
+    z4 = cyclic(4)
+    blocks = (frozenset(f1), frozenset({1, 3}))
+    t = multiplication_index_table(cyclic(2), cyclic(2).elements())
+    report = _verified(z4, blocks, t)
+    assert report == oracles.naive_verify_normal_and_iso(z4, blocks, t)
+    assert report[:2] == (False, ({"identity": "subgroup-in-group"},
+                                  {"identity": "normality", "witness": "0"}))
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +735,16 @@ def test_refinement_check_requires_the_cosets_of_f1():
     )
     with pytest.raises(PreconditionError, match="not the cosets of F_1"):
         q_group_refinement_check(z6, family)
+    # recover_cosets reads these blocks off the pair without checking them,
+    # and {0, 1} is no subgroup of Z4: the certificate refutes the family,
+    # and the refinement check refuses it
+    z4 = cyclic(4)
+    t = multiplication_index_table(cyclic(2), cyclic(2).elements())
+    family = recover_cosets(z4, ConfigPair((0, 2), Partition.explicit([[0, 1], [2, 3]])), t)
+    assert family.blocks == (frozenset({0, 1}), frozenset({2, 3}))
+    assert not verify_normal_and_iso(z4, family, t).ok
+    with pytest.raises(PreconditionError, match="^conjugation-closed set is not a subgroup$"):
+        q_group_refinement_check(z4, family)
 
 
 def test_refinement_search_cap():

@@ -419,6 +419,7 @@ def test_named_constructions_build_and_verify():
         "group": {"family": "free-abelian", "rank": 1},
         "witness": "even-integers",
     })
+    assert dec.kind == "lift"
     assert verify_paradoxical(dec, dec.action.window({"box": 8}), 15).verified
 
     dec = build_decomposition({
@@ -432,7 +433,7 @@ def test_named_constructions_build_and_verify():
         "construction": "infinite-auto",
         "group": {"family": "free-abelian", "rank": 1},
     })
-    assert dec.meta["construction"]["kind"] == "singleton"
+    assert dec.kind == "singleton"
 
 
 def test_compress_and_refine_constructions():
@@ -519,7 +520,7 @@ def explicit_f2_payload():
 
 def test_explicit_decomposition_builds_the_standard_paradox():
     dec = build_decomposition(explicit_f2_payload())
-    assert dec.meta["construction"]["kind"] == "explicit"
+    assert dec.kind == "explicit"
     assert dec.a_translator_range == ((), (1,))
     assert dec.b_translator_range == ((), (2,))
     verdict = verify_paradoxical(dec, dec.action.window({"ball": 3}), 2)

@@ -20,7 +20,7 @@ PACKAGE = ROOT / "src" / "confpara"
 PENDING = {
     "transitive_orbit_structure": "item 9: the countable-paradox decision for every action",
     "refined_partition_of": "item 3: the refinement statement's test",
-    "EquidecompositionWitness": "item 10: verify_equidecomposable is a tracer target",
+    "EquidecompositionWitness": "item 14: verify_equidecomposable is a tracer target",
 }
 
 
