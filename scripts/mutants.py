@@ -226,6 +226,14 @@ MUTANTS = (
         "return half if pos % 2 else -half",
         ("tests/test_groups.py::test_integers_zigzag_enumeration",),
     ),
+    # the cycle labels of a permutation group's elements
+    Mutant(
+        "cycle-label-counts-from-zero",
+        "src/confpara/groups.py",
+        'str(c + 1) for c in cyc',
+        'str(c) for c in cyc',
+        ("tests/test_groups.py::test_permutation_groups_label_elements_by_their_cycles",),
+    ),
     # enumeration ranks: the closed form, the table and the free-group pass
     Mutant(
         "closed-form-rank-drops-the-minus-r-offset",
@@ -395,6 +403,24 @@ MUTANTS = (
         "            return (not self.exclude_neg_powers or self.include_neg_powers\n",
         "            return (not self.exclude_neg_powers\n",
         ("tests/test_paradox.py::test_first_letter_members_match_their_definition",),
+    ),
+    Mutant(
+        "first-letter-takes-include-and-exclude",
+        "src/confpara/schemas.py",
+        "            if include is not None:\n"
+        "                _fail(\"a first-letter piece takes include or exclude, not both\",\n"
+        "                      f\"{path}/exclude\")\n",
+        "",
+        ("tests/test_schemas.py::test_a_first_letter_piece_takes_include_or_exclude_not_both",
+         "tests/test_cli.py::test_refused_input_exits_4_with_its_message"),
+    ),
+    # the even-integers witness: the subgroup's k stands for 2k
+    Mutant(
+        "even-witness-truncates-toward-zero",
+        "src/confpara/paradox.py",
+        "        decompose=lambda v: (v // 2, v % 2),\n",
+        "        decompose=lambda v: (int(v / 2), v % 2),\n",
+        ("tests/test_paradox.py::test_even_witness_factorization",),
     ),
     # the construction kind, the one field of a decomposition the CLI reports
     Mutant(

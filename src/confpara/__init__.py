@@ -41,7 +41,6 @@ from .groups import (
     Window,
     closure,
     direct_product,
-    even_integers_enumerated,
     is_generating,
     is_normal,
     normal_subgroups,

@@ -336,10 +336,9 @@ def _verdict_data(action, verdict):
 
 
 def _cmd_paradox_verify(args):
-    manifest = args.manifest if args.manifest is not None else args.dec
-    if manifest is None:
-        raise InputError("paradox verify needs a decomposition manifest or --dec")
-    _kind, payload, _meta = _read_manifest(manifest, "decomposition")
+    if args.manifest is None:
+        raise InputError("paradox verify needs a decomposition manifest")
+    _kind, payload, _meta = _read_manifest(args.manifest, "decomposition")
     dec = schemas.build_decomposition(payload)
     window = _window_for(dec.action, args.window)
     verdict = verify_paradoxical(dec, window, args.index_bound)
@@ -499,7 +498,6 @@ def build_parser():
     v = psub.add_parser("verify", help="verify a decomposition on a window")
     v.add_argument("manifest", nargs="?",
                    help="decomposition manifest path, or - for stdin")
-    v.add_argument("--dec", help="decomposition manifest (alternative)")
     v.add_argument("--window", required=True)
     v.add_argument("--index-bound", type=int, default=40)
     _add_format(v)

@@ -21,7 +21,7 @@ from operator import add
 from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import InputError, PreconditionError, ResourceCapExceeded
-from .groups import _is_int, _perm_closure, _require_int, is_generating
+from .groups import _cycles, _is_int, _perm_closure, _require_int, is_generating
 
 
 class Partition:
@@ -455,16 +455,7 @@ def _power_exceeds(base, exponent, cap):
 
 
 def _cycle_type(perm):
-    lengths, placed = [], set()
-    for x in perm:
-        k = 0
-        while x not in placed:
-            placed.add(x)
-            x = perm[x]
-            k += 1
-        if k:
-            lengths.append(k)
-    return tuple(sorted(lengths))
+    return tuple(sorted(map(len, _cycles(perm))))
 
 
 def _generating_rows(rows):

@@ -3,9 +3,10 @@
 Element conventions:
 
 * table-backed and oracle-backed (enumerated) groups: elements are 0-based
-  integer indices into a fixed enumeration (the one built-in enumerated
-  group is ``even_integers_enumerated``, the subgroup 2Z of Z that
-  ``paradox.even_integers_witness`` lifts a paradox from);
+  integer indices into a fixed enumeration (no package code builds an
+  enumerated group: the subgroup witnesses of ``paradox`` present 2Z and
+  the powers of a free generator as the free-abelian group of rank 1, its
+  integer k standing for 2k or for a^k);
 * free groups: reduced words stored as tuples of signed generator numbers
   (``1`` = first generator, ``-1`` = its inverse, ``2`` = second, ...);
 * free-abelian groups: plain integers for rank 1, integer tuples otherwise;
@@ -225,23 +226,27 @@ def _perm_closure(degree, generators):
     return sorted(seen)
 
 
-def _cycle_label(perm):
-    n = len(perm)
-    seen = [False] * n
-    parts = []
-    for i in range(n):
-        if seen[i] or perm[i] == i:
+def _cycles(perm):
+    """The cycles of a permutation of 0..n-1, fixed points included, each
+    from its least point, in the order of those points."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        cyc = []
+        i = start
+        while not seen[i]:
             seen[i] = True
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        parts.append("(" + " ".join(str(c + 1) for c in cyc) + ")")
-    return "".join(parts) if parts else "()"
+            cyc.append(i)
+            i = perm[i]
+        if cyc:
+            cycles.append(cyc)
+    return cycles
+
+
+def _cycle_label(perm):
+    parts = ["(" + " ".join(str(c + 1) for c in cyc) + ")"
+             for cyc in _cycles(perm) if len(cyc) > 1]
+    return "".join(parts) or "()"
 
 
 def permutation_group(degree, generators, name="finite-perm"):
@@ -701,21 +706,6 @@ class EnumeratedGroup(Group):
 
     def format(self, a):
         return str(a)
-
-
-def even_integers_enumerated():
-    """The even integers under addition, indexed 0, 2, -2, 4, -4, ..."""
-
-    def value(a):
-        return 2 * codec.zigzag_value(a)
-
-    def mul(a, b):
-        return codec.zigzag_position((value(a) + value(b)) // 2)
-
-    def inv(a):
-        return codec.zigzag_position(-codec.zigzag_value(a))
-
-    return EnumeratedGroup(mul, inv, 0, name="enumerated-even-integers")
 
 
 # ---------------------------------------------------------------------------

@@ -489,21 +489,15 @@ class SubgroupWitness(NamedTuple):
 
 
 def even_integers_witness(group):
-    """2Z inside Z with transversal {0, 1}."""
-    from .groups import even_integers_enumerated
-    from . import codec
-
+    """2Z inside Z with transversal {0, 1}, presented as Z itself: the
+    integer k of the subgroup stands for 2k, as the generator-power witness
+    presents the powers of a by their exponents."""
     if not (isinstance(group, FreeAbelianGroup) and group.rank == 1):
         raise PreconditionError("the even-integers witness embeds into Z")
-    h = even_integers_enumerated()
-
-    def from_subgroup(i):
-        return 2 * codec.zigzag_value(i)
-
     return SubgroupWitness(
-        subgroup=h,
-        from_subgroup=from_subgroup,
-        decompose=lambda v: (codec.zigzag_position(v // 2), v % 2),
+        subgroup=FreeAbelianGroup(1),
+        from_subgroup=lambda k: 2 * k,
+        decompose=lambda v: (v // 2, v % 2),
     )
 
 

@@ -462,6 +462,9 @@ def _build_family_member(payload, group, path):
         if include is not None:
             _neg_powers_token(include, group, f"{path}/include")
         if exclude is not None:
+            if include is not None:
+                _fail("a first-letter piece takes include or exclude, not both",
+                      f"{path}/exclude")
             _neg_powers_token(exclude, group, f"{path}/exclude")
         return paradox._FirstLetter(
             word[0],

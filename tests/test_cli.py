@@ -301,7 +301,7 @@ def test_equiv_on_two_actions_without_points(tmp_path, capsys):
     (["equiv", "{g_z4}", "-n", "1", "-m", "1"],
      "equiv needs two manifests (positional or --a/--b)"),
     (["paradox", "verify", "--window", "all"],
-     "paradox verify needs a decomposition manifest or --dec"),
+     "paradox verify needs a decomposition manifest"),
     (["paradox", "construct"], "paradox construct needs a decomposition manifest or --kind"),
 ], ids=["equiv-decomposition", "equiv-one-manifest", "verify-no-manifest",
         "construct-no-manifest"])
@@ -747,7 +747,7 @@ def test_verify_singleton_decomposition(files, capsys):
 def test_verify_f2_with_json_window(files, capsys):
     code, doc, _ = run_json(
         capsys,
-        ["paradox", "verify", "--dec", files["dec_f2"],
+        ["paradox", "verify", files["dec_f2"],
          "--window", '{"ball": 4}', "--index-bound", "2"],
         "verdict",
     )
@@ -888,6 +888,11 @@ F2_EXPLICIT = json.loads((FIXTURES / "decomposition_f2_explicit.json").read_text
     (["paradox", "verify", ("decomposition", {**F2_EXPLICIT, "a-pieces": [
         {"family": "circle"}, F2_EXPLICIT["a-pieces"][1]]}), "--window", "ball=1"],
      "unknown piece family 'circle' (at /payload/a-pieces/0/family)"),
+    (["paradox", "verify", ("decomposition", {**F2_EXPLICIT, "a-pieces": [
+        F2_EXPLICIT["a-pieces"][0],
+        {**F2_EXPLICIT["a-pieces"][1], "include": "a-neg-powers"}]}), "--window", "ball=1"],
+     "a first-letter piece takes include or exclude, not both "
+     "(at /payload/a-pieces/1/exclude)"),
     (["paradox", "verify", ("decomposition", {
         "construction": "glue", "copies": 2, "inner": {
             "construction": "glue", "copies": 2,
@@ -919,8 +924,8 @@ F2_EXPLICIT = json.loads((FIXTURES / "decomposition_f2_explicit.json").read_text
                        "tuple": ["0"], "partition": {"kind": "blocks", "blocks": [["p"]]}})],
      "duplicate points (at /payload/action/points)"),
 ], ids=["tuple-not-an-array", "countable-trivial-with-points", "overlapping-blocks",
-        "bad-index-range", "unknown-piece-family", "glue-of-a-glue", "bad-exponent",
-        "no-ball-for-a-trivial-action", "empty-table", "one-sided-identity",
+        "bad-index-range", "unknown-piece-family", "include-and-exclude", "glue-of-a-glue",
+        "bad-exponent", "no-ball-for-a-trivial-action", "empty-table", "one-sided-identity",
         "non-associative-table", "labels-of-the-wrong-length", "rank-2-token-without-brackets",
         "trivial-action-with-duplicate-points"])
 def test_refused_input_exits_4_with_its_message(tmp_path, capsys, argv, message):

@@ -21,11 +21,11 @@ from confpara.catalog import alternating4, cyclic, dihedral, fixture_groups, qua
 from confpara.errors import InputError, PreconditionError, UnsupportedOperationError
 from confpara.groups import (
     CayleyTableGroup,
+    EnumeratedGroup,
     FreeAbelianGroup,
     FreeGroup,
     closure,
     direct_product,
-    even_integers_enumerated,
     is_generating,
     is_normal,
     normal_subgroups,
@@ -43,6 +43,13 @@ from confpara.paradox import (
 from confpara.reconstruction import q_group_refinement_check
 
 FIXTURES = fixture_groups()
+
+
+def even_integers_enumerated():
+    """2Z as an oracle-backed group: index a stands for 2 * zigzag(a)."""
+    z = oracles.zigzag
+    return EnumeratedGroup(lambda a, b: codec.zigzag_position(z(a) + z(b)),
+                           lambda a: codec.zigzag_position(-z(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +122,17 @@ def test_table_group_rejects_ragged_rows():
 def test_table_group_rejects_labels_of_the_wrong_length():
     with pytest.raises(InputError, match="^labels length must match table size$"):
         CayleyTableGroup([[0, 1], [1, 0]], 0, ["e"])
+
+
+@pytest.mark.parametrize("group,labels", [
+    (symmetric(3), ("()", "(2 3)", "(1 2)", "(1 2 3)", "(1 3 2)", "(1 3)")),
+    (alternating4(), ("()", "(2 3 4)", "(2 4 3)", "(1 2)(3 4)", "(1 2 3)", "(1 2 4)",
+                      "(1 3 2)", "(1 3 4)", "(1 3)(2 4)", "(1 4 2)", "(1 4 3)",
+                      "(1 4)(2 3)")),
+], ids=["S3", "A4"])
+def test_permutation_groups_label_elements_by_their_cycles(group, labels):
+    # 1-based points, each cycle from its least point, fixed points left out
+    assert group.labels == labels
 
 
 def test_dihedral_is_nonabelian():

@@ -335,6 +335,7 @@ def test_a_malformed_target_read_is_refused(cover, bad_at, message):
 
 
 @given(st.integers(-2000, 2000))
+@example(-1)
 def test_even_witness_factorization(v):
     w = even_integers_witness(Z)
     h, t = w.decompose(v)
@@ -343,11 +344,36 @@ def test_even_witness_factorization(v):
 
 
 def test_even_witness_bridges_subgroup_codes():
+    # 2Z is presented as Z, its k standing for 2k
     w = even_integers_witness(Z)
-    for i in range(50):
+    assert isinstance(w.subgroup, FreeAbelianGroup) and w.subgroup.rank == 1
+    for i in range(-50, 50):
         assert w.decompose(w.from_subgroup(i)) == (i, 0)
     with pytest.raises(PreconditionError):
         even_integers_witness(F2)
+
+
+def test_even_lift_reads_the_singleton_paradox_of_z_at_half():
+    # the subgroup's k stands for 2k: the lift at v is Z's singleton
+    # paradox at v // 2, and its translators are doubled
+    lift = countable_paradox_of_infinite(Z, witness=even_integers_witness(Z))
+    single = singleton_decomposition(Z)
+    for (_, fam, translator, cover, _), (_, fam1, translator1, cover1, _) in zip(
+            lift.sides(), single.sides()):
+        for v in Z.box(60):
+            assert fam.classifier(v) == fam1.classifier(v // 2)
+            assert cover(v) == cover1(v // 2)
+            assert fam.claimants(v) == fam1.claimants(v // 2)
+        assert all(translator(i) == 2 * translator1(i) for i in range(1, 201))
+
+
+def test_even_lift_keeps_its_piece_numbering():
+    lift = countable_paradox_of_infinite(Z, witness=even_integers_witness(Z))
+    points = list(Z.box(4))
+    assert points == [0, 1, -1, 2, -2, 3, -3, 4, -4]
+    assert [lift.a_pieces.classifier(v) for v in points] == [
+        None, None, None, 1, None, 1, None, 2, None]
+    assert [lift.b_pieces.classifier(v) for v in points] == [1, 1, 2, None, 2, None, 3, None, 3]
 
 
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8))

@@ -570,6 +570,16 @@ def test_neg_powers_token_validation():
     assert path_of(err) == "/payload/a-pieces/0/include"
 
 
+def test_a_first_letter_piece_takes_include_or_exclude_not_both():
+    # with both, adjoining would win and the piece would overlap piece 1 at e
+    payload = explicit_f2_payload()
+    payload["a-pieces"][1]["include"] = "a-neg-powers"
+    with pytest.raises(InputError) as err:
+        build_decomposition(payload)
+    assert str(err.value) == ("a first-letter piece takes include or exclude, not both "
+                              "(at /payload/a-pieces/1/exclude)")
+
+
 def test_first_letter_family_guards():
     payload = explicit_f2_payload()
     payload["group"] = {"family": "free-abelian", "rank": 1}
