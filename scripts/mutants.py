@@ -431,13 +431,26 @@ MUTANTS = (
         ("tests/test_cli.py::test_construct_singleton_inline_group",
          "tests/test_cli.py::test_construct_compress_takes_its_detection_bound"),
     ),
+    # glue validation: a given window verifies the decomposition even when
+    # no orbit's decoding is checked
+    Mutant(
+        "glue-verifies-only-inside-the-rep-loop",
+        "src/confpara/paradox.py",
+        "        if not verdict.verified:\n"
+        "            raise PreconditionError(\n"
+        "                f\"per-orbit decomposition refuted",
+        "        if validate_reps and not verdict.verified:\n"
+        "            raise PreconditionError(\n"
+        "                f\"per-orbit decomposition refuted",
+        ("tests/test_paradox.py::test_glue_refuses_refutable_per_orbit_input",),
+    ),
     # the equivariance proof that lets the uniform glue carry claimants
     Mutant(
         "uniform-glue-ignores-the-proof",
         "src/confpara/paradox.py",
-        "        carried = (proved_action is action and proved_coset_of is coset_of\n"
-        "                   and isinstance(dec.action, LeftTranslation))\n",
-        "        carried = isinstance(dec.action, LeftTranslation)\n",
+        "    carried = (proved_action is action and proved_coset_of is coset_of\n"
+        "               and isinstance(dec.action, LeftTranslation))\n",
+        "    carried = isinstance(dec.action, LeftTranslation)\n",
         ("tests/test_paradox.py::test_an_unproved_decoding_keeps_the_scan",),
     ),
     Mutant(
@@ -450,8 +463,8 @@ MUTANTS = (
     Mutant(
         "uniform-glue-ignores-the-inner-action",
         "src/confpara/paradox.py",
-        "                   and isinstance(dec.action, LeftTranslation))\n",
-        "                   )\n",
+        "               and isinstance(dec.action, LeftTranslation))\n",
+        "               )\n",
         ("tests/test_paradox.py::test_claimants_carry_over_left_translations_only",),
     ),
     Mutant(
@@ -478,31 +491,6 @@ MUTANTS = (
         "            codes = [c * m + s for c in codes for s in sigma]\n",
         "            codes = [c * m + s for c in codes for s in range(m)]\n",
         ("tests/test_configurations.py::test_family_matches_the_naive_family",),
-    ),
-    # independent glue: one decomposition, re-indexed by (piece, orbit)
-    Mutant(
-        "independent-glue-orbit-index-off-by-one",
-        "src/confpara/paradox.py",
-        "                return None\n"
-        "            return cantor_pair(i - 1, rep_index(rep_of(x)) - 1) + 1\n",
-        "                return None\n"
-        "            return cantor_pair(i - 1, rep_index(rep_of(x))) + 1\n",
-        ("tests/test_paradox.py::test_independent_glue_is_uniform_glue_reindexed",),
-    ),
-    Mutant(
-        "independent-glue-drops-the-orbit-count-test",
-        "src/confpara/paradox.py",
-        "            if count is not None and r0 >= count:\n"
-        "                return identity  # no such orbit: an empty flat piece\n",
-        "",
-        ("tests/test_paradox.py::test_independent_glue_is_uniform_glue_reindexed",),
-    ),
-    Mutant(
-        "independent-glue-reads-an-unchecked-classifier",
-        "src/confpara/paradox.py",
-        "            i = fam.classify_checked(coset_of(x))\n",
-        "            i = fam.classifier(coset_of(x))\n",
-        ("tests/test_paradox.py::test_refinement_keeps_the_parent_classifier_contract",),
     ),
     Mutant(
         "conjugate-skips-its-final-check",

@@ -383,8 +383,6 @@ def _construction_payload(args):
         payload["group"] = _group_payload_from_flag(args.group)
     if args.witness is not None:
         payload["witness"] = args.witness
-    if args.mode is not None:
-        payload["mode"] = args.mode
     if args.copies is not None:  # the schema rejects what is not a count
         c = args.copies
         payload["copies"] = int(c) if c.removeprefix("-").isdecimal() else c
@@ -514,8 +512,6 @@ def build_parser():
     c.add_argument("--group", help="group manifest path or inline JSON payload")
     c.add_argument("--witness",
                    help="subgroup witness name for --kind lift")
-    c.add_argument("--mode", choices=("uniform", "independent"),
-                   help="glue mode")
     c.add_argument("--copies", help='factor count for glue, or "countable"')
     c.add_argument("--bound", type=int, help="scan bound for --kind compress")
     c.add_argument("--inner", help="inner decomposition manifest")

@@ -761,7 +761,6 @@ class OrbitStructure(NamedTuple):
     rep_of: Callable[[Any], Any]
     coset_of: Callable[[Any], Any]
     point_of: Callable[[Any, Any], Any]
-    rep_index: Callable[[Any], int]  # 1-based position among representatives
     rep_at: Callable[[int], Any]
     count: Optional[int] = None  # number of orbits; None means countably many
     equivariant_for: Optional[tuple] = None
@@ -780,7 +779,6 @@ def product_orbit_structure(action):
         rep_of=lambda x: (e, x[1]),
         coset_of=coset_of,
         point_of=lambda rep, g: (g, rep[1]),
-        rep_index=lambda rep: rep[1] + 1,
         rep_at=lambda pos: (e, pos - 1),
         count=action.index_count,
         equivariant_for=(action, coset_of) if isinstance(action.base, LeftTranslation) else None,
@@ -799,7 +797,6 @@ def transitive_orbit_structure(action):
         rep_of=lambda x: e,
         coset_of=coset_of,
         point_of=lambda rep, g: g,
-        rep_index=lambda rep: 1,
         rep_at=lambda pos: e,
         count=1,
         equivariant_for=(action, coset_of) if isinstance(action, LeftTranslation) else None,
@@ -841,97 +838,62 @@ def glue_orbit_decompositions(action, orbits, per_orbit, mode="uniform",
     presented over the group by left translation) into one decomposition of
     the whole free action.
 
-    Both modes ask for one decomposition, ``per_orbit(rep_at(1))``, and carry
+    Gluing asks for one decomposition, ``per_orbit(rep_at(1))``, and carries
     it along the orbits through the representatives (Tomkowicz & Wagon, *The
     Banach-Tarski Paradox*, 2nd ed., 2016, ch. 1), so every orbit uses the
     same translators by construction.  A caller whose ``per_orbit`` answers
     differently for other representatives gets the first answer everywhere.
+    The one ``mode`` is ``"uniform"``; any other is refused.
 
-    ``uniform`` mode keeps the inner indices: x lies in piece
-    inner(coset_of(x)), covered by cover(coset_of(x)), under the inner
-    translators.  When the decoding is proved equivariant (``equivariant_for``
-    names this action and decoding) and the inner action is a left
-    translation, the inner claimants carry over too: j claims x iff
-    inner(coset_of(t_j^-1·x)) = inner(t_j^-1·coset_of(x)) = j iff j is an
-    inner claimant of coset_of(x).  Otherwise the glued families name none
-    and the verifier scans.
-
-    ``independent`` mode re-indexes the same decomposition: flat piece
-    cantor_pair(i - 1, r - 1) + 1 is inner piece i on the r-th orbit, with
-    inner translator i; it is empty, translated by the identity, when i
-    exceeds a finite family or r the orbit count.  The inner classifier and
-    cover are read through their contract (a malformed index raises), and the
-    flat families name no claimants.
+    The inner indices are kept: x lies in piece inner(coset_of(x)), covered
+    by cover(coset_of(x)), under the inner translators.  When the decoding is
+    proved equivariant (``equivariant_for`` names this action and decoding)
+    and the inner action is a left translation, the inner claimants carry
+    over too: j claims x iff inner(coset_of(t_j^-1·x)) =
+    inner(t_j^-1·coset_of(x)) = j iff j is an inner claimant of coset_of(x).
+    Otherwise the glued families name none and the verifier scans.
 
     When a validation window is supplied, the decomposition is verified on
     ``validate_window(rep_at(1))``, so a hopeless candidate (a fixed point's
     one-element orbit, say) is refused here, and the decoding is checked to
     commute with the action on each of the first ``validate_reps`` orbits
     that exist."""
-    if mode not in ("uniform", "independent"):
+    if mode != "uniform":
         raise InputError(f"unknown glue mode {mode!r}")
     _require_int("validate reps", validate_reps, 0)
-    dec = per_orbit(orbits.rep_at(1))
+    rep = orbits.rep_at(1)
+    dec = per_orbit(rep)
     if validate_window is not None:
+        w = validate_window(rep)
+        verdict = verify_paradoxical(dec, w, validate_index_bound)
+        if not verdict.verified:
+            raise PreconditionError(
+                f"per-orbit decomposition refuted at representative {rep!r}: "
+                f"{verdict.witness.equation} at {verdict.witness.point!r}; "
+                "the orbit is not countably paradoxical"
+            )
         last = validate_reps if orbits.count is None else min(validate_reps, orbits.count)
         for pos in range(1, last + 1):
-            rep = orbits.rep_at(pos)
-            w = validate_window(rep)
-            if pos == 1:
-                verdict = verify_paradoxical(dec, w, validate_index_bound)
-                if not verdict.verified:
-                    raise PreconditionError(
-                        f"per-orbit decomposition refuted at representative {rep!r}: "
-                        f"{verdict.witness.equation} at {verdict.witness.point!r}; "
-                        "the orbit is not countably paradoxical"
-                    )
+            if pos > 1:
+                rep = orbits.rep_at(pos)
+                w = validate_window(rep)
             _validate_orbit_equivariance(action, orbits, rep, w)
 
     coset_of = orbits.coset_of
-    if mode == "uniform":
-        proved_action, proved_coset_of = orbits.equivariant_for or (None, None)
-        carried = (proved_action is action and proved_coset_of is coset_of
-                   and isinstance(dec.action, LeftTranslation))
+    proved_action, proved_coset_of = orbits.equivariant_for or (None, None)
+    carried = (proved_action is action and proved_coset_of is coset_of
+               and isinstance(dec.action, LeftTranslation))
 
-        def uniform_side(_name, fam, translator, cover, translator_range):
-            inner, named = fam.classifier, fam.claimants
-            claimants = None if named is None or not carried else (
-                lambda x: named(coset_of(x))
-            )
-            family = PieceFamily(lambda x: inner(coset_of(x)), size=fam.size,
-                                 claimants=claimants)
-            return family, translator, lambda x: cover(coset_of(x)), translator_range
+    def side(_name, fam, translator, cover, translator_range):
+        inner, named = fam.classifier, fam.claimants
+        claimants = None if named is None or not carried else (
+            lambda x: named(coset_of(x))
+        )
+        family = PieceFamily(lambda x: inner(coset_of(x)), size=fam.size,
+                             claimants=claimants)
+        return family, translator, lambda x: cover(coset_of(x)), translator_range
 
-        a, b = (uniform_side(*s) for s in dec.sides())
-        return _from_sides(action, a, b, "glue")
-
-    identity = action.group.identity
-    rep_index, rep_of, count = orbits.rep_index, orbits.rep_of, orbits.count
-
-    def independent_side(name, fam, translator, cover, _range):
-        cover_name, size = f"{name}-cover", fam.size
-
-        def classifier(x):
-            i = fam.classify_checked(coset_of(x))
-            if i is None:
-                return None
-            return cantor_pair(i - 1, rep_index(rep_of(x)) - 1) + 1
-
-        def flat_translator(j):
-            i0, r0 = cantor_unpair(j - 1)
-            if count is not None and r0 >= count:
-                return identity  # no such orbit: an empty flat piece
-            if size is not None and i0 >= size:
-                return identity  # empty flat piece; never matched
-            return translator(i0 + 1)
-
-        def flat_cover(x):
-            i = _checked_index(cover_name, cover(coset_of(x)), size)
-            return cantor_pair(i - 1, rep_index(rep_of(x)) - 1) + 1
-
-        return PieceFamily(classifier), flat_translator, flat_cover, None
-
-    a, b = (independent_side(*s) for s in dec.sides())
+    a, b = (side(*s) for s in dec.sides())
     return _from_sides(action, a, b, "glue")
 
 

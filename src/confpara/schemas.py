@@ -584,19 +584,13 @@ def build_decomposition(payload, path="/payload"):
         return paradox.refine_to_singletons(inner)
     if kind == "glue":
         inner_payload = f.take("inner")
-        mode = f.take("mode", required=False, default="uniform")
         copies = f.take("copies")
         f.finish()
-        mode = _as_str(mode, f"{path}/mode")
-        if mode not in ("uniform", "independent"):
-            _fail(f"unknown glue mode {mode!r}", f"{path}/mode")
         inner = build_decomposition(inner_payload, f"{path}/inner")
         if not isinstance(inner.action, LeftTranslation):
             _fail("glue expects an inner decomposition of the group itself",
                   f"{path}/inner")
         action = ProductAction(inner.action, _as_copies(copies, f"{path}/copies"))
         orbits = paradox.product_orbit_structure(action)
-        return paradox.glue_orbit_decompositions(
-            action, orbits, lambda rep: inner, mode=mode
-        )
+        return paradox.glue_orbit_decompositions(action, orbits, lambda rep: inner)
     _fail(f"unknown construction {kind!r}", f"{path}/construction")

@@ -533,7 +533,7 @@ def build_orbit_gluing():
     orbits = product_orbit_structure(action)
     glued = glue_orbit_decompositions(
         action, orbits, lambda rep: singleton_decomposition(Z),
-        mode="uniform", validate_window=lambda rep: Z.box(6),
+        validate_window=lambda rep: Z.box(6),
         validate_reps=2, validate_index_bound=40,
     )
     window = action.window({"box": 30, "indices": [0, 5]})

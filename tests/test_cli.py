@@ -898,6 +898,10 @@ F2_EXPLICIT = json.loads((FIXTURES / "decomposition_f2_explicit.json").read_text
             "construction": "glue", "copies": 2,
             "inner": {"construction": "singleton", "group": Z_GROUP}}}), "--window", "box=1"],
      "glue expects an inner decomposition of the group itself (at /payload/inner)"),
+    (["paradox", "verify", ("decomposition", {
+        "construction": "glue", "copies": 2, "mode": "uniform",
+        "inner": {"construction": "singleton", "group": Z_GROUP}}), "--window", "box=1"],
+     "unknown field 'mode' (at /payload/mode)"),
     (["paradox", "verify", ("decomposition", {**F2_EXPLICIT, "a-translators": ["e", "a^x"]}),
       "--window", "ball=1"],
      "bad exponent in 'a^x' (at /payload/a-translators/1)"),
@@ -925,6 +929,7 @@ F2_EXPLICIT = json.loads((FIXTURES / "decomposition_f2_explicit.json").read_text
      "duplicate points (at /payload/action/points)"),
 ], ids=["tuple-not-an-array", "countable-trivial-with-points", "overlapping-blocks",
         "bad-index-range", "unknown-piece-family", "include-and-exclude", "glue-of-a-glue",
+        "glue-with-a-mode",
         "bad-exponent", "no-ball-for-a-trivial-action", "empty-table", "one-sided-identity",
         "non-associative-table", "labels-of-the-wrong-length", "rank-2-token-without-brackets",
         "trivial-action-with-duplicate-points"])
@@ -1047,7 +1052,7 @@ def test_construct_glue_from_flags(files, capsys):
     code, stdout, _ = run(
         capsys,
         ["paradox", "construct", "--kind", "glue", "--copies", "countable",
-         "--mode", "uniform", "--inner", files["dec_singleton_z"],
+         "--inner", files["dec_singleton_z"],
          "--window", "box=3,indices=0..1", "--index-bound", "12"],
     )
     assert code == 0
@@ -1056,14 +1061,23 @@ def test_construct_glue_from_flags(files, capsys):
     assert doc["metadata"]["verdict"]["points-checked"] == 14
 
 
+def test_construct_glue_has_no_mode_flag(files, capsys):
+    code, stdout, stderr = run(
+        capsys,
+        ["paradox", "construct", "--kind", "glue", "--mode", "uniform", "--copies", "2",
+         "--inner", files["dec_singleton_z"]],
+    )
+    assert (code, stdout) == (4, "")
+    assert stderr.endswith("error: unrecognized arguments: --mode\n")
+
+
 DECOMPOSITION_FIXTURES = ["f2_standard", "f2_explicit", "singleton_z", "lift_even"]
 
 
 @pytest.mark.parametrize("flags", [
     ["--kind", "refine-singletons"],
     ["--kind", "compress"],
-    *(["--kind", "glue", "--mode", mode, "--copies", copies]
-      for mode in ("uniform", "independent") for copies in ("2", "countable")),
+    *(["--kind", "glue", "--copies", copies] for copies in ("2", "countable")),
 ], ids=lambda flags: "-".join(flags[1::2]))
 @pytest.mark.parametrize("fixture", DECOMPOSITION_FIXTURES)
 def test_construct_over_every_fixture_ends_with_a_documented_exit(fixture, flags, capsys):
@@ -1093,11 +1107,10 @@ def test_refining_countably_many_pieces_is_unsupported(fixture, capsys):
 
 
 @pytest.mark.parametrize("fixture", ["f2_standard", "f2_explicit"])
-def test_construct_independent_glue_of_finite_pieces(fixture, capsys):
+def test_construct_glue_of_finite_pieces(fixture, capsys):
     code, stdout, _ = run(
         capsys,
-        ["paradox", "construct", "--kind", "glue", "--mode", "independent",
-         "--copies", "2", "--inner", str(FIXTURES / f"decomposition_{fixture}.json"),
+        ["paradox", "construct", "--kind", "glue", "--copies", "2", "--inner", str(FIXTURES / f"decomposition_{fixture}.json"),
          "--window", '{"ball": 2, "indices": [0, 1]}', "--index-bound", "10"],
     )
     assert code == 0

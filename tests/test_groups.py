@@ -768,8 +768,7 @@ RECORDS = {
     px.Verdict: ("status", "window_label", "index_bound", "points_checked", "witness"),
     px.EquidecompositionWitness: ("pieces", "translator", "cover"),
     px.SubgroupWitness: ("subgroup", "from_subgroup", "decompose"),
-    px.OrbitStructure: ("rep_of", "coset_of", "point_of", "rep_index", "rep_at", "count",
-                        "equivariant_for"),
+    px.OrbitStructure: ("rep_of", "coset_of", "point_of", "rep_at", "count", "equivariant_for"),
     px.CompressionResult: ("status", "decomposition", "a_range", "b_range", "bound", "detection"),
     rc.MultiplicationIndexTable: ("bound", "rows", "labels"),
     rc.CosetFamily: ("blocks", "representatives", "relabeling", "identity_block_before"),

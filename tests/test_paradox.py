@@ -577,11 +577,9 @@ def derived_with_windows(dec):
     """``dec`` and every construction over it that reads its oracles, each
     with a window: ``dec`` itself without claimants (checked by the index
     scan), the singleton refinement, the translator compression and the
-    independent glue of two copies."""
+    glue of two copies."""
     product = ProductAction(LeftTranslation(F2), 2)
-    glued = glue_orbit_decompositions(
-        product, product_orbit_structure(product), lambda rep: dec, mode="independent"
-    )
+    glued = glue_orbit_decompositions(product, product_orbit_structure(product), lambda rep: dec)
     return (
         (dec, fwin(2)),
         (scanned(dec), fwin(2)),
@@ -594,7 +592,7 @@ def derived_with_windows(dec):
 def test_refinement_keeps_the_parent_classifier_contract():
     # an a-piece 3 (or 0) that the size-2 family does not have is malformed
     # in the parent; no derived decomposition may read it as a piece of its
-    # own (refined piece (3, 1), a compressed piece, a flat glued index)
+    # own (refined piece (3, 1), a compressed piece, a glued piece)
     dec = f2_standard_decomposition(F2)
     base = dec.a_pieces.classifier
     for index, message in ((3, "index 3 beyond the family size 2"), (0, "bad index 0")):
@@ -634,7 +632,6 @@ def test_uniform_glue_verifies_on_the_product():
     action, orbits = product_setup()
     glued = glue_orbit_decompositions(
         action, orbits, lambda rep: singleton_decomposition(Z),
-        mode="uniform",
         validate_window=lambda rep: zwin(4),
     )
     assert glued.kind == "glue"
@@ -645,28 +642,17 @@ def test_uniform_glue_verifies_on_the_product():
     assert verdict.points_checked == 13 * 4
 
 
-def test_independent_glue_pairs_piece_and_orbit():
-    action, orbits = product_setup()
-    glued = glue_orbit_decompositions(
-        action, orbits, lambda rep: singleton_decomposition(Z), mode="independent"
-    )
-    # orbit index 3 (copy number 2), piece 1 on the a side
-    assert glued.a_pieces.classifier((1, 2)) == cantor_pair(0, 2) + 1
-    verdict = verify_paradoxical(
-        glued, action.window({"box": 5, "indices": [0, 2]}), 12
-    )
-    assert verdict.verified
-
-
 def test_glue_refuses_refutable_per_orbit_input():
+    # a supplied window verifies the decomposition however many orbits have
+    # their decoding checked, none included
     action, orbits = product_setup()
     broken = dataclasses.replace(singleton_decomposition(Z), b_cover=lambda x: 1)
-    with pytest.raises(PreconditionError) as err:
-        glue_orbit_decompositions(
-            action, orbits, lambda rep: broken,
-            mode="uniform", validate_window=lambda rep: zwin(4),
-        )
-    assert "not countably paradoxical" in str(err.value)
+    for reps in (0, 1, 2):
+        with pytest.raises(PreconditionError, match="not countably paradoxical"):
+            glue_orbit_decompositions(
+                action, orbits, lambda rep: broken,
+                validate_window=lambda rep: zwin(4), validate_reps=reps,
+            )
 
 
 def test_glue_refuses_broken_orbit_decoding():
@@ -675,24 +661,20 @@ def test_glue_refuses_broken_orbit_decoding():
         rep_of=orbits.rep_of,
         coset_of=lambda x: -x[0],
         point_of=orbits.point_of,
-        rep_index=orbits.rep_index,
         rep_at=orbits.rep_at,
     )
     with pytest.raises(PreconditionError):
         glue_orbit_decompositions(
             action, bad, lambda rep: singleton_decomposition(Z),
-            mode="uniform", validate_window=lambda rep: zwin(4),
+            validate_window=lambda rep: zwin(4),
         )
 
 
 @pytest.mark.parametrize("copies", [2, None])
 @pytest.mark.parametrize("fixture", ["f2_standard", "f2_explicit"])
-def test_independent_glue_of_finite_pieces_verifies(fixture, copies):
-    # flat indices whose piece index exceeds the inner size, or whose orbit
-    # is past the last of finitely many copies, are empty pieces with the
-    # identity translator; probing them must neither crash nor reach the
-    # inner translator beyond its range, and the decomposition is asked for
-    # once, for the first copy
+def test_glue_of_finite_pieces_verifies(fixture, copies):
+    # the fixtures' finite piece families over two or countably many copies;
+    # the decomposition is asked for once, for the first copy
     _kind, payload, _meta = loads_manifest(
         (FIXTURES / f"decomposition_{fixture}.json").read_text(), "decomposition"
     )
@@ -701,11 +683,7 @@ def test_independent_glue_of_finite_pieces_verifies(fixture, copies):
     orbits = product_orbit_structure(action)
     assert orbits.count == copies
     asked = set()
-    glued = glue_orbit_decompositions(
-        action, orbits, lambda rep: asked.add(rep) or inner, mode="independent"
-    )
-    empty = cantor_pair(2, 0) + 1  # piece 3 of the first copy
-    assert glued.a_translator(empty) == glued.b_translator(empty) == F2.identity
+    glued = glue_orbit_decompositions(action, orbits, lambda rep: asked.add(rep) or inner)
     verdict = verify_paradoxical(
         glued, action.window({"ball": 2, "indices": [0, 1]}), 10
     )
@@ -715,14 +693,13 @@ def test_independent_glue_of_finite_pieces_verifies(fixture, copies):
 
 
 @pytest.mark.parametrize("copies", [2, None])
-@pytest.mark.parametrize("mode", ["uniform", "independent"])
 @pytest.mark.parametrize("validated", [False, True])
-def test_glue_asks_for_one_decomposition(mode, copies, validated):
+def test_glue_asks_for_one_decomposition(copies, validated):
     action = ProductAction(LeftTranslation(Z), copies)
     asked = []
     glued = glue_orbit_decompositions(
         action, product_orbit_structure(action),
-        lambda rep: asked.append(rep) or singleton_decomposition(Z), mode=mode,
+        lambda rep: asked.append(rep) or singleton_decomposition(Z),
         validate_window=(lambda rep: Z.box(3)) if validated else None)
     assert verify_paradoxical(
         glued, action.window({"box": 4, "indices": [0, 1]}), 12
@@ -730,49 +707,14 @@ def test_glue_asks_for_one_decomposition(mode, copies, validated):
     assert asked == [(0, 0)]
 
 
-@pytest.mark.parametrize("group, inner, window, copies", [
-    (Z, singleton_decomposition(Z), {"box": 6}, None),
-    (F2, f2_standard_decomposition(F2), {"ball": 2}, 2),
-], ids=["singleton-z", "free2-standard"])
-def test_independent_glue_is_uniform_glue_reindexed(group, inner, window, copies):
-    # flat piece cantor_pair(u - 1, r) + 1 is uniform piece u on copy r, and
-    # flat translator j is the inner translator of j's piece index; it is the
-    # identity when that piece or copy does not exist
-    action = ProductAction(LeftTranslation(group), copies)
-    orbits = product_orbit_structure(action)
-    uniform, independent = (
-        glue_orbit_decompositions(action, orbits, lambda rep: inner, mode=mode)
-        for mode in ("uniform", "independent")
-    )
-    indices = range(4 if copies is None else copies)
-    points = [(g, r) for r in indices for g in LeftTranslation(group).window(window).points]
-    for side in "ab":
-        glued_pieces = getattr(uniform, f"{side}_pieces").classifier
-        flat_pieces = getattr(independent, f"{side}_pieces").classifier
-        glued_cover = getattr(uniform, f"{side}_cover")
-        flat_cover = getattr(independent, f"{side}_cover")
-        for x in points:
-            u = glued_pieces(x)
-            assert flat_pieces(x) == (None if u is None else cantor_pair(u - 1, x[1]) + 1)
-            assert flat_cover(x) == cantor_pair(glued_cover(x) - 1, x[1]) + 1
-        size = getattr(inner, f"{side}_pieces").size
-        translator = getattr(inner, f"{side}_translator")
-        flat_translator = getattr(independent, f"{side}_translator")
-        for j in range(1, 40):
-            i0, r0 = cantor_unpair(j - 1)
-            missing = (size is not None and i0 >= size) or (copies is not None and r0 >= copies)
-            assert flat_translator(j) == (group.identity if missing else translator(i0 + 1))
-
-
-@pytest.mark.parametrize("mode", ["uniform", "independent"])
-def test_glue_validates_only_orbits_that_exist(mode):
+def test_glue_validates_only_orbits_that_exist():
     # two representatives asked for, one copy: no decomposition or window is
     # asked for the missing copy (0, 1)
     action = ProductAction(LeftTranslation(Z), 1)
     asked, windows = [], []
     glue_orbit_decompositions(
         action, product_orbit_structure(action),
-        lambda rep: asked.append(rep) or singleton_decomposition(Z), mode=mode,
+        lambda rep: asked.append(rep) or singleton_decomposition(Z),
         validate_window=lambda rep: windows.append(rep) or Z.box(3), validate_reps=2)
     assert asked == windows == [(0, 0)]
 
@@ -798,18 +740,18 @@ def test_orbit_validation_refuses_a_decoding_that_does_not_commute(group, decodi
 def test_glue_argument_errors():
     action, orbits = product_setup()
     per = lambda rep: singleton_decomposition(Z)
-    with pytest.raises(InputError):
-        glue_orbit_decompositions(action, orbits, per, mode="sideways")
+    assert glue_orbit_decompositions(action, orbits, per, mode="uniform").kind == "glue"
+    for mode in ("independent", "sideways"):  # uniform glue is the only mode
+        with pytest.raises(InputError, match=f"^unknown glue mode '{mode}'$"):
+            glue_orbit_decompositions(action, orbits, per, mode=mode)
     with pytest.raises(TypeError):  # every orbit structure names its representatives
-        OrbitStructure(orbits.rep_of, orbits.coset_of, orbits.point_of, orbits.rep_index)
+        OrbitStructure(orbits.rep_of, orbits.coset_of, orbits.point_of)
 
 
 def test_restriction_recovers_the_per_orbit_input():
     action, orbits = product_setup()
     base = singleton_decomposition(Z)
-    glued = glue_orbit_decompositions(
-        action, orbits, lambda rep: base, mode="uniform"
-    )
+    glued = glue_orbit_decompositions(action, orbits, lambda rep: base)
     restricted = restrict_to_orbit(glued, (7, 1), orbits)
     assert isinstance(restricted.action, LeftTranslation)
     for v in range(-10, 11):
@@ -824,7 +766,6 @@ def test_transitive_orbit_structure_is_the_group_itself():
     assert s.rep_of(5) == 0
     assert s.coset_of(5) == 5
     assert s.point_of(0, -3) == -3
-    assert s.rep_index(0) == 1
     assert s.rep_at(1) == 0
     assert s.count == 1
     assert s.equivariant_for == (action, s.coset_of)
@@ -1358,10 +1299,10 @@ def first_member(dec):
 
 
 def reference_case(kind):
-    """(decomposition, window by radius, member(side, j) of piece j, or None
-    for the independent glue, whose flat pieces have no member rule here).
-    A uniform glue's member is its inner piece's, which the piece holds in
-    every copy."""
+    """(decomposition, window by radius, member(side, j) of piece j).  A
+    glue's member is its inner piece's, which the piece holds in every copy.
+    ``glue-unproved`` glues over a decoding that carries no equivariance
+    proof, so its pieces name no claimants and the verifier scans them."""
     if kind in ("f2-standard", "f2-explicit", "refined-f2", "refined-explicit"):
         dec = explicit_f2() if kind.endswith("explicit") else f2_standard_decomposition(F2)
         if kind.startswith("refined"):
@@ -1371,15 +1312,16 @@ def reference_case(kind):
         action = ProductAction(LeftTranslation(F2), 2)
         inner, window = f2_standard_decomposition(F2), (
             lambda r: action.window({"ball": r, "indices": [0, 1]}))
-        mode, member = "uniform", first_member(inner)
+        member = first_member(inner)
     else:
         action = ProductAction(LeftTranslation(Z))
         inner, window = singleton_decomposition(Z), (
             lambda r: action.window({"box": r, "indices": [0, 2]}))
-        mode = kind.split("-")[-1]
-        member = (lambda side, j: singleton_member(Z, side, j)) if mode == "uniform" else None
-    dec = glue_orbit_decompositions(action, product_orbit_structure(action),
-                                    lambda rep: inner, mode=mode)
+        member = lambda side, j: singleton_member(Z, side, j)
+    orbits = product_orbit_structure(action)
+    if kind == "glue-unproved":
+        orbits = orbits._replace(equivariant_for=None)
+    dec = glue_orbit_decompositions(action, orbits, lambda rep: inner)
     return dec, window, member
 
 
@@ -1411,7 +1353,7 @@ def fast_outcome(dec, window, bound):
 @settings(max_examples=200, deadline=None)
 @given(
     kind=st.sampled_from(["f2-standard", "f2-explicit", "refined-f2", "refined-explicit",
-                          "glue-uniform", "glue-independent", "glue-f2-uniform"]),
+                          "glue-uniform", "glue-unproved", "glue-f2-uniform"]),
     radius=st.integers(0, 3),
     bound=st.one_of(st.integers(1, 6), st.integers(7, 60)),
     mutation=st.sampled_from(["none", "constant-cover", "zero-cover", "bool-cover",
@@ -1437,7 +1379,7 @@ def test_verifier_matches_its_slow_reference(kind, radius, bound, mutation, side
         top = bound if fam.size is None else min(bound, fam.size)
         dec = claim_twice(dec, side, data.draw(st.sampled_from(outside)),
                           data.draw(st.integers(1, top)))
-    elif mutation == "rerouted" and member is not None:
+    elif mutation == "rerouted":
         positions = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
         dec = reroute(dec, side, member, positions, data.draw(st.booleans()))
     elif mutation == "a-and-b-at-e":
@@ -1491,7 +1433,7 @@ def test_uniform_glue_carries_one_decomposition_to_every_copy():
     asked = []
     glued = glue_orbit_decompositions(
         action, orbits, lambda rep: asked.append(rep) or (swapped if rep[1] else dec),
-        mode="uniform", validate_window=lambda rep: fwin(1), validate_reps=3)
+        validate_window=lambda rep: fwin(1), validate_reps=3)
     assert asked == [orbits.rep_at(1)]
     for side in "ab":
         fam, glued_fam = getattr(dec, f"{side}_pieces"), getattr(glued, f"{side}_pieces")
@@ -1519,7 +1461,7 @@ def test_uniform_glue_scan_probe_reads_the_inner_index_through_the_contract(bad,
     action = ProductAction(LeftTranslation(F2), 1)
     # without inner claimants the glue names none, so the verifier scans
     glued = glue_orbit_decompositions(action, product_orbit_structure(action),
-                                      lambda rep: scanned(broken), mode="uniform")
+                                      lambda rep: scanned(broken))
     assert glued.a_pieces.claimants is None
     window = action.window({"ball": 0, "indices": [0, 0]})
     assert window.points == ((F2.identity, 0),)
@@ -1543,7 +1485,7 @@ def test_an_unproved_decoding_keeps_the_scan(how):
     assert proved.equivariant_for == (action, proved.coset_of)
     orbits = {
         "hand-built": OrbitStructure(proved.rep_of, swapped_decoding, proved.point_of,
-                                     proved.rep_index, proved.rep_at, proved.count),
+                                     proved.rep_at, proved.count),
         "replaced": proved._replace(coset_of=swapped_decoding),
         "other-action": product_orbit_structure(ProductAction(LeftTranslation(Z), 1)),
     }[how]

@@ -473,11 +473,11 @@ def test_glue_construction():
     })
     w = dec.action.window({"box": 4, "indices": [0, 2]})
     assert verify_paradoxical(dec, w, 12).verified
-    with pytest.raises(InputError) as err:
+    with pytest.raises(InputError, match=r"^unknown field 'mode' \(at /payload/mode\)$") as err:
         build_decomposition({
             "construction": "glue",
             "copies": 2,
-            "mode": "diagonal",
+            "mode": "uniform",
             "inner": {"construction": "free2-standard"},
         })
     assert path_of(err) == "/payload/mode"
